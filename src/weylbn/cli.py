@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import cosets, fingrp, titssys
-from .errors import EnumerationCapExceeded, WeylBNError, WitnessNotApplicable
+from .errors import EnumerationCapExceeded, GroupTooLarge, WeylBNError, WitnessNotApplicable
 from .rootsys import build_root_system, is_end_node, reduced_form
 from .weyl import (
     element_of,
@@ -114,7 +114,7 @@ def run_suite(suite_id, case_fns, jobs=1, skipped=()):
         case_id, fn = item
         try:
             return fn()
-        except WeylBNError as exc:
+        except Exception as exc:  # any failure inside a case fails only that case
             return CaseResult(case_id, {}, "no error", f"{type(exc).__name__}: {exc}", False)
 
     if jobs > 1:
@@ -300,7 +300,13 @@ def weight_set_cases(max_rank=8):
 
 
 def _system_for(spec, max_group):
+    """Build the system named by ``spec``, refusing (GroupTooLarge) before
+    any enumeration when its group order is over ``max_group``."""
     kind = spec[0]
+    if kind in ("sl", "sl-rank1", "projective", "affine"):
+        order = spec[1] * (spec[1] - 1) if kind == "affine" else fingrp.sl_order(spec[1], spec[2])
+        if order > max_group:
+            raise GroupTooLarge(f"group order {order} exceeds the cap {max_group}")
     if kind == "sl":
         return titssys.standard_sl_system(spec[1], spec[2])
     if kind == "sl-rank1":
@@ -507,13 +513,13 @@ def emit_suite(result, fmt, out):
         out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         return
     if fmt == "csv":
-        out.write("id,inputs,expected,actual,pass\n")
+        import csv  # only here, so the import of the CLI does not pay for it
+
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["id", "inputs", "expected", "actual", "pass"])
         for case in result.cases:
             inputs = json.dumps(case.inputs, sort_keys=True, separators=(",", ":"))
-            out.write(
-                f'{case.id},"{inputs.replace(chr(34), chr(34) * 2)}",'
-                f"{case.expected},{case.actual},{case.passed}\n"
-            )
+            writer.writerow([case.id, inputs, case.expected, case.actual, case.passed])
         return
     width = max((len(c.id) for c in result.cases), default=10)
     out.write(

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .errors import GroupTooLarge, RankTooSmall, WitnessNotApplicable
 from .rootsys import branch_node, build_root_system, dynkin_path, is_end_node, reduced_form
 from .weyl import (
-    WeylElement,
     act_on_weight,
     element_of,
     fundamental_weight,
@@ -31,7 +30,6 @@ from .weyl import (
     length,
     longest_element,
     reduced_words,
-    simple_reflection,
 )
 
 NAIVE_WEYL_CAP = 10**5

@@ -7,14 +7,29 @@ tuples with entries reduced mod p, an affine-group element is a pair
 and inversion oracles; subgroups are FiniteGroups sharing the same
 oracles, so set operations on elements are meaningful across them.
 Groups are immutable after construction and safe to share.
+
+Integer index.  A group that is not a subgroup is its own *root*: its
+elements, sorted, are numbered 0..n-1, so the least element has the
+least index.  A subgroup keeps its root and is the set of its members'
+root indices.  Multiplication by a fixed element is then a permutation
+of range(n), stored as a list: the left table L_x (i -> index of x*x_i)
+and the right table R_x (i -> index of x_i*x).  The root keeps the left
+tables of its generators, as the enumeration formed them, and the
+breadth-first tree that reached each element x_i = g_j * x_p from the
+identity; any right table follows that tree in one pass, since
+x_i * x = g_j * (x_p * x), and L_x = I o R_{x^-1} o I with I the inverse
+table.  Cosets, double cosets and generated subgroups are then orbits of
+a few such tables, found by ``orbits``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul as _times
 
-from .errors import GroupTooLarge, NotTwoTransitive
+from .errors import GroupTooLarge
 
 SL_ENUM_CAP = 10**5
 NILPOTENCY_CAP = 10**4
@@ -34,13 +49,20 @@ class GroupOps:
 
 
 class FiniteGroup:
-    """An explicit finite group (or subgroup) over shared GroupOps."""
+    """An explicit finite group (or subgroup) over shared GroupOps.
 
-    def __init__(self, ops, elements, gens=None, check=True):
+    ``root`` is the group whose index this one uses (itself unless made
+    by ``subgroup``); ``bfs`` is an enumeration's ``_closure`` result over
+    ``gens``, kept so the root need not multiply again for its tables.
+    """
+
+    def __init__(self, ops, elements, gens=None, check=True, root=None, bfs=None):
         self.ops = ops
         self.elements = tuple(sorted(elements))
         self.elemset = frozenset(self.elements)
         self._gens = tuple(gens) if gens is not None else None
+        self.root = self if root is None else root
+        self._bfs = bfs
         if check:
             self._spot_check()
 
@@ -68,14 +90,73 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({self.ops.label}, order={self.order})"
 
+    @cached_property
+    def index(self):
+        """Root index of every root element."""
+        if self.root is not self:
+            return self.root.index
+        return {x: i for i, x in enumerate(self.elements)}
+
+    @cached_property
+    def indices(self):
+        """Root indices of this group's elements, ascending."""
+        index = self.index
+        return tuple(index[x] for x in self.elements)
+
+    @cached_property
+    def inv_table(self):
+        """Root index of each root element's inverse (None if outside the root)."""
+        if self.root is not self:
+            return self.root.inv_table
+        index, inv = self.index, self.ops.inv
+        return [index.get(inv(x)) for x in self.elements]
+
+    def inverse(self, x):
+        """x^-1, read from the root's inverse table."""
+        root = self.root
+        return root.elements[root.inv_table[root.index[x]]]
+
+    @cached_property
+    def _core(self):
+        """Root only: (left tables of the generators, BFS steps (i, j, p))
+        in root indices, each step meaning x_i = gens[j] * x_p."""
+        order, tables, via = self._bfs or _closure(self.ops, self.generators())
+        self._bfs = None
+        index = self.index
+        pos = [index[x] for x in order]
+        n = len(pos)
+        left = []
+        for tab in tables:
+            perm = [0] * n
+            for t, c in enumerate(tab):
+                perm[pos[t]] = pos[c]
+            left.append(perm)
+        steps = [(pos[t], j, pos[s]) for t, (j, s) in enumerate(via, start=1)]
+        return left, steps
+
+    def right_table(self, x):
+        """R_x over the root index: i -> index of x_i * x."""
+        root = self.root
+        left, steps = root._core
+        table = [0] * len(root.elements)
+        table[root.index[root.ops.identity]] = root.index[x]
+        for i, j, p in steps:
+            table[i] = left[j][table[p]]
+        return table
+
+    def left_table(self, x):
+        """L_x over the root index: i -> index of x * x_i."""
+        inv = self.root.inv_table
+        r = self.right_table(self.inverse(x))
+        return [inv[r[j]] for j in inv]
+
     def _spot_check(self):
-        mul, inv = self.ops.mul, self.ops.inv
+        mul = self.ops.mul
         e = self.ops.identity
         if e not in self.elemset:
             raise ValueError(f"{self.ops.label}: identity not a member")
-        for x in self.elements:
-            if inv(x) not in self.elemset:
-                raise ValueError(f"{self.ops.label}: not closed under inversion")
+        if None in self.inv_table:
+            raise ValueError(f"{self.ops.label}: not closed under inversion")
         rng = random.Random(20160)
         n = len(self.elements)
         for _ in range(min(200, n * n)):
@@ -104,35 +185,85 @@ class FiniteGroup:
         return self._gens
 
     def subgroup(self, elements, gens=None):
-        return FiniteGroup(self.ops, elements, gens=gens, check=False)
+        return FiniteGroup(self.ops, elements, gens=gens, check=False, root=self.root)
 
     def is_subgroup_of(self, other):
         return self.ops is other.ops and self.elemset <= other.elemset
 
 
+def orbits(perms, size, seeds=None):
+    """Orbits on range(size) of the group generated by index permutations.
+
+    One list per orbit, in breadth-first order from its first point.
+    Orbits are started at ``seeds`` in the order given (default: every
+    point, ascending), skipping seeds an earlier orbit reached.  Serves
+    cosets (right tables of a subgroup's generators), double cosets,
+    generated subgroups (the orbit of the identity) and actions.
+    """
+    seen = bytearray(size)
+    out = []
+    for s in range(size) if seeds is None else seeds:
+        if seen[s]:
+            continue
+        seen[s] = 1
+        orb = [s]
+        for x in orb:
+            for perm in perms:
+                y = perm[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orb.append(y)
+        out.append(orb)
+    return out
+
+
+def left_coset_reps(G, K, seeds=None):
+    """Left cosets xK of the subgroup K, each named by its least member.
+
+    Maps the root index of every element of the cosets through ``seeds``
+    (root indices; default every element of G) to the root index of its
+    coset's least member.
+    """
+    perms = [G.right_table(k) for k in K.generators()]
+    rep_of = {}
+    for orb in orbits(perms, len(G.root.elements), G.indices if seeds is None else seeds):
+        r = min(orb)
+        for i in orb:
+            rep_of[i] = r
+    return rep_of
+
+
+def _closure(ops, gens, cap=None):
+    """Breadth-first closure of ``gens`` from the identity.
+
+    Returns (order, tables, via) in discovery numbering: ``order`` lists
+    the elements, ``tables[j][t]`` is the number of gens[j] * order[t], and
+    ``via[t - 1] = (j, s)`` says order[t] was first reached as
+    gens[j] * order[s].
+    """
+    mul = ops.mul
+    gens = list(dict.fromkeys(gens))
+    order = [ops.identity]
+    num = {ops.identity: 0}
+    tables = [[] for _ in gens]
+    via = []
+    for s, x in enumerate(order):
+        for j, (a, tab) in enumerate(zip(gens, tables)):
+            c = mul(a, x)
+            t = num.get(c)
+            if t is None:
+                if cap is not None and len(order) >= cap:
+                    raise GroupTooLarge(f"closure exceeds cap {cap}")
+                t = num[c] = len(order)
+                order.append(c)
+                via.append((j, s))
+            tab.append(t)
+    return order, tables, via
+
+
 def closure(ops, gens, cap=None):
     """BFS closure of ``gens`` under multiplication; sorted element tuple."""
-    mul = ops.mul
-    els = {ops.identity}
-    els.update(gens)
-    frontier = list(els)
-    gens = list(dict.fromkeys(gens))
-    while frontier:
-        new = []
-        for b in frontier:
-            for a in gens:
-                c = mul(a, b)
-                if c not in els:
-                    if cap is not None and len(els) >= cap:
-                        raise GroupTooLarge(f"closure exceeds cap {cap}")
-                    els.add(c)
-                    new.append(c)
-        frontier = new
-    return tuple(sorted(els))
-
-
-def subgroup_closure(G, gens, cap=None):
-    return G.subgroup(closure(G.ops, gens, cap=cap), gens=tuple(gens))
+    return tuple(sorted(_closure(ops, gens, cap)[0]))
 
 
 def element_order(ops, x):
@@ -147,11 +278,11 @@ def element_order(ops, x):
 
 def is_normal(H, G):
     """Conjugate H's generators by every element of G."""
-    mul, inv = G.ops.mul, G.ops.inv
+    mul = G.ops.mul
     hset = H.elemset
     hgens = H.generators()
     for g in G.elements:
-        gi = inv(g)
+        gi = G.inverse(g)
         for h in hgens:
             if mul(mul(g, h), gi) not in hset:
                 return False
@@ -160,27 +291,14 @@ def is_normal(H, G):
 
 def conjugacy_classes(G):
     """Conjugacy classes, each a frozenset, in a deterministic order."""
-    mul, inv = G.ops.mul, G.ops.inv
-    gens = G.generators()
-    seen = set()
-    classes = []
-    for x in G.elements:
-        if x in seen:
-            continue
-        cls = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in gens:
-                    z = mul(mul(g, y), inv(g))
-                    if z not in cls:
-                        cls.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        seen |= cls
-        classes.append(frozenset(cls))
-    return classes
+    mul = G.ops.mul
+    els = G.elements
+    at = {x: i for i, x in enumerate(els)}
+    perms = []
+    for g in G.generators():
+        gi = G.inverse(g)
+        perms.append([at[mul(mul(g, y), gi)] for y in els])
+    return [frozenset(els[i] for i in orb) for orb in orbits(perms, len(els))]
 
 
 def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
@@ -209,29 +327,9 @@ def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
     return [G.subgroup(els) for els in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
-def _normal_closure(G, seed):
-    """Smallest subgroup containing ``seed`` and normal in G."""
-    mul, inv = G.ops.mul, G.ops.inv
-    gens = list(seed)
-    current = closure(G.ops, gens)
-    while True:
-        new = []
-        cset = frozenset(current)
-        for g in G.generators():
-            gi = inv(g)
-            for h in gens:
-                c = mul(mul(g, h), gi)
-                if c not in cset:
-                    new.append(c)
-        if not new:
-            return current
-        gens.extend(new)
-        current = closure(G.ops, gens)
-
-
 def commutator_subgroup(G, H, L):
     """[H, L] inside G: normal closure of generator commutators."""
-    mul, inv = G.ops.mul, G.ops.inv
+    mul, inv = G.ops.mul, G.inverse
 
     def comm(a, b):
         return mul(mul(a, b), mul(inv(a), inv(b)))
@@ -343,30 +441,12 @@ class GroupAction:
     apply: callable = field(compare=False)
 
 
-def orbits(action):
+def action_orbits(action):
     """Orbit partition, each orbit a frozenset, deterministic order."""
-    gens = action.group.generators()
-    apply = action.apply
-    remaining = set(action.points)
-    parts = []
-    for x in action.points:
-        if x not in remaining:
-            continue
-        orb = {x}
-        remaining.discard(x)
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in gens:
-                    z = apply(g, y)
-                    if z in remaining:
-                        remaining.discard(z)
-                        orb.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        parts.append(frozenset(orb))
-    return parts
+    pts, apply = action.points, action.apply
+    at = {x: i for i, x in enumerate(pts)}
+    perms = [[at[apply(g, x)] for x in pts] for g in action.group.generators()]
+    return [frozenset(pts[i] for i in orb) for orb in orbits(perms, len(pts))]
 
 
 def stabilizer(action, x):
@@ -389,14 +469,13 @@ def is_2transitive(action):
     pts = action.points
     if len(pts) < 2:
         return False
-    parts = orbits(action)
-    if len(parts) != 1:
+    if len(action_orbits(action)) != 1:
         return False
     x = pts[0]
     stab = stabilizer(action, x)
     rest = tuple(p for p in pts if p != x)
     sub_action = GroupAction(stab, rest, action.apply)
-    return len(orbits(sub_action)) == 1
+    return len(action_orbits(sub_action)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +494,20 @@ def _is_prime(p):
 
 
 def mat_mul(a, b, p):
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in rng) % p for j in rng) for i in rng
-    )
+    """a*b mod p.  A unit row e_k of a picks the row b[k] as it is; other
+    rows are dot products with b's columns.  Transvections and monomial
+    matrices are mostly unit rows."""
+    n = len(b)
+    cols = None
+    rows = []
+    for row in a:
+        if row.count(0) == n - 1 and 1 in row:
+            rows.append(b[row.index(1)])
+        else:
+            if cols is None:
+                cols = tuple(zip(*b))
+            rows.append(tuple(sum(map(_times, row, col)) % p for col in cols))
+    return tuple(rows)
 
 
 def mat_identity(n):
@@ -486,7 +574,9 @@ def sl_order(n, p):
 
 
 def special_linear_group(n, p, cap=SL_ENUM_CAP):
-    """SL_n(F_p), fully enumerated from elementary transvections.
+    """SL_n(F_p), fully enumerated from the elementary transvections
+    I + E_{i,i+1} and I + E_{i+1,i}.  They generate it: the other
+    I + E_ij are commutators of these, and p is prime.
 
     Instances are cached per (n, p); they are immutable and shared.
     """
@@ -502,16 +592,17 @@ def special_linear_group(n, p, cap=SL_ENUM_CAP):
     gens = []
     for i in range(n):
         for j in range(n):
-            if i != j:
+            if abs(i - j) == 1:
                 m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
                 m[i][j] = 1
                 gens.append(tuple(tuple(row) for row in m))
-    elements = closure(ops, gens, cap=cap + 1)
+    bfs = _closure(ops, gens, cap=cap + 1)
+    elements = bfs[0]
     if len(elements) != expected:
         raise AssertionError(
             f"enumerated {len(elements)} elements, order formula says {expected}"
         )
-    G = FiniteGroup(ops, elements, gens=gens)
+    G = FiniteGroup(ops, elements, gens=gens, bfs=bfs)
     _sl_cache[(n, p)] = G
     return G
 
@@ -639,21 +730,13 @@ def coset_action(G, B):
     Each coset is named by its least element.
     """
     mul = G.ops.mul
-    rep_of = {}
-    reps = []
-    for g in G.elements:
-        if g in rep_of:
-            continue
-        coset = sorted(mul(g, b) for b in B.elements)
-        r = coset[0]
-        reps.append(r)
-        for x in coset:
-            rep_of[x] = r
+    els = G.root.elements
+    rep_of = {els[i]: els[r] for i, r in left_coset_reps(G, B).items()}
 
     def apply(g, r):
         return rep_of[mul(g, r)]
 
-    return GroupAction(G, tuple(sorted(reps)), apply)
+    return GroupAction(G, tuple(sorted(set(rep_of.values()))), apply)
 
 
 def affine_group(p):

@@ -30,6 +30,7 @@ candidate), so distinct candidates can be checked in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     GroupTooLarge,
@@ -48,8 +49,10 @@ from .fingrp import (
     fitting_subgroup,
     is_2transitive,
     is_normal,
+    left_coset_reps,
     monomial_subgroup,
     normal_subgroups,
+    orbits,
     setwise_stabilizer,
     special_linear_group,
     stabilizer,
@@ -70,6 +73,12 @@ class TitsSystemCandidate:
         for name, H in (("B", self.B), ("N", self.N)):
             if not H.is_subgroup_of(self.G):
                 raise ValueError(f"{name} is not a subgroup of G")
+
+    @cached_property
+    def derived(self):
+        """The data the checks share, built on first use (HNotNormal if
+        B ∩ N is not normal in N)."""
+        return _Derived(self)
 
 
 @dataclass
@@ -129,139 +138,131 @@ class ClassificationFlags:
         }
 
 
+def _weyl_quotient(c):
+    """H = B ∩ N, and the root index of each element of N mapped to the
+    root index of the least element of its coset nH."""
+    H = c.G.subgroup(c.B.elemset & c.N.elemset)
+    if not is_normal(H, c.N):
+        raise HNotNormal("B ∩ N is not normal in N")
+    return H, left_coset_reps(c.G, H, c.N.indices)
+
+
 def derive_weyl(c):
     """H = B ∩ N and one canonical representative per coset of H in N.
 
     H must be normal in N (raises HNotNormal otherwise); representatives
     are the least element of each coset, sorted.
     """
-    H = c.G.subgroup(c.B.elemset & c.N.elemset)
-    if not is_normal(H, c.N):
-        raise HNotNormal("B ∩ N is not normal in N")
-    mul = c.G.ops.mul
-    rep_of = {}
-    reps = []
-    for n in c.N.elements:
-        if n in rep_of:
-            continue
-        coset = sorted(mul(n, h) for h in H.elements)
-        r = coset[0]
-        reps.append(r)
-        for x in coset:
-            rep_of[x] = r
-    return H, tuple(sorted(reps))
+    H, rep_of = _weyl_quotient(c)
+    els = c.G.root.elements
+    return H, tuple(els[r] for r in sorted(set(rep_of.values())))
+
+
+def _inverse_perm(perm):
+    back = [0] * len(perm)
+    for i, j in enumerate(perm):
+        back[j] = i
+    return back
 
 
 class _Derived:
-    """Everything the checks share: Weyl quotient, S, lengths, cells."""
+    """Everything the checks share: Weyl quotient, S, lengths, cells.
 
-    __slots__ = (
-        "c", "H", "reps", "rep_of", "identity_rep", "cell_of", "cell_sets",
-        "s_reps", "lengths", "words",
-    )
+    Group elements are handled by their root index in G (see fingrp):
+    left and right multiplication by the generators of B and by S are
+    index tables, cells and cosets are orbits of them.
+    """
 
     def __init__(self, c):
-        self.c = c
-        mul = c.G.ops.mul
-        self.H, self.reps = derive_weyl(c)
-        rep_of = {}
-        for n in c.N.elements:
-            coset = sorted(mul(n, h) for h in self.H.elements)
-            for x in coset:
-                rep_of[x] = coset[0]
-        self.rep_of = rep_of
-        self.identity_rep = rep_of[c.G.ops.identity]
-        self._build_cells()
-        self._find_s()
+        G, B = c.G, c.B
+        root = G.root
+        self.mul, self.els, self.index = G.ops.mul, root.elements, root.index
+        self.H, self.rep_of = _weyl_quotient(c)
+        rep_idx = sorted(set(self.rep_of.values()))
+        self.reps = tuple(self.els[r] for r in rep_idx)
+        self.identity_rep = self.wrep(G.ops.identity)
+        bgens = B.generators()
+        self.b_left = [G.left_table(b) for b in bgens]
+        self.b_right = [G.right_table(b) for b in bgens]
+        self._build_cells(rep_idx)
+        self._find_s(B)
+        self.s_left = [G.left_table(s) for s in self.s_reps]
         self._word_bfs()
 
+    def wrep(self, n):
+        """The Weyl representative of an element of N."""
+        return self.els[self.rep_of[self.index[n]]]
+
     def wmul(self, r1, r2):
-        return self.rep_of[self.c.G.ops.mul(r1, r2)]
+        return self.wrep(self.mul(r1, r2))
 
-    def _build_cells(self):
-        """Double cosets B w B for each Weyl representative."""
-        mul = self.c.G.ops.mul
-        belems = self.c.B.elements
-        cell_of = {}
-        cell_sets = {}
-        for w in self.reps:
-            if w in cell_of:
-                cell_sets[w] = None  # merged into an earlier class
-                continue
-            left = {mul(b, w) for b in belems}
-            cell = set()
-            for x in left:
-                for b in belems:
-                    cell.add(mul(x, b))
-            cell_sets[w] = frozenset(cell)
-            for x in cell:
-                if x not in cell_of:
-                    cell_of[x] = w
+    def right_coset(self, w):
+        """The right coset Bw, as root indices."""
+        return orbits(self.b_left, len(self.els), [self.index[w]])[0]
+
+    def sbw_cells(self, k, w):
+        """The cells met by s·B·w for the k-th s in S (None: no cell)."""
+        s_left, cell_of = self.s_left[k], self.cell_of
+        return {cell_of[s_left[i]] for i in self.right_coset(w)}
+
+    def _build_cells(self, rep_idx):
+        """Double cosets B w B, orbits of B on both sides, seeded at the
+        Weyl representatives in order: each cell is named by the first
+        representative it contains, and ``cell_size`` has one entry per
+        cell."""
+        cell_of = [None] * len(self.els)
+        cell_size = {}
+        for orb in orbits(self.b_left + self.b_right, len(self.els), rep_idx):
+            w = self.els[orb[0]]
+            cell_size[w] = len(orb)
+            for i in orb:
+                cell_of[i] = w
         self.cell_of = cell_of
-        self.cell_sets = cell_sets
+        self.cell_size = cell_size
 
-    def _find_s(self):
+    def _find_s(self, B):
         """S = nontrivial classes w with B ∪ BwB closed under products.
 
         B ∪ BwB is closed iff every product w·b·w stays in B ∪ BwB,
         because (BwB)(BwB) is the union of the B(wbw)B over b in B.
         """
-        mul = self.c.G.ops.mul
+        mul, els, index, cell_of = self.mul, self.els, self.index, self.cell_of
         e = self.identity_rep
-        out = []
-        for w in self.reps:
-            if w == e:
-                continue
-            ok = True
-            for b in self.c.B.elements:
-                cls = self.cell_of.get(mul(mul(w, b), w))
-                if cls is None or (cls != e and cls != w):
-                    ok = False
-                    break
-            if ok:
-                out.append(w)
-        self.s_reps = tuple(out)
+        self.s_reps = tuple(
+            w
+            for w in self.reps
+            if w != e
+            and all(cell_of[index[mul(w, els[i])]] in (e, w) for i in self.right_coset(w))
+        )
 
     def _word_bfs(self):
-        """Lengths and lexicographically least words over S for each class."""
-        lengths = {self.identity_rep: 0}
-        words = {self.identity_rep: ()}
-        frontier = [self.identity_rep]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for k, s in enumerate(self.s_reps, start=1):
-                    u = self.wmul(s, w)
-                    if u not in lengths:
-                        lengths[u] = lengths[w] + 1
-                        words[u] = (k,) + words[w]
-                        nxt.append(u)
-            frontier = nxt
-        # Prefer the lexicographically least among shortest words.
-        changed = True
-        while changed:
-            changed = False
-            for w in lengths:
-                for k, s in enumerate(self.s_reps, start=1):
-                    u = self.wmul(s, w)
-                    if u in lengths and lengths[u] == lengths[w] + 1:
-                        cand = (k,) + words[w]
-                        if cand < words[u]:
-                            words[u] = cand
-                            changed = True
-        self.lengths = lengths
-        self.words = words
+        """Lengths and lexicographically least words over S for each class.
 
-
-_derived_cache = {}
+        W acts on itself by left multiplication with each s.  Breadth-first
+        from the identity, a class v has length one more than the shortest
+        s_k^-1·v already reached, and its least shortest word starts with
+        the least such k.
+        """
+        at = {w: i for i, w in enumerate(self.reps)}
+        perms = [[at[self.wmul(s, w)] for w in self.reps] for s in self.s_reps]
+        back = [_inverse_perm(p) for p in perms]
+        e = at[self.identity_rep]
+        lengths = {e: 0}
+        words = {e: ()}
+        for v in orbits(perms, len(self.reps), [e])[0][1:]:
+            l, k, u = min(
+                (lengths[q[v]], k, q[v]) for k, q in enumerate(back, start=1) if q[v] in lengths
+            )
+            lengths[v] = l + 1
+            words[v] = (k,) + words[u]
+        self.lengths = {self.reps[v]: l for v, l in lengths.items()}
+        self.words = {self.reps[v]: word for v, word in words.items()}
 
 
 def _derived(c):
-    got = _derived_cache.get(id(c))
-    if got is None or got.c is not c:
-        got = _Derived(c)
-        _derived_cache[id(c)] = got
-    return got
+    """The candidate's shared data.  Every check reads it through here, so
+    a trace of this function shows the cost of building it."""
+    return c.derived
 
 
 def find_S(c):
@@ -275,7 +276,7 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
         raise GroupTooLarge(
             f"|G| = {c.G.order} exceeds the exhaustive-check cap {max_group}"
         )
-    mul, inv = c.G.ops.mul, c.G.ops.inv
+    mul = c.G.ops.mul
     try:
         d = _derived(c)
     except HNotNormal:
@@ -285,67 +286,44 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
             weyl_order=0, s_set=(), cells={},
         )
     e = d.identity_rep
+    size = len(d.els)
 
-    gen = closure(c.G.ops, c.B.generators() + c.N.generators())
-    t1 = len(gen) == c.G.order and set(gen) == set(c.G.elements)
+    # T1: the orbit of the identity under right multiplication by the
+    # generators of B and N is the subgroup they generate.
+    n_right = [c.G.right_table(x) for x in c.N.generators()]
+    t1 = len(orbits(d.b_right + n_right, size, [d.index[c.G.ops.identity]])[0]) == c.G.order
 
-    gen_w = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in d.s_reps:
-                u = d.wmul(s, w)
-                if u not in gen_w:
-                    gen_w.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    t2 = gen_w == set(d.reps) and all(d.wmul(s, s) == e for s in d.s_reps)
+    s_generates = len(d.lengths) == len(d.reps)
+    t2 = s_generates and all(d.wmul(s, s) == e for s in d.s_reps)
 
-    distinct_cells = {d.cell_of.get(w) for w in d.reps}
-    covered = sum(len(s) for s in d.cell_sets.values() if s is not None)
-    bruhat = (
-        None not in distinct_cells
-        and len(distinct_cells) == len(d.reps)
-        and all(d.cell_of.get(w) == w for w in d.reps)
-        and covered == c.G.order
+    bruhat = len(d.cell_size) == len(d.reps) and sum(d.cell_size.values()) == c.G.order
+
+    t3 = all(
+        d.sbw_cells(k, w) <= {w, d.wmul(s, w)}
+        for k, s in enumerate(d.s_reps)
+        for w in d.reps
     )
-
-    t3 = True
-    for s in d.s_reps:
-        for w in d.reps:
-            sw = d.wmul(s, w)
-            for b in c.B.elements:
-                cls = d.cell_of.get(mul(mul(s, b), w))
-                if cls != w and cls != sw:
-                    t3 = False
-                    break
-            if not t3:
-                break
-        if not t3:
-            break
 
     t4 = all(
         any(mul(mul(s, b), s) not in c.B.elemset for b in c.B.elements)
         for s in d.s_reps
     )
 
-    normalizer = True
-    bset = c.B.elemset
-    bgens = c.B.generators()
-    for g in c.G.elements:
-        if g in bset:
-            continue
-        gi = inv(g)
-        if all(mul(mul(g, b), gi) in bset for b in bgens):
-            normalizer = False
-            break
+    # g normalizes B iff gB = Bg: the left coset gB lies in one right
+    # coset.  B itself is such a coset; it must be the only one.
+    right = [0] * size
+    for label, orb in enumerate(orbits(d.b_left, size)):
+        for i in orb:
+            right[i] = label
+    normalizer = sum(
+        1 for coset in orbits(d.b_right, size, c.G.indices) if len({right[i] for i in coset}) == 1
+    ) == 1
 
     cells = {}
-    if bruhat:
+    if bruhat and s_generates:  # every class has a word to name its cell
         for w in d.reps:
             key = " ".join(str(x) for x in d.words[w])
-            cells[key] = len(d.cell_sets[w])
+            cells[key] = d.cell_size[w]
 
     return TitsReport(
         t1_generates=t1,
@@ -364,11 +342,7 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
 def bruhat_cells(c):
     """Map from canonical S-word of each Weyl class to its cell size."""
     d = _derived(c)
-    return {
-        " ".join(str(x) for x in d.words[w]): len(d.cell_sets[w])
-        for w in d.reps
-        if d.cell_sets[w] is not None
-    }
+    return {" ".join(str(x) for x in d.words[w]): size for w, size in d.cell_size.items()}
 
 
 def weyl_length_census(c):
@@ -398,11 +372,10 @@ def star_property_check(c):
     BsB·BwB = union of the B(sbw)B over b in B.
     """
     d = _derived(c)
-    mul = c.G.ops.mul
-    for s in d.s_reps:
+    for k, s in enumerate(d.s_reps):
         for w in d.reps:
             sw = d.wmul(s, w)
-            got = {d.cell_of.get(mul(mul(s, b), w)) for b in c.B.elements}
+            got = d.sbw_cells(k, w)
             if d.lengths[sw] > d.lengths[w]:
                 expected = {sw}
             else:
@@ -418,23 +391,32 @@ def intersection_identity_check(c):
     """H equals both the intersection of all W-conjugates of B and
     B ∩ w0 B w0^{-1}, with w0 the unique longest Weyl class."""
     d = _derived(c)
-    mul, inv = c.G.ops.mul, c.G.ops.inv
     maxlen = max(d.lengths.values())
     longest = [w for w in d.reps if d.lengths[w] == maxlen]
     if len(longest) != 1:
         return False
     w0 = longest[0]
+    first = _weyl_conjugates_meet(c, d) == d.H.elemset
+    second = (c.B.elemset & _conjugate_b(c, w0)) == d.H.elemset
+    return first and second
 
-    def conj_b(n):
-        ni = inv(n)
-        return {mul(mul(n, b), ni) for b in c.B.elements}
 
+def _conjugate_b(c, n):
+    """n B n^-1, as a set."""
+    mul, ni = c.G.ops.mul, c.G.inverse(n)
+    return {mul(mul(n, b), ni) for b in c.B.elements}
+
+
+def _weyl_conjugates_meet(c, d):
+    """The intersection of B with every wBw^-1, w a Weyl representative.
+
+    This is also the intersection of all N-conjugates of B: each n in N
+    is w·h with h in H ⊆ B, and then nBn^-1 = wBw^-1.
+    """
     total = set(c.B.elemset)
     for w in d.reps:
-        total &= conj_b(w)
-    first = total == d.H.elemset
-    second = (c.B.elemset & conj_b(w0)) == d.H.elemset
-    return first and second
+        total &= _conjugate_b(c, w)
+    return total
 
 
 def classify(c):
@@ -445,14 +427,9 @@ def classify(c):
     nilpotent, so each candidate that complements H is a valid witness.
     """
     d = _derived(c)
-    mul, inv = c.G.ops.mul, c.G.ops.inv
+    mul = c.G.ops.mul
     hset = d.H.elemset
-
-    inter = set(c.B.elemset)
-    for n in c.N.elements:
-        ni = inv(n)
-        inter &= {mul(mul(n, b), ni) for b in c.B.elements}
-    saturated = inter == hset
+    saturated = _weyl_conjugates_meet(c, d) == hset
 
     fit = fitting_subgroup(c.B)
     product = {mul(h, u) for h in d.H.elements for u in fit.elements}
@@ -556,7 +533,7 @@ def sl_rank1_column_system(n, p):
     B = G.subgroup(B_members)
     Bp = G.subgroup(Bp_members)
     H = G.subgroup(B.elemset & Bp.elemset)
-    mul, inv = G.ops.mul, G.ops.inv
+    mul = G.ops.mul
     g = next(
         (
             m
@@ -568,7 +545,7 @@ def sl_rank1_column_system(n, p):
     )
     if g is None:
         raise NoConjugatorFound("no element swaps the two coordinate lines")
-    gi = inv(g)
+    gi = G.inverse(g)
     conj = {mul(mul(g, b), gi) for b in B.elements}
     if conj != Bp.elemset:
         raise NoConjugatorFound("swap candidate does not conjugate B onto B'")
@@ -589,13 +566,13 @@ def psl3_f2_nonstandard_system():
     )
     if seed7 is None:
         raise SubgroupNotFound("no element of order 7")
-    mul, inv = G.ops.mul, G.ops.inv
+    mul = G.ops.mul
     p7 = set(closure(G.ops, [seed7]))
     K = None
     for y in G.elements:
         if element_order(G.ops, y) != 3:
             continue
-        yi = inv(y)
+        yi = G.inverse(y)
         if {mul(mul(y, x), yi) for x in p7} == p7:
             cand = closure(G.ops, [seed7, y])
             if len(cand) == 21:
@@ -625,7 +602,7 @@ def cell_size_formula_check(n, p):
     d = _derived(c)
     total = 0
     for w in d.reps:
-        size = len(d.cell_sets[w])
+        size = d.cell_size[w]
         if size != p ** d.lengths[w] * c.B.order:
             return False
         total += size

@@ -250,11 +250,6 @@ def act_on_weight(rs, w_or_word, coords):
     return coords
 
 
-def simple_root_weight_coords(rs, node):
-    """The simple root at ``node`` written in the weight basis."""
-    return tuple(rs.cartan[node - 1])
-
-
 def parse_word(text):
     """Parse whitespace-separated 1-based node numbers into a word."""
     parts = text.split()

@@ -145,3 +145,78 @@ def test_bad_env_cap(capsys, monkeypatch):
     code, _, err = run(capsys, ["bn", "--sl", "2", "2"])
     assert code == 2
     assert "WEYL_BN_MAX_GROUP" in err
+
+
+def test_bn_sl33_json_golden(capsys):
+    # The digest of this stdout at the tuple-multiplication implementation.
+    import hashlib
+
+    code, out, _ = run(capsys, ["bn", "--sl", "3", "3", "--format", "json"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f545bbdd8891f1d72dcf4dd45c2a801bcc967e3c429468ac81dbb6c959f4d7ab"
+    )
+
+
+def test_bn_cap_checked_before_building(capsys, monkeypatch):
+    import time
+
+    monkeypatch.delenv("WEYL_BN_MAX_GROUP", raising=False)
+    start = time.monotonic()
+    code, out, err = run(capsys, ["bn", "--sl", "2", "41"])
+    assert time.monotonic() - start < 5
+    assert code == 1 and out == ""
+    assert "GroupTooLarge" in err and "68880" in err and "21000" in err
+    monkeypatch.setenv("WEYL_BN_MAX_GROUP", "19")
+    for argv in (
+        ["bn", "--affine", "5"],
+        ["bn", "--projective", "2", "3"],
+        ["bn", "--sl-rank1", "2", "3"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 1 and "exceeds the cap 19" in err
+
+
+def test_run_suite_turns_internal_errors_into_failed_cases():
+    from weylbn.cli import CaseResult, run_suite
+
+    def broken():
+        raise AssertionError("definition check failed")
+
+    def fine():
+        return CaseResult("b", {}, "x", "x", True)
+
+    result = run_suite("s", [("a", broken), ("b", fine)])
+    assert [c.id for c in result.cases] == ["a", "b"]
+    assert result.failed == 1 and result.passed == 1
+    assert result.cases[0].actual == "AssertionError: definition check failed"
+
+
+def test_csv_rows_well_formed(capsys):
+    import csv
+    import hashlib
+    import io
+
+    from weylbn.cli import CaseResult, SuiteResult, emit_suite
+    from weylbn.fingrp import special_linear_group, upper_triangular_subgroup
+    from weylbn.titssys import TitsSystemCandidate, check_axioms
+
+    # A failed axioms case carries the report as JSON, commas and quotes included.
+    G = special_linear_group(3, 2)
+    B = upper_triangular_subgroup(G)
+    rep = check_axioms(TitsSystemCandidate(G, B, B))
+    actual = json.dumps(rep.to_record(), sort_keys=True)
+    case = CaseResult("axioms/bb", {"system": "bb"}, "pass", actual, False)
+    buf = io.StringIO()
+    emit_suite(SuiteResult("bn", [case], 0), "csv", buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert [len(r) for r in rows] == [5, 5]
+    assert rows[1][3] == actual
+    # Passing rows keep the bytes of the hand-written format.
+    code, out, _ = run(capsys, ["bn", "--sl", "3", "2", "--format", "csv"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "6ac6c75cc0d91dbb647e894e9e6b8a948775fb7290031e0df05c68bca952466d"
+    )

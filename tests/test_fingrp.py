@@ -8,6 +8,7 @@ from weylbn.fingrp import (
     FiniteGroup,
     GroupAction,
     GroupOps,
+    action_orbits,
     affine_group,
     affine_line_action,
     center,
@@ -22,6 +23,7 @@ from weylbn.fingrp import (
     is_2transitive,
     is_nilpotent,
     is_normal,
+    left_coset_reps,
     mat_det,
     mat_identity,
     mat_inv,
@@ -190,7 +192,7 @@ def test_regular_action_not_2transitive():
     C4 = FiniteGroup(ops, range(4))
     act = GroupAction(C4, tuple(range(4)), lambda g, y: (g + y) % 4)
     assert not is_2transitive(act)
-    assert len(orbits(act)) == 1
+    assert len(action_orbits(act)) == 1
 
 
 def test_action_axioms():
@@ -212,7 +214,7 @@ def test_coset_action_points():
     B = upper_triangular_subgroup(G)
     act = coset_action(G, B)
     assert len(act.points) == G.order // B.order == 21
-    assert len(orbits(act)) == 1
+    assert len(action_orbits(act)) == 1
     # Orbit-stabilizer across action kinds.
     for action in (act, affine_line_action(7)):
         for x in action.points:
@@ -240,3 +242,75 @@ def test_multiplication_csv_export():
     e = A.ops.fmt(A.ops.identity)
     erow = next(r for r in rows[1:] if r[0] == e)
     assert erow[1:] == rows[0][1:]
+
+
+def _mat_mul_reference(a, b, p):
+    """The plain triple-sum product, kept as the oracle for ``mat_mul``."""
+    n = len(a)
+    rng = range(n)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in rng) % p for j in rng) for i in rng
+    )
+
+
+@pytest.mark.parametrize("n,p", [(3, 3), (4, 2)])
+def test_mat_mul_against_triple_sum(n, p):
+    G = special_linear_group(n, p)
+    els = G.elements
+    rng = random.Random(7)
+    pairs = [(els[rng.randrange(len(els))], els[rng.randrange(len(els))]) for _ in range(500)]
+    pairs += [(g, els[rng.randrange(len(els))]) for g in G.generators() for _ in range(20)]
+    for a, b in pairs:
+        assert mat_mul(a, b, p) == _mat_mul_reference(a, b, p)
+    # Unreduced and non-invertible factors take the dense path.
+    assert mat_mul(((1, 2), (2, 4)), ((3, 1), (1, 3)), 5) == _mat_mul_reference(
+        ((1, 2), (2, 4)), ((3, 1), (1, 3)), 5
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: special_linear_group(2, 3),
+        lambda: affine_group(5),
+        lambda: central_quotient(special_linear_group(3, 2)),
+    ],
+    ids=["sl-2-3", "affine-5", "psl-3-2"],
+)
+def test_index_tables_match_multiplication(make):
+    """Left, right and inverse tables agree with the multiplication oracle."""
+    G = make()
+    mul, els, index = G.ops.mul, G.elements, G.index
+    assert [index[x] for x in els] == list(range(G.order))
+    assert [els[i] for i in G.inv_table] == [G.ops.inv(x) for x in els]
+    for g in els[:: max(1, G.order // 12)]:
+        assert G.left_table(g) == [index[mul(g, x)] for x in els]
+        assert G.right_table(g) == [index[mul(x, g)] for x in els]
+
+
+def test_subgroup_shares_root_index():
+    G = special_linear_group(3, 2)
+    B = upper_triangular_subgroup(G)
+    assert B.root is G and B.index is G.index
+    assert B.indices == tuple(sorted(G.index[b] for b in B.elements))
+    b = B.generators()[-1]
+    assert B.right_table(b) == G.right_table(b)
+    assert B.inverse(b) == G.ops.inv(b)
+
+
+def test_orbits_helper():
+    # Two disjoint cycles (0 1 2)(3 4) and a fixed point 5.
+    perm = [1, 2, 0, 4, 3, 5]
+    assert orbits([perm], 6) == [[0, 1, 2], [3, 4], [5]]
+    assert orbits([perm], 6, seeds=[4, 3, 5]) == [[4, 3], [5]]
+    assert orbits([], 3) == [[0], [1], [2]]
+
+
+def test_left_coset_reps_against_sorting():
+    G = special_linear_group(3, 2)
+    B = upper_triangular_subgroup(G)
+    rep_of = left_coset_reps(G, B)
+    els, mul = G.elements, G.ops.mul
+    for g in els:
+        coset = sorted(mul(g, b) for b in B.elements)
+        assert els[rep_of[G.index[g]]] == coset[0]

@@ -234,3 +234,17 @@ def test_h_not_normal_raises():
     with pytest.raises(HNotNormal):
         derive_weyl(cand)
     assert not check_axioms(cand).h_normal_in_n
+
+
+def test_dropped_candidate_is_collected():
+    # The derived data lives on the candidate, so nothing else keeps it alive.
+    import gc
+    import weakref
+
+    G = special_linear_group(3, 2)
+    c = TitsSystemCandidate(G, upper_triangular_subgroup(G), standard_sl_system(3, 2).N)
+    assert check_axioms(c).passed
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None

@@ -1,0 +1,189 @@
+"""The index core of titssys against the tuple-multiplication code it
+replaced: the same cells, T1, normalizer check, S, lengths and words.
+
+``Reference`` multiplies group elements as tuples, element by element:
+cosets by sorting nH, double cosets as {b·w·b'}, T1 as a breadth-first
+closure, the normalizer by conjugating B's generators with every g.
+"""
+
+import pytest
+
+from weylbn.fingrp import (
+    monomial_subgroup,
+    special_linear_group,
+    strictly_upper_unipotent_subgroup,
+    upper_triangular_subgroup,
+)
+from weylbn.titssys import (
+    TitsSystemCandidate,
+    _derived,
+    affine_rank1_system,
+    check_axioms,
+    derive_weyl,
+    find_S,
+    projective_rank1_system,
+    psl3_f2_nonstandard_system,
+    standard_sl_system,
+    star_property_check,
+)
+
+
+def _closure_reference(ops, gens):
+    mul = ops.mul
+    els = {ops.identity}
+    els.update(gens)
+    frontier = list(els)
+    gens = list(dict.fromkeys(gens))
+    while frontier:
+        new = []
+        for b in frontier:
+            for a in gens:
+                c = mul(a, b)
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+        frontier = new
+    return tuple(sorted(els))
+
+
+class Reference:
+    """Weyl quotient, cells, S, lengths, words and the T1, T3, star and
+    normalizer verdicts, all by tuple multiplication."""
+
+    def __init__(self, c):
+        G, B, N = c.G, c.B, c.N
+        mul, inv = G.ops.mul, G.ops.inv
+        self.mul = mul
+        H = G.subgroup(B.elemset & N.elemset)
+        rep_of = {}
+        for n in N.elements:
+            if n not in rep_of:
+                coset = sorted(mul(n, h) for h in H.elements)
+                for x in coset:
+                    rep_of[x] = coset[0]
+        self.rep_of = rep_of
+        self.reps = tuple(sorted(set(rep_of.values())))
+        e = self.identity_rep = rep_of[G.ops.identity]
+
+        cell_of, cell_sets = {}, {}
+        for w in self.reps:
+            if w in cell_of:
+                cell_sets[w] = None
+                continue
+            left = {mul(b, w) for b in B.elements}
+            cell = frozenset(mul(x, b) for x in left for b in B.elements)
+            cell_sets[w] = cell
+            for x in cell:
+                cell_of.setdefault(x, w)
+        self.cell_of, self.cell_sets = cell_of, cell_sets
+
+        self.s_reps = tuple(
+            w
+            for w in self.reps
+            if w != e
+            and all(cell_of.get(mul(mul(w, b), w)) in (e, w) for b in B.elements)
+        )
+
+        lengths, words = {e: 0}, {e: ()}
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for k, s in enumerate(self.s_reps, start=1):
+                    u = self.wmul(s, w)
+                    if u not in lengths:
+                        lengths[u] = lengths[w] + 1
+                        words[u] = (k,) + words[w]
+                        nxt.append(u)
+            frontier = nxt
+        changed = True
+        while changed:
+            changed = False
+            for w in lengths:
+                for k, s in enumerate(self.s_reps, start=1):
+                    u = self.wmul(s, w)
+                    if lengths[u] == lengths[w] + 1 and (k,) + words[w] < words[u]:
+                        words[u] = (k,) + words[w]
+                        changed = True
+        self.lengths, self.words = lengths, words
+
+        self.t1 = _closure_reference(G.ops, B.generators() + N.generators()) == G.elements
+        self.t3 = all(
+            cell_of.get(mul(mul(s, b), w)) in (w, self.wmul(s, w))
+            for s in self.s_reps
+            for w in self.reps
+            for b in B.elements
+        )
+        self.star = True if lengths.keys() == set(self.reps) else None
+        for s in self.s_reps if self.star else ():
+            for w in self.reps:
+                sw = self.wmul(s, w)
+                got = {cell_of.get(mul(mul(s, b), w)) for b in B.elements}
+                want = {sw} if lengths[sw] > lengths[w] else {w, sw}
+                if got != want or (lengths[sw] <= lengths[w] and w == sw):
+                    self.star = False
+        self.normalizer = not any(
+            all(mul(mul(g, b), inv(g)) in B.elemset for b in B.generators())
+            for g in G.elements
+            if g not in B.elemset
+        )
+
+    def wmul(self, r1, r2):
+        return self.rep_of[self.mul(r1, r2)]
+
+
+def _unipotent_monomial_sl23():
+    """(SL2(F3), U, N) with U the unipotent radical: the torus normalizes
+    U, so the normalizer check fails."""
+    G = special_linear_group(2, 3)
+    U = strictly_upper_unipotent_subgroup(G)
+    return TitsSystemCandidate(G, U, monomial_subgroup(G), label="sl-2-3-unipotent")
+
+
+def _b_b_sl32():
+    """(SL3(F2), B, B): B and B do not generate G, so T1 fails."""
+    G = special_linear_group(3, 2)
+    B = upper_triangular_subgroup(G)
+    return TitsSystemCandidate(G, B, B, label="sl-3-2-bb")
+
+
+SYSTEMS = {
+    "sl-2-3": lambda: standard_sl_system(2, 3),
+    "sl-3-2": lambda: standard_sl_system(3, 2),
+    "sl-3-3": lambda: standard_sl_system(3, 3),
+    "affine-5": lambda: affine_rank1_system(5),
+    "projective-3-2": lambda: projective_rank1_system(3, 2),
+    "psl3f2-nonstandard": lambda: psl3_f2_nonstandard_system()[0],
+    "sl-2-3-unipotent": _unipotent_monomial_sl23,
+    "sl-3-2-bb": _b_b_sl32,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_index_core_matches_tuple_reference(name):
+    c = SYSTEMS[name]()
+    ref = Reference(c)
+    d = _derived(c)
+    index = c.G.index
+
+    assert derive_weyl(c)[1] == d.reps == ref.reps
+    assert d.identity_rep == ref.identity_rep
+    assert find_S(c) == d.s_reps == ref.s_reps
+    assert d.lengths == ref.lengths
+    assert d.words == ref.words
+
+    assert list(d.cell_size) == [w for w in ref.reps if ref.cell_sets[w] is not None]
+    for w, size in d.cell_size.items():
+        assert size == len(ref.cell_sets[w])
+    assert [d.cell_of[index[x]] for x in c.G.elements] == [
+        ref.cell_of.get(x) for x in c.G.elements
+    ]
+
+    rep = check_axioms(c)
+    assert rep.t1_generates == ref.t1
+    assert rep.t3_holds == ref.t3
+    assert rep.normalizer_is_b == ref.normalizer
+    if ref.star is None:  # S does not generate W
+        assert not rep.t2_holds
+    else:
+        assert star_property_check(c) == ref.star
