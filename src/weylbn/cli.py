@@ -216,7 +216,7 @@ def lemma2_cases(max_rank, families=None):
                         "word": format_word(rep.word),
                     },
                     "pass",
-                    "pass" if rep.passed else "fail",
+                    "pass" if rep.passed else "fail: " + ",".join(rep.failed_checks),
                     ok,
                 )
 
@@ -614,7 +614,7 @@ def cmd_reduced_words(args):
     try:
         words = sorted(reduced_words(w, cap=args.cap))
     except EnumerationCapExceeded as exc:
-        sys.stderr.write(f"cap exceeded: at least {exc.partial_count} reduced words\n")
+        sys.stderr.write(f"cap exceeded: {exc}\n")
         return 1
     if args.format == "json":
         doc = {

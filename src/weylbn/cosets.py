@@ -5,8 +5,14 @@ A maximal parabolic choice is a root system together with one removed
 simple node a.  The quotient W/W' (W' generated by the reflections of the
 remaining nodes) is realized as the W-orbit of the fundamental weight at
 a, whose stabilizer is exactly W'; double cosets W'\\W/W' then correspond
-to W'-orbits on that weight orbit.  Everything is exact integer
-arithmetic on weight-coordinate tuples.
+to W'-orbits on that weight orbit, each of which holds exactly one
+J-dominant weight (J the kept nodes: no negative coordinate except at
+a).  One depth-first walk of Stembridge's canonical-parent tree on the
+orbit (Stembridge, MSJ Mem. 11, 2001; Casselman, Invent. Math. 116,
+1994) counts them and the orbit with no set of seen weights.  The
+hash-set breadth-first search it replaced is kept in the tests as an
+oracle, next to :func:`double_coset_count_naive`.  Everything is exact
+integer arithmetic on weight coordinates.
 
 Non-reduced (BC) input is handled by computing on the reduced core of
 nondivisible roots while reports keep the original BC label.
@@ -30,6 +36,7 @@ from .weyl import (
     length,
     longest_element,
     reduced_words,
+    reflect_weight,
 )
 
 NAIVE_WEYL_CAP = 10**5
@@ -90,74 +97,73 @@ class WitnessReport:
     endpoints_r_a: bool
     coset_distinct: bool
 
+    CHECKS = ("length_ok", "two_reduced_words", "endpoints_r_a", "coset_distinct")
+
+    @property
+    def failed_checks(self):
+        """Names of the sub-checks that failed, in the order of ``CHECKS``."""
+        return tuple(name for name in self.CHECKS if not getattr(self, name))
+
     @property
     def passed(self):
-        return (
-            self.length_ok
-            and self.two_reduced_words
-            and self.endpoints_r_a
-            and self.coset_distinct
-        )
+        return not self.failed_checks
 
 
-def _sparse_cartan_rows(rs):
-    """Per-node list of (position, entry) pairs with nonzero Cartan entry."""
-    return [
-        tuple((j, c) for j, c in enumerate(row) if c)
-        for row in rs.cartan
+def _walk(rs, start, nodes, a0=None, out=None):
+    """Walk the orbit of ``start`` under the reflections at ``nodes`` along
+    Stembridge's tree, with no set of seen weights; return (size, count).
+
+    ``start`` must be dominant at ``nodes`` (no negative coordinate there).
+    The canonical parent of any other weight v in the orbit is its
+    reflection at the least node j in ``nodes`` with v[j] < 0, which adds a
+    positive multiple of a simple root.  So v's children are the s_j v with
+    v[j] > 0 and no negative ``nodes`` coordinate before j; and as s_j
+    raises only the neighbours of j, a child at j past v's least negative
+    node fn needs j adjacent to fn.  With ``nodes`` all the nodes,
+    ``count`` is the number of weights whose only negative coordinate, if
+    any, is at the 0-based node ``a0``: ``start`` and the children at a0
+    with nothing negative after a0.
+    Each weight, a list not to be changed, is appended to ``out`` if given.
+    """
+    n = rs.rank
+    cartan = rs.cartan
+    js = sorted(node - 1 for node in nodes)
+    raise_by = [
+        tuple((k, -c) for k, c in enumerate(row) if c and k != j) for j, row in enumerate(cartan)
     ]
+    before = {j: [i for i in js if i < j] for j in js}
+    stack = [(list(start), n)]
+    size = count = 1
+    while stack:
+        v, fn = stack.pop()
+        if out is not None:
+            out.append(v)
+        for j in js:
+            c = v[j]
+            if c <= 0 or (j > fn and not cartan[j][fn]):
+                continue
+            w = v.copy()
+            w[j] = -c
+            for k, e in raise_by[j]:
+                w[k] += c * e
+            if j < fn or all(w[i] >= 0 for i in before[j]):
+                stack.append((w, j))
+                size += 1
+                if j == a0 and min(w[j + 1 :], default=0) >= 0:
+                    count += 1
+    return size, count
 
 
-def _orbit(rs, start, nodes):
-    """BFS closure of ``start`` under the simple reflections at ``nodes``."""
-    sparse = _sparse_cartan_rows(rs)
-    idxs = [n - 1 for n in nodes]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in idxs:
-                c = v[i]
-                if c == 0:
-                    continue
-                w = list(v)
-                for j, entry in sparse[i]:
-                    w[j] -= c * entry
-                w = tuple(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def _orbit_partition_count(rs, points, nodes):
-    """Number of orbits of the reflections at ``nodes`` acting on ``points``."""
-    sparse = _sparse_cartan_rows(rs)
-    idxs = [n - 1 for n in nodes]
-    remaining = set(points)
-    count = 0
-    while remaining:
-        seed = remaining.pop()
-        count += 1
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in idxs:
-                    c = v[i]
-                    if c == 0:
-                        continue
-                    w = list(v)
-                    for j, entry in sparse[i]:
-                        w[j] -= c * entry
-                    w = tuple(w)
-                    if w in remaining:
-                        remaining.remove(w)
-                        nxt.append(w)
-            frontier = nxt
-    return count
+def _j_dominant(rs, coords, nodes):
+    """The weight of the orbit of ``coords`` under the reflections at
+    ``nodes`` that is dominant at ``nodes``: reflect at any such node with
+    a negative coordinate until none is left (each step raises the weight,
+    so this ends)."""
+    while True:
+        j = next((node for node in nodes if coords[node - 1] < 0), None)
+        if j is None:
+            return coords
+        coords = reflect_weight(rs, j, coords)
 
 
 def parabolic_orbit(choice):
@@ -168,24 +174,26 @@ def parabolic_orbit(choice):
     """
     core = choice.core
     start = fundamental_weight(core, choice.removed)
-    return frozenset(_orbit(core, start, range(1, core.rank + 1)))
+    points = []
+    _walk(core, start, range(1, core.rank + 1), out=points)
+    return frozenset(map(tuple, points))
 
 
 def double_coset_count(choice):
-    """Count W'\\W/W' as W'-orbits on the weight orbit of the removed node."""
+    """Count W'\\W/W' as the J-dominant weights in W·ω_a; the same walk
+    gives the orbit size, the index [W : W']."""
     core = choice.core
     if core.rank < 2:
         raise RankTooSmall("double-coset counting needs rank >= 2")
-    orbit = parabolic_orbit(choice)
-    others = [n for n in range(1, core.rank + 1) if n != choice.removed]
-    count = _orbit_partition_count(core, orbit, others)
+    start = fundamental_weight(core, choice.removed)
+    size, count = _walk(core, start, range(1, core.rank + 1), choice.removed - 1)
     expected_two = choice.family == "A" and is_end_node(choice.rs, choice.removed)
     passed = (count == 2) == expected_two and count >= 2
     return DoubleCosetReport(
         family=choice.family,
         rank=choice.rank,
         node=choice.removed,
-        quotient_size=len(orbit),
+        quotient_size=size,
         count=count,
         expected_two=expected_two,
         passed=passed,
@@ -193,18 +201,15 @@ def double_coset_count(choice):
 
 
 def double_coset_orbit_sizes(choice):
-    """Sorted sizes of the W'-orbits on the weight orbit (they partition it)."""
+    """Sorted sizes of the W'-orbits on the weight orbit (they partition it),
+    each walked from its J-dominant weight under the kept nodes."""
     core = choice.core
-    orbit = parabolic_orbit(choice)
     others = [n for n in range(1, core.rank + 1) if n != choice.removed]
-    sizes = []
-    remaining = set(orbit)
-    while remaining:
-        seed = remaining.pop()
-        part = _orbit(core, seed, others)
-        remaining -= part
-        sizes.append(len(part))
-    return sorted(sizes)
+    return sorted(
+        _walk(core, v, others)[0]
+        for v in parabolic_orbit(choice)
+        if all(v[n - 1] >= 0 for n in others)
+    )
 
 
 def double_coset_count_naive(choice, cap=NAIVE_WEYL_CAP):
@@ -353,8 +358,9 @@ def third_coset_witness(choice):
     img = act_on_weight(core, word, omega)
     r_a_img = act_on_weight(core, (a,), omega)
     others = [n for n in range(1, core.rank + 1) if n != a]
-    coset_of_ra = _orbit(core, r_a_img, others)
-    coset_distinct = img != omega and img not in coset_of_ra
+    coset_distinct = img != omega and _j_dominant(core, img, others) != _j_dominant(
+        core, r_a_img, others
+    )
     return WitnessReport(
         word=word,
         i=i,

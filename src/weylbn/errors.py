@@ -22,9 +22,10 @@ class RankTooSmall(WeylBNError):
 
 
 class EnumerationCapExceeded(WeylBNError):
-    """An enumeration grew past its cap.
+    """An enumeration would grow, or grew, past its cap.
 
-    ``partial_count`` holds the number of items found before bailing out.
+    ``partial_count`` holds the number of items counted before bailing
+    out; a count made before enumerating (reduced words) is exact.
     """
 
     def __init__(self, message, partial_count):
@@ -42,6 +43,10 @@ class WitnessNotApplicable(WeylBNError):
 
 class HNotNormal(WeylBNError):
     """B ∩ N is not normal in N, so no Weyl group can be derived."""
+
+
+class WeylNotGenerated(WeylBNError):
+    """S does not generate the Weyl group: some classes have no S-word."""
 
 
 class NotTwoTransitive(WeylBNError):

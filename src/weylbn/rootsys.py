@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -177,72 +176,81 @@ def _closure_roots(simples):
 
 
 def _coefficients(simples, roots, dim):
-    """Expand each root in the simple-root basis, exactly.
+    """Expand each root in the simple-root basis, exactly, in integers.
 
-    Picks a set of pivot coordinates making the simple-root matrix square
-    and invertible, inverts it once over Q, and verifies the full ambient
-    equation for every root (so linear dependence or non-integrality is
-    caught).
+    Picks the first ambient coordinates whose rows of the simple-root
+    matrix are independent (the pivots), takes the integer adjugate
+    ``adj`` and determinant ``det`` of that square once, and for each root
+    v solves det·c = adj·v[pivots].  The full ambient equation
+    sum_j c_j·simples[j] = v is verified for every root before the
+    divisibility of adj·v[pivots] by det, so a root outside the span is
+    reported as such even when its coefficients would not be integers.
     """
     rank = len(simples)
-    cols = [list(map(Fraction, s)) for s in simples]
-    used = []
-    for i in range(dim):
-        trial = used + [i]
-        mat = [[cols[j][t] for j in range(rank)] for t in trial]
-        if _rank_of(mat) == len(trial):
-            used = trial
-        if len(used) == rank:
-            break
-    pivots = used
+    pivots = _independent_rows(simples, dim)
     if len(pivots) != rank:
         raise InvalidSpec("simple roots are linearly dependent")
-    square = [[cols[j][i] for j in range(rank)] for i in pivots]
-    inv = _invert(square)
+    adj, det = _adjugate([[s[i] for s in simples] for i in pivots])
     coeffs = {}
     for v in roots:
-        rhs = [Fraction(v[i]) for i in pivots]
-        c = [sum(inv[i][j] * rhs[j] for j in range(rank)) for i in range(rank)]
-        # Verify on all ambient coordinates and check integrality.
+        rhs = [v[i] for i in pivots]
+        num = [dot(row, rhs) for row in adj]
         for i in range(dim):
-            if sum(Fraction(simples[j][i]) * c[j] for j in range(rank)) != v[i]:
+            if sum(s[i] * x for s, x in zip(simples, num)) != det * v[i]:
                 raise InvalidSpec(f"root {v} is outside the simple-root span")
-        if any(x.denominator != 1 for x in c):
+        if any(x % det for x in num):
             raise NonCrystallographicInput(f"root {v} has non-integer coefficients")
-        coeffs[v] = tuple(int(x) for x in c)
+        coeffs[v] = tuple(x // det for x in num)
     return coeffs
 
 
-def _rank_of(mat):
-    m = [row[:] for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
+def _independent_rows(simples, dim):
+    """The ambient coordinates i, taken greedily in order, whose rows
+    (simples[0][i], ..., simples[-1][i]) are independent of the rows kept
+    before them.  Integer elimination: each kept row is reduced to zero at
+    the leading columns of the rows kept before it."""
+    kept, pivots = [], []
+    for i in range(dim):
+        row = [s[i] for s in simples]
+        for lead, base in kept:
+            if row[lead]:
+                f, g = base[lead], row[lead]
+                row = [f * x - g * y for x, y in zip(row, base)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            kept.append((lead, row))
+            pivots.append(i)
+            if len(pivots) == len(simples):
+                break
+    return pivots
 
 
-def _invert(mat):
+def _adjugate(mat):
+    """(adj, det) of a nonsingular integer matrix, adj·mat = det·I.
+
+    Integer Gauss-Jordan elimination on [mat | I] with Bareiss's update,
+    in which every division is exact: after step k the left block's leading
+    k+1 columns are d·I with d the determinant of the leading minor, and
+    at the end the right block is d·mat^-1 with d = ±det; row swaps fix
+    the sign.
+    """
     n = len(mat)
-    m = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c] != 0)
-        m[c], m[piv] = m[piv], m[c]
-        f = m[c][c]
-        m[c] = [x / f for x in m[c]]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next(i for i in range(k, n) if m[i][k])
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
         for i in range(n):
-            if i != c and m[i][c] != 0:
-                g = m[i][c]
-                m[i] = [x - g * y for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+            if i != k:
+                row = m[i]
+                g = row[k]
+                m[i] = [(p * x - g * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in m], sign * prev
 
 
 class RootSystem:
@@ -461,8 +469,10 @@ def nondivisible_core(rs):
     return core
 
 
+@lru_cache(maxsize=None)
 def reduced_form(rs):
-    """``rs`` itself if reduced, else its nondivisible core."""
+    """``rs`` itself if reduced, else its nondivisible core (cached; root
+    systems are themselves cached and immutable)."""
     return rs if rs.is_reduced() else nondivisible_core(rs)
 
 

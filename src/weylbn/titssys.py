@@ -38,6 +38,7 @@ from .errors import (
     NoConjugatorFound,
     NotTwoTransitive,
     SubgroupNotFound,
+    WeylNotGenerated,
 )
 from . import fingrp
 from .fingrp import (
@@ -257,6 +258,15 @@ class _Derived:
             words[v] = (k,) + words[u]
         self.lengths = {self.reps[v]: l for v, l in lengths.items()}
         self.words = {self.reps[v]: word for v, word in words.items()}
+        self.unreached = len(self.reps) - len(lengths)
+
+    def require_words(self):
+        """Raise WeylNotGenerated unless every class has an S-word."""
+        if self.unreached:
+            raise WeylNotGenerated(
+                f"S reaches {len(self.lengths)} of the {len(self.reps)} Weyl classes;"
+                f" {self.unreached} have no word over S"
+            )
 
 
 def _derived(c):
@@ -293,7 +303,7 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
     n_right = [c.G.right_table(x) for x in c.N.generators()]
     t1 = len(orbits(d.b_right + n_right, size, [d.index[c.G.ops.identity]])[0]) == c.G.order
 
-    s_generates = len(d.lengths) == len(d.reps)
+    s_generates = not d.unreached
     t2 = s_generates and all(d.wmul(s, s) == e for s in d.s_reps)
 
     bruhat = len(d.cell_size) == len(d.reps) and sum(d.cell_size.values()) == c.G.order
@@ -340,14 +350,18 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
 
 
 def bruhat_cells(c):
-    """Map from canonical S-word of each Weyl class to its cell size."""
+    """Map from canonical S-word of each Weyl class to its cell size
+    (WeylNotGenerated when S does not generate W)."""
     d = _derived(c)
+    d.require_words()
     return {" ".join(str(x) for x in d.words[w]): size for w, size in d.cell_size.items()}
 
 
 def weyl_length_census(c):
-    """Multiset of S-word lengths over the Weyl classes, as a sorted tuple."""
+    """Multiset of S-word lengths over the Weyl classes, as a sorted tuple
+    (WeylNotGenerated when S does not generate W)."""
     d = _derived(c)
+    d.require_words()
     return tuple(sorted(d.lengths[w] for w in d.reps))
 
 
@@ -369,9 +383,12 @@ def star_property_check(c):
     For every s in S and w in W: if l(sw) > l(w) then BsB·BwB = BswB,
     and otherwise BsB·BwB is exactly the union of BwB and BswB (two
     distinct cosets).  Products are read off the cell partition via
-    BsB·BwB = union of the B(sbw)B over b in B.
+    BsB·BwB = union of the B(sbw)B over b in B.  False when S does not
+    generate W, since lengths are then undefined.
     """
     d = _derived(c)
+    if d.unreached:
+        return False
     for k, s in enumerate(d.s_reps):
         for w in d.reps:
             sw = d.wmul(s, w)
@@ -389,8 +406,11 @@ def star_property_check(c):
 
 def intersection_identity_check(c):
     """H equals both the intersection of all W-conjugates of B and
-    B ∩ w0 B w0^{-1}, with w0 the unique longest Weyl class."""
+    B ∩ w0 B w0^{-1}, with w0 the unique longest Weyl class (False when
+    S does not generate W)."""
     d = _derived(c)
+    if d.unreached:
+        return False
     maxlen = max(d.lengths.values())
     longest = [w for w in d.reps if d.lengths[w] == maxlen]
     if len(longest) != 1:
@@ -600,6 +620,8 @@ def cell_size_formula_check(n, p):
 
     c = standard_sl_system(n, p)
     d = _derived(c)
+    if d.unreached:
+        return False
     total = 0
     for w in d.reps:
         size = d.cell_size[w]

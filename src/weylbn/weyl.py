@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import EnumerationCapExceeded
-from .rootsys import coxeter_matrix
+from .rootsys import coxeter_matrix, dot
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -142,16 +142,64 @@ def canonical_reduced_word(w):
     return tuple(out)
 
 
+def reduced_word_count(w):
+    """The number of reduced words for ``w``, without listing any.
+
+    With rho the sum of the fundamental weights, the left descents of u
+    are the nodes where u·rho has a negative coordinate, and r_s·u sends
+    rho to r_s(u·rho); so the count is the number of paths from w·rho up
+    to rho that reflect at a negative coordinate each step, memoized on
+    the weights (one integer per weight, keyed by a tuple of rank small
+    integers rather than a root permutation).
+    """
+    rs = w.rs
+    memo = {(1,) * rs.rank: 1}
+
+    def count(mu):
+        got = memo.get(mu)
+        if got is None:
+            got = sum(
+                count(reflect_weight(rs, s + 1, mu)) for s, x in enumerate(mu) if x < 0
+            )
+            memo[mu] = got
+        return got
+
+    return count(_rho_image(w))
+
+
+def _rho_image(w):
+    """w·rho in weight coordinates, rho the sum of the fundamental weights.
+
+    Entry s is <w·rho, a_s^vee> = <rho, b^vee> for the root b = w^-1(a_s);
+    with b = sum_i c_i a_i and <rho, a_i^vee> = 1 that is
+    sum_i c_i (a_i, a_i) / (b, b), an exact integer quotient.
+    """
+    rs = w.rs
+    inv = w.inverse().perm
+    norms = [dot(rs.roots[i], rs.roots[i]) for i in rs.simple_indices]
+    return tuple(
+        dot(rs.coeffs[b], norms) // dot(rs.roots[b], rs.roots[b])
+        for b in (inv[si] for si in rs.simple_indices)
+    )
+
+
 def reduced_words(w, cap=DEFAULT_WORD_CAP):
     """The full set of reduced words for ``w``.
 
-    Enumerates by descent recursion, then re-derives the same set by
-    closing one word under braid moves; the two routes must agree, which
-    also certifies that the braid-move graph on the result is connected.
-    Raises EnumerationCapExceeded (with a partial count) past ``cap``.
+    Counts them first (:func:`reduced_word_count`) and raises
+    EnumerationCapExceeded, with the exact count, past ``cap`` before any
+    word is built, so the cap bounds memory.  Then enumerates by descent
+    recursion and re-derives the same set by closing one word under braid
+    moves; the count and the two routes must agree, which also certifies
+    that the braid-move graph on the result is connected.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    total = reduced_word_count(w)
+    if total > cap:
+        raise EnumerationCapExceeded(
+            f"{total} reduced words, more than the cap {cap}", total
+        )
     rs = w.rs
     memo = {}
 
@@ -163,21 +211,19 @@ def reduced_words(w, cap=DEFAULT_WORD_CAP):
         if u.is_identity():
             result = frozenset({()})
         else:
-            words = set()
-            for s in _left_descents(u):
-                for tail in rec(simple_reflection(rs, s) * u):
-                    words.add((s,) + tail)
-                    if len(words) > cap:
-                        raise EnumerationCapExceeded(
-                            f"more than {cap} reduced words", len(words)
-                        )
-            result = frozenset(words)
+            result = frozenset(
+                (s,) + tail
+                for s in _left_descents(u)
+                for tail in rec(simple_reflection(rs, s) * u)
+            )
         memo[key] = result
         return result
 
     words = rec(w)
+    if len(words) != total:
+        raise AssertionError("descent recursion disagrees with the reduced-word count")
     seed = min(words)
-    closure = _braid_closure(rs, seed, cap)
+    closure = _braid_closure(rs, seed)
     if closure != words:
         raise AssertionError("braid closure disagrees with descent recursion")
     return words
@@ -207,7 +253,7 @@ def _coxeter_of(rs):
     return coxeter_matrix(rs)
 
 
-def _braid_closure(rs, seed, cap):
+def _braid_closure(rs, seed):
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -215,10 +261,6 @@ def _braid_closure(rs, seed, cap):
         for word in frontier:
             for moved in braid_moves(rs, word):
                 if moved not in seen:
-                    if len(seen) >= cap:
-                        raise EnumerationCapExceeded(
-                            f"more than {cap} reduced words", len(seen)
-                        )
                     seen.add(moved)
                     nxt.append(moved)
         frontier = nxt

@@ -220,3 +220,33 @@ def test_csv_rows_well_formed(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "6ac6c75cc0d91dbb647e894e9e6b8a948775fb7290031e0df05c68bca952466d"
     )
+
+
+def test_lemma2_r7_json_golden(capsys):
+    # The digest of this stdout at the hash-set orbit search and the
+    # rational root-coefficient solve.
+    import hashlib
+
+    code, out, _ = run(capsys, ["lemma2", "--max-rank", "7", "--format", "json"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "90c70208402f66e05f16b28685733ee48a81b4c2f14ff40cc4489b1443b58d46"
+    )
+
+
+def test_failed_witness_names_its_sub_checks(capsys, monkeypatch):
+    from weylbn import cosets
+
+    real = cosets.WitnessReport
+
+    def broken(**fields):
+        return real(**{**fields, "length_ok": False, "coset_distinct": False})
+
+    monkeypatch.setattr(cosets, "WitnessReport", broken)
+    code, out, _ = run(capsys, ["lemma2", "--max-rank", "3", "--format", "json"])
+    assert code == 1
+    cases = {c["id"]: c for c in json.loads(out)["cases"]}
+    case = cases["witness/A3/n2"]
+    assert case["actual"] == "fail: length_ok,coset_distinct" and not case["pass"]
+    assert cases["witness/A3/n1"]["actual"] == "not-applicable"

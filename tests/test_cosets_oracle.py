@@ -1,0 +1,155 @@
+"""The J-dominant orbit walk of cosets against the hash-set breadth-first
+search it replaced: the same orbits, orbit sizes, double-coset counts and
+coset-distinctness verdicts.
+
+``_orbit`` and ``_orbit_partition_count`` are that search: the closure of
+a weight under simple reflections with a set of seen weights, and the
+number of orbits of a set of weights, found by exhausting it.
+"""
+
+import pytest
+
+from weylbn.cosets import (
+    ParabolicChoice,
+    _j_dominant,
+    _walk,
+    double_coset_count,
+    double_coset_orbit_sizes,
+    parabolic_orbit,
+    sweep_cases,
+    third_coset_witness,
+)
+from weylbn.errors import WitnessNotApplicable
+from weylbn.rootsys import build_root_system
+from weylbn.weyl import act_on_weight, fundamental_weight
+
+
+def _sparse_cartan_rows(rs):
+    return [tuple((j, c) for j, c in enumerate(row) if c) for row in rs.cartan]
+
+
+def _orbit(rs, start, nodes):
+    """BFS closure of ``start`` under the simple reflections at ``nodes``."""
+    sparse = _sparse_cartan_rows(rs)
+    idxs = [n - 1 for n in nodes]
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in idxs:
+                c = v[i]
+                if c == 0:
+                    continue
+                w = list(v)
+                for j, entry in sparse[i]:
+                    w[j] -= c * entry
+                w = tuple(w)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def _orbit_partition_count(rs, points, nodes):
+    """Number of orbits of the reflections at ``nodes`` acting on ``points``."""
+    sparse = _sparse_cartan_rows(rs)
+    idxs = [n - 1 for n in nodes]
+    remaining = set(points)
+    count = 0
+    while remaining:
+        seed = remaining.pop()
+        count += 1
+        frontier = [seed]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for i in idxs:
+                    c = v[i]
+                    if c == 0:
+                        continue
+                    w = list(v)
+                    for j, entry in sparse[i]:
+                        w[j] -= c * entry
+                    w = tuple(w)
+                    if w in remaining:
+                        remaining.remove(w)
+                        nxt.append(w)
+            frontier = nxt
+    return count
+
+
+CHOICES = [
+    (fam, rank, node)
+    for fam, rank in sweep_cases(6)
+    for node in range(1, rank + 1)
+]
+
+
+def _setup(fam, rank, node):
+    ch = ParabolicChoice(build_root_system((fam, rank)), node)
+    core = ch.core
+    nodes = range(1, core.rank + 1)
+    others = [n for n in nodes if n != node]
+    return ch, core, nodes, others
+
+
+@pytest.mark.parametrize("fam,rank,node", CHOICES)
+def test_walk_matches_bfs(fam, rank, node):
+    ch, core, nodes, others = _setup(fam, rank, node)
+    start = fundamental_weight(core, node)
+    orbit = _orbit(core, start, nodes)
+    count = _orbit_partition_count(core, orbit, others)
+    assert _walk(core, start, nodes, node - 1) == (len(orbit), count)
+    rep = double_coset_count(ch)
+    assert (rep.quotient_size, rep.count) == (len(orbit), count)
+    assert parabolic_orbit(ch) == orbit
+
+
+@pytest.mark.parametrize("fam,rank,node", [c for c in CHOICES if c[1] <= 4])
+def test_orbit_sizes_and_representatives_match_bfs(fam, rank, node):
+    ch, core, nodes, others = _setup(fam, rank, node)
+    orbit = _orbit(core, fundamental_weight(core, node), nodes)
+    parts = []
+    remaining = set(orbit)
+    while remaining:
+        part = _orbit(core, remaining.pop(), others)
+        remaining -= part
+        parts.append(part)
+    assert double_coset_orbit_sizes(ch) == sorted(len(p) for p in parts)
+    # Two weights share a W'-orbit iff they have the same J-dominant weight.
+    rep_of = {v: _j_dominant(core, v, others) for v in orbit}
+    for part in parts:
+        assert len({rep_of[v] for v in part}) == 1
+    assert len(set(rep_of.values())) == len(parts)
+
+
+@pytest.mark.parametrize("fam,rank,node", CHOICES)
+def test_coset_distinct_matches_bfs_membership(fam, rank, node, monkeypatch):
+    # The witness's own word, and words r_b r_a and r_a r_b r_a put in its
+    # place: those lie in W' r_a W' or W' or, across a multiple bond, in a
+    # third double coset, so both verdicts are exercised.
+    from weylbn import cosets
+
+    ch, core, nodes, others = _setup(fam, rank, node)
+    try:
+        word = third_coset_witness(ch).word
+    except WitnessNotApplicable:
+        return
+    omega = fundamental_weight(core, node)
+    coset_of_ra = _orbit(core, act_on_weight(core, (node,), omega), others)
+    real_act = cosets.act_on_weight
+    verdicts = set()
+    puts = [word] + [(b, node) for b in others] + [(node, b, node) for b in others]
+    for put in puts:
+
+        def act(rs, w, coords, put=put):
+            return real_act(rs, put if len(w) > 1 else w, coords)
+
+        monkeypatch.setattr(cosets, "act_on_weight", act)
+        img = act_on_weight(core, put, omega)
+        expected = img != omega and img not in coset_of_ra
+        assert third_coset_witness(ch).coset_distinct == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}

@@ -1,0 +1,124 @@
+"""The integer root-coefficient solve of rootsys against the rational one
+it replaced, and the error paths both share.
+
+``_coefficients_fraction`` is that rational solve: pivot rows found by
+rank tests over Q, the pivot square inverted by Gauss-Jordan over Q, and
+every ambient coordinate and the integrality of each root checked.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from weylbn.cosets import sweep_cases
+from weylbn.errors import InvalidSpec, NonCrystallographicInput
+from weylbn.rootsys import (
+    RootSystemSpec,
+    _coefficients,
+    _simple_root_data,
+    build_root_system,
+)
+
+
+def _rank_of(mat):
+    m = [row[:] for row in mat]
+    rows, cols = len(m), len(m[0]) if m else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c] / m[r][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def _invert(mat):
+    n = len(mat)
+    m = [
+        [Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if m[i][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        f = m[c][c]
+        m[c] = [x / f for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                g = m[i][c]
+                m[i] = [x - g * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
+
+
+def _coefficients_fraction(simples, roots, dim):
+    rank = len(simples)
+    cols = [list(map(Fraction, s)) for s in simples]
+    used = []
+    for i in range(dim):
+        trial = used + [i]
+        mat = [[cols[j][t] for j in range(rank)] for t in trial]
+        if _rank_of(mat) == len(trial):
+            used = trial
+        if len(used) == rank:
+            break
+    pivots = used
+    if len(pivots) != rank:
+        raise InvalidSpec("simple roots are linearly dependent")
+    square = [[cols[j][i] for j in range(rank)] for i in pivots]
+    inv = _invert(square)
+    coeffs = {}
+    for v in roots:
+        rhs = [Fraction(v[i]) for i in pivots]
+        c = [sum(inv[i][j] * rhs[j] for j in range(rank)) for i in range(rank)]
+        for i in range(dim):
+            if sum(Fraction(simples[j][i]) * c[j] for j in range(rank)) != v[i]:
+                raise InvalidSpec(f"root {v} is outside the simple-root span")
+        if any(x.denominator != 1 for x in c):
+            raise NonCrystallographicInput(f"root {v} has non-integer coefficients")
+        coeffs[v] = tuple(int(x) for x in c)
+    return coeffs
+
+
+@pytest.mark.parametrize("fam,rank", sweep_cases(8))
+def test_integer_coefficients_match_fractions(fam, rank):
+    dim, _, simples = _simple_root_data(RootSystemSpec(fam, rank))
+    simples = [tuple(s) for s in simples]
+    roots = build_root_system((fam, rank)).roots
+    got = _coefficients(simples, roots, dim)
+    assert got == _coefficients_fraction(simples, roots, dim)
+    rs = build_root_system((fam, rank))
+    assert rs.coeffs == tuple(got[v] for v in rs.roots)
+
+
+SOLVERS = [_coefficients, _coefficients_fraction]
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_dependent_simples_rejected(solve):
+    with pytest.raises(InvalidSpec, match="linearly dependent"):
+        solve([(1, -1, 0), (2, -2, 0)], [(1, -1, 0)], 3)
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_root_outside_span_rejected(solve):
+    with pytest.raises(InvalidSpec, match="outside the simple-root span"):
+        solve([(1, -1, 0), (0, 1, -1)], [(1, 1, 1)], 3)
+    # Span is checked before integrality: (1, 0, 1) is outside the span
+    # of 2e1, 2e2, and its first coefficient would be 1/2 as well.
+    with pytest.raises(InvalidSpec, match="outside the simple-root span"):
+        solve([(2, 0, 0), (0, 2, 0)], [(1, 0, 1)], 3)
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_half_integer_coefficients_rejected(solve):
+    with pytest.raises(NonCrystallographicInput, match="non-integer coefficients"):
+        solve([(2, 0), (0, 2)], [(2, 0), (1, 0)], 2)
+    # Pivot rows are not the leading ones here: row 0 is zero.
+    with pytest.raises(NonCrystallographicInput):
+        solve([(0, 1, 1), (0, 1, -1)], [(0, 1, 0)], 3)
+    assert solve([(0, 1, 1), (0, 1, -1)], [(0, 2, 0)], 3) == {(0, 2, 0): (1, 1)}

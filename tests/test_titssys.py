@@ -1,6 +1,6 @@
 import pytest
 
-from weylbn.errors import GroupTooLarge, HNotNormal, NotTwoTransitive
+from weylbn.errors import GroupTooLarge, HNotNormal, NotTwoTransitive, WeylNotGenerated
 from weylbn.fingrp import (
     FiniteGroup,
     GroupAction,
@@ -31,6 +31,7 @@ from weylbn.titssys import (
     standard_sl_system,
     star_property_check,
     weakly_split_bruteforce,
+    weyl_length_census,
 )
 
 
@@ -248,3 +249,19 @@ def test_dropped_candidate_is_collected():
     del c
     gc.collect()
     assert ref() is None
+
+
+def test_s_not_generating_w_is_reported():
+    # (SL2(F3), upper unipotent U, monomial N): the Bruhat map is bijective,
+    # but S reaches only 2 of the 4 Weyl classes.
+    from weylbn.fingrp import monomial_subgroup
+
+    G = special_linear_group(2, 3)
+    c = TitsSystemCandidate(G, strictly_upper_unipotent_subgroup(G), monomial_subgroup(G))
+    assert star_property_check(c) is False
+    assert intersection_identity_check(c) is False
+    for fn in (bruhat_cells, weyl_length_census):
+        with pytest.raises(WeylNotGenerated, match="2 have no word over S"):
+            fn(c)
+    rep = check_axioms(c)
+    assert not rep.t2_holds and rep.cells == {}

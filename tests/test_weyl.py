@@ -16,6 +16,7 @@ from weylbn.weyl import (
     length,
     longest_element,
     parse_word,
+    reduced_word_count,
     reduced_words,
     simple_reflection,
 )
@@ -209,3 +210,65 @@ def test_word_parse_format():
     assert parse_word("") == ()
     assert format_word((2, 1, 3, 2)) == "2 1 3 2"
     assert format_word(()) == ""
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 3), ("B", 3), ("G", 2), ("BC", 3)])
+def test_reduced_word_count_matches_enumeration(fam, rank):
+    from weylbn.weyl import WeylElement, _rho_image
+
+    rs = build_root_system((fam, rank))
+    for perm in all_elements(rs):
+        w = WeylElement(rs, perm)
+        assert reduced_word_count(w) == len(reduced_words(w))
+        assert _rho_image(w) == act_on_weight(rs, w, (1,) * rank)
+
+
+def test_reduced_words_cap_reports_exact_count():
+    w0 = longest_element(build_root_system(("A", 3)))
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        reduced_words(w0, cap=15)
+    assert exc.value.partial_count == 16
+    assert len(reduced_words(w0, cap=16)) == 16
+
+
+@pytest.mark.parametrize(
+    "fam,rank,count",
+    # Standard Young tableaux of the staircase (type A, Stanley) and of the
+    # n x n square (type B, Haiman).
+    [("A", 4, 768), ("A", 5, 292864), ("B", 3, 42), ("B", 4, 24024)],
+)
+def test_reduced_word_count_of_longest_element(fam, rank, count):
+    assert reduced_word_count(longest_element(build_root_system((fam, rank)))) == count
+
+
+def test_reduced_words_cap_bounds_memory():
+    # E6's longest element has far more reduced words than the default cap
+    # of 10^6: the CLI must refuse after counting them, building none.
+    import os
+    import subprocess
+    import sys
+
+    word = format_word(canonical_reduced_word(longest_element(build_root_system(("E", 6)))))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "weylbn.cli", "reduced-words", "E", "6", word]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        out, err = proc.stdout.read(), proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 1 and out == b""
+    assert b"cap exceeded" in err
+    assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
+
+
+@pytest.mark.parametrize("fam,rank", [("C", 4), ("D", 5), ("F", 4), ("E", 6), ("BC", 4)])
+def test_rho_image_matches_weight_action(fam, rank):
+    from weylbn.weyl import _rho_image
+
+    rs = build_root_system((fam, rank))
+    rng = random.Random(7)
+    for _ in range(40):
+        word = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 12)))
+        w = element_of(rs, word)
+        assert _rho_image(w) == act_on_weight(rs, word, (1,) * rank)
