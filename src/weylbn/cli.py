@@ -21,12 +21,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import permutations
 
 from . import cosets, fingrp, titssys
 from .errors import EnumerationCapExceeded, GroupTooLarge, WeylBNError, WitnessNotApplicable
-from .rootsys import build_root_system, is_end_node, reduced_form
+from .rootsys import branch_node, build_root_system, coxeter_matrix, is_end_node, reduced_form
 from .weyl import (
     element_of,
     format_word,
@@ -106,29 +107,29 @@ class SuiteResult:
         return rec
 
 
-def run_suite(suite_id, case_fns, jobs=1, skipped=()):
-    """Run (case_id, fn) pairs, merge deterministically by case id."""
+def run_suite(suite_id, cases, skipped=()):
+    """Run (case_id, fn) pairs and merge the results by case id.
+
+    Each ``fn()`` returns ``(inputs, expected, actual, passed)``; an
+    exception inside it fails only that case, with the exception as the
+    actual value.
+    """
     start = time.monotonic()
-
-    def run_one(item):
-        case_id, fn = item
+    results = []
+    for case_id, fn in cases:
         try:
-            return fn()
+            results.append(CaseResult(case_id, *fn()))
         except Exception as exc:  # any failure inside a case fails only that case
-            return CaseResult(case_id, {}, "no error", f"{type(exc).__name__}: {exc}", False)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, case_fns))
-    else:
-        results = [run_one(item) for item in case_fns]
+            results.append(
+                CaseResult(case_id, {}, "no error", f"{type(exc).__name__}: {exc}", False)
+            )
     results.sort(key=lambda c: c.id)
     wall = int((time.monotonic() - start) * 1000)
     return SuiteResult(suite_id, results, wall, skipped=tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
-# Suite builders
+# Case kinds: each returns (inputs, expected, actual, passed).
 
 
 def _minus_one_expected(family, rank):
@@ -142,105 +143,35 @@ def _minus_one_expected(family, rank):
     return True
 
 
-def lemma2_cases(max_rank, families=None):
-    cases = []
-    for fam, rank in cosets.sweep_cases(max_rank, families):
-        rs = build_root_system((fam, rank))
-        label = f"{fam}{rank}"
+def minus_one_case(rs):
+    fam, rank = rs.family, rs.rank
+    expected = _minus_one_expected("B" if fam == "BC" else fam, rank)
+    actual = is_minus_one(longest_element(reduced_form(rs)))
+    return {"family": fam, "rank": rank}, str(expected), str(actual), expected == actual
 
-        def minus_one_case(rs=rs, fam=fam, rank=rank, label=label):
-            w0 = longest_element(reduced_form(rs))
-            expected = _minus_one_expected("B" if fam == "BC" else fam, rank)
-            actual = is_minus_one(w0)
-            return CaseResult(
-                f"minus-one/{label}",
-                {"family": fam, "rank": rank},
-                str(expected),
-                str(actual),
-                expected == actual,
-            )
 
-        cases.append((f"minus-one/{label}", minus_one_case))
-        if fam == "A":
+def negation_case(rs):
+    sigma = cosets.w0_negation_map(rs)
+    ok = all(sigma[i] == rs.rank + 1 - i for i in sigma)
+    return {"family": "A", "rank": rs.rank}, "reversal", "reversal" if ok else str(sigma), ok
 
-            def negation_case(rs=rs, label=label, rank=rank):
-                sigma = cosets.w0_negation_map(rs)
-                ok = all(sigma[i] == rank + 1 - i for i in sigma)
-                return CaseResult(
-                    f"negation/{label}",
-                    {"family": "A", "rank": rank},
-                    "reversal",
-                    "reversal" if ok else str(sigma),
-                    ok,
-                )
 
-            cases.append((f"negation/{label}", negation_case))
-        for node in range(1, rank + 1):
-            choice = cosets.ParabolicChoice(rs, node)
-            cid = f"count/{label}/n{node}"
+def count_case(choice):
+    rep = cosets.double_coset_count(choice)
+    return rep.to_record(), "2" if rep.expected_two else ">2", str(rep.count), rep.passed
 
-            def count_case(choice=choice, cid=cid):
-                rep = cosets.double_coset_count(choice)
-                expected = "2" if rep.expected_two else ">2"
-                return CaseResult(
-                    cid,
-                    rep.to_record(),
-                    expected,
-                    str(rep.count),
-                    rep.passed,
-                )
 
-            cases.append((cid, count_case))
-            wid = f"witness/{label}/n{node}"
-
-            def witness_case(choice=choice, wid=wid, fam=fam):
-                applicable_end = fam == "A" and is_end_node(choice.rs, choice.removed)
-                try:
-                    rep = cosets.third_coset_witness(choice)
-                except WitnessNotApplicable:
-                    expected = "not-applicable" if _witness_na_ok(choice) else "pass"
-                    return CaseResult(
-                        wid,
-                        {"family": fam, "rank": choice.rank, "node": choice.removed},
-                        expected,
-                        "not-applicable",
-                        expected == "not-applicable",
-                    )
-                ok = rep.passed and not applicable_end
-                return CaseResult(
-                    wid,
-                    {
-                        "family": fam,
-                        "rank": choice.rank,
-                        "node": choice.removed,
-                        "word": format_word(rep.word),
-                    },
-                    "pass",
-                    "pass" if rep.passed else "fail: " + ",".join(rep.failed_checks),
-                    ok,
-                )
-
-            cases.append((wid, witness_case))
-            gid = f"gap/{label}/n{node}"
-
-            def gap_case(choice=choice, gid=gid, fam=fam):
-                psi, sub, holds = cosets.root_count_gap_check(choice)
-                return CaseResult(
-                    gid,
-                    {
-                        "family": fam,
-                        "rank": choice.rank,
-                        "node": choice.removed,
-                        "psi": psi,
-                        "psi_prime": sub,
-                    },
-                    "gap",
-                    "gap" if holds else "no-gap",
-                    holds,
-                )
-
-            cases.append((gid, gap_case))
-    return cases
+def witness_case(choice):
+    inputs = {"family": choice.family, "rank": choice.rank, "node": choice.removed}
+    try:
+        rep = cosets.third_coset_witness(choice)
+    except WitnessNotApplicable:
+        expected = "not-applicable" if _witness_na_ok(choice) else "pass"
+        return inputs, expected, "not-applicable", expected == "not-applicable"
+    applicable_end = choice.family == "A" and is_end_node(choice.rs, choice.removed)
+    inputs["word"] = format_word(rep.word)
+    actual = "pass" if rep.passed else "fail: " + ",".join(rep.failed_checks)
+    return inputs, "pass", actual, rep.passed and not applicable_end
 
 
 def _witness_na_ok(choice):
@@ -249,9 +180,147 @@ def _witness_na_ok(choice):
     a = choice.removed
     if choice.family == "A" and is_end_node(choice.rs, a):
         return True
-    from .rootsys import branch_node
-
     return core.node_degree(a) == 1 and branch_node(core) is None
+
+
+def gap_case(choice):
+    psi, sub, holds = cosets.root_count_gap_check(choice)
+    inputs = {
+        "family": choice.family,
+        "rank": choice.rank,
+        "node": choice.removed,
+        "psi": psi,
+        "psi_prime": sub,
+    }
+    return inputs, "gap", "gap" if holds else "no-gap", holds
+
+
+def oracle_case(choice, want):
+    """Orbit-method count against full enumeration (and ``want`` if given)."""
+    fast = cosets.double_coset_count(choice).count
+    slow = cosets.double_coset_count_naive(choice)
+    ok = fast == slow and (want is None or fast == want)
+    inputs = {"family": choice.family, "rank": choice.rank, "node": choice.removed}
+    return inputs, str(slow) if want is None else str(want), str(fast), ok
+
+
+def weights_case(m):
+    _, _, diff = cosets.end_node_weight_sets(m)
+    return {"rank": m}, str(m), str(len(diff)), len(diff) == m
+
+
+def axioms_case(c, max_group):
+    rep = titssys.check_axioms(c, max_group=max_group)
+    actual = "pass" if rep.passed else json.dumps(rep.to_record(), sort_keys=True)
+    return {"system": c.label, "weyl_order": rep.weyl_order}, "pass", actual, rep.passed
+
+
+def cells_case(c):
+    cells = titssys.bruhat_cells(c)
+    total = sum(cells.values())
+    inputs = {"system": c.label, "cells": dict(sorted(cells.items()))}
+    return inputs, str(c.G.order), str(total), total == c.G.order
+
+
+def star_case(c):
+    ok = titssys.star_property_check(c)
+    return {"system": c.label}, "True", str(ok), ok
+
+
+def intersection_case(c):
+    ok = titssys.intersection_identity_check(c)
+    return {"system": c.label}, "True", str(ok), ok
+
+
+def classify_case(c):
+    flags = titssys.classify(c)
+    monotone = (not flags.split) or (flags.weakly_split and flags.saturated)
+    actual = "monotone" if monotone else "violates split=>weakly-split&saturated"
+    return {"system": c.label, "flags": flags.to_record()}, "monotone", actual, monotone
+
+
+def cell_formula_case(c, n, p):
+    ok = titssys.cell_size_formula_check(n, p)
+    return {"system": c.label}, "True", str(ok), ok
+
+
+def coxeter_order_case(n, p):
+    """Orders of generator products in standard SL_n match type A_{n-1}."""
+    c = titssys.standard_sl_system(n, p)
+    S = titssys.find_S(c)
+    want = coxeter_matrix(build_root_system(("A", n - 1)))
+    k = len(S)
+    ok = k == n - 1 and any(
+        all(
+            titssys.order_of_product(c, S[perm[i]], S[perm[j]]) == want[i][j]
+            for i in range(k)
+            for j in range(k)
+        )
+        for perm in permutations(range(k))
+    )
+    return {"n": n, "p": p}, "A-type orders", "match" if ok else "mismatch", ok
+
+
+def agree_case(n, p):
+    col = titssys.sl_rank1_column_system(n, p)
+    proj = titssys.projective_rank1_system(n, p)
+    a = sorted(titssys.bruhat_cells(col).values())
+    b = sorted(titssys.bruhat_cells(proj).values())
+    ok = a == b and titssys.check_axioms(col).passed and titssys.check_axioms(proj).passed
+    return {"n": n, "p": p}, str(a), str(b), ok
+
+
+def affine_case(q):
+    c = titssys.affine_rank1_system(q)
+    rep = titssys.check_axioms(c)
+    flags = titssys.classify(c)
+    actual = ("pass" if rep.passed else "fail") + ("+split" if flags.split else "")
+    return {"q": q, "flags": flags.to_record()}, "pass+split", actual, rep.passed and flags.split
+
+
+def nonstandard_case():
+    c, flags = titssys.psl3_f2_nonstandard_system()
+    rep = titssys.check_axioms(c)
+    fit = fingrp.fitting_subgroup(c.B)
+    std = titssys.standard_sl_system(3, 2)
+    std_cells = titssys.bruhat_cells(std)
+    b0 = std.B.order
+    parabolic_orders = sorted(
+        [b0] + [b0 + v for k, v in std_cells.items() if len(k.split()) == 1]
+    )
+    ok = (
+        rep.passed
+        and flags.split
+        and c.B.order == 21
+        and fit.order == 7
+        and len(rep.cells) == 2
+        and c.B.order not in parabolic_orders
+    )
+    inputs = {
+        "b_order": c.B.order,
+        "fit_order": fit.order,
+        "standard_parabolic_orders": parabolic_orders,
+    }
+    return inputs, "rank1+split+|B|=21", "ok" if ok else "mismatch", ok
+
+
+# ---------------------------------------------------------------------------
+# Suite builders: each returns [(case_id, fn), ...] for run_suite.
+
+
+def lemma2_cases(max_rank, families=None):
+    cases = []
+    for fam, rank in cosets.sweep_cases(max_rank, families):
+        rs = build_root_system((fam, rank))
+        label = f"{fam}{rank}"
+        cases.append((f"minus-one/{label}", partial(minus_one_case, rs)))
+        if fam == "A":
+            cases.append((f"negation/{label}", partial(negation_case, rs)))
+        for node in range(1, rank + 1):
+            choice = cosets.ParabolicChoice(rs, node)
+            for kind, fn in (("count", count_case), ("witness", witness_case), ("gap", gap_case)):
+                cases.append((f"{kind}/{label}/n{node}", partial(fn, choice)))
+    return cases
 
 
 def oracle_cases():
@@ -266,37 +335,13 @@ def oracle_cases():
         rs = build_root_system((fam, rank))
         for node in range(1, rank + 1):
             choice = cosets.ParabolicChoice(rs, node)
-            cid = f"oracle/{fam}{rank}/n{node}"
-
-            def fn(choice=choice, cid=cid, fam=fam, rank=rank, node=node):
-                fast = cosets.double_coset_count(choice).count
-                slow = cosets.double_coset_count_naive(choice)
-                want = frozen.get((fam, rank, node))
-                ok = fast == slow and (want is None or fast == want)
-                return CaseResult(
-                    cid,
-                    {"family": fam, "rank": rank, "node": node},
-                    str(slow) if want is None else str(want),
-                    str(fast),
-                    ok,
-                )
-
-            cases.append((cid, fn))
+            want = frozen.get((fam, rank, node))
+            cases.append((f"oracle/{fam}{rank}/n{node}", partial(oracle_case, choice, want)))
     return cases
 
 
 def weight_set_cases(max_rank=8):
-    cases = []
-    for m in range(2, max_rank + 1):
-        cid = f"weights/A{m}"
-
-        def fn(m=m, cid=cid):
-            _, _, diff = cosets.end_node_weight_sets(m)
-            ok = len(diff) == m
-            return CaseResult(cid, {"rank": m}, str(m), str(len(diff)), ok)
-
-        cases.append((cid, fn))
-    return cases
+    return [(f"weights/A{m}", partial(weights_case, m)) for m in range(2, max_rank + 1)]
 
 
 def _system_for(spec, max_group):
@@ -323,183 +368,36 @@ def _system_for(spec, max_group):
 
 def bn_cases(spec, max_group):
     c = _system_for(spec, max_group)
-    label = c.label
-    cases = []
-
-    def axioms_case():
-        rep = titssys.check_axioms(c, max_group=max_group)
-        return CaseResult(
-            f"axioms/{label}",
-            {"system": label, "weyl_order": rep.weyl_order},
-            "pass",
-            "pass" if rep.passed else json.dumps(rep.to_record(), sort_keys=True),
-            rep.passed,
-        )
-
-    cases.append((f"axioms/{label}", axioms_case))
-
-    def cells_case():
-        cells = titssys.bruhat_cells(c)
-        total = sum(cells.values())
-        ok = total == c.G.order
-        return CaseResult(
-            f"cells/{label}",
-            {"system": label, "cells": {k: v for k, v in sorted(cells.items())}},
-            str(c.G.order),
-            str(total),
-            ok,
-        )
-
-    cases.append((f"cells/{label}", cells_case))
-
-    def star_case():
-        ok = titssys.star_property_check(c)
-        return CaseResult(f"star/{label}", {"system": label}, "True", str(ok), ok)
-
-    cases.append((f"star/{label}", star_case))
-
-    def intersection_case():
-        ok = titssys.intersection_identity_check(c)
-        return CaseResult(
-            f"intersection/{label}", {"system": label}, "True", str(ok), ok
-        )
-
-    cases.append((f"intersection/{label}", intersection_case))
-
-    def classify_case():
-        flags = titssys.classify(c)
-        monotone = (not flags.split) or (flags.weakly_split and flags.saturated)
-        return CaseResult(
-            f"classify/{label}",
-            {"system": label, "flags": flags.to_record()},
-            "monotone",
-            "monotone" if monotone else "violates split=>weakly-split&saturated",
-            monotone,
-        )
-
-    cases.append((f"classify/{label}", classify_case))
-
+    cases = [
+        (f"axioms/{c.label}", partial(axioms_case, c, max_group)),
+        (f"cells/{c.label}", partial(cells_case, c)),
+        (f"star/{c.label}", partial(star_case, c)),
+        (f"intersection/{c.label}", partial(intersection_case, c)),
+        (f"classify/{c.label}", partial(classify_case, c)),
+    ]
     if spec[0] == "sl":
-        n, p = spec[1], spec[2]
-
-        def formula_case():
-            ok = titssys.cell_size_formula_check(n, p)
-            return CaseResult(
-                f"cell-formula/{label}",
-                {"system": label},
-                "True",
-                str(ok),
-                ok,
-            )
-
-        cases.append((f"cell-formula/{label}", formula_case))
+        cases.append((f"cell-formula/{c.label}", partial(cell_formula_case, c, *spec[1:])))
     return cases
 
 
 def coxeter_order_cases(max_group=titssys.DEFAULT_MAX_GROUP):
-    """Orders of generator products in standard SL_n match type A_{n-1}."""
-    from .rootsys import coxeter_matrix
-    from itertools import permutations
-
-    cases = []
-    for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]:
-        if fingrp.sl_order(n, p) > min(max_group, 10**5):
-            continue
-        cid = f"coxeter-order/sl-{n}-{p}"
-
-        def fn(n=n, p=p, cid=cid):
-            c = titssys.standard_sl_system(n, p)
-            S = titssys.find_S(c)
-            rs = build_root_system(("A", n - 1))
-            want = coxeter_matrix(rs)
-            k = len(S)
-            ok = k == n - 1 and any(
-                all(
-                    titssys.order_of_product(c, S[perm[i]], S[perm[j]])
-                    == want[i][j]
-                    for i in range(k)
-                    for j in range(k)
-                )
-                for perm in permutations(range(k))
-            )
-            return CaseResult(
-                cid, {"n": n, "p": p}, "A-type orders", "match" if ok else "mismatch", ok
-            )
-
-        cases.append((cid, fn))
-    return cases
+    return [
+        (f"coxeter-order/sl-{n}-{p}", partial(coxeter_order_case, n, p))
+        for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
+        if fingrp.sl_order(n, p) <= min(max_group, 10**5)
+    ]
 
 
 def rank1_agreement_cases():
-    cases = []
-    for n, p in [(2, 2), (2, 3), (3, 2)]:
-        cid = f"agree/sl-rank1-{n}-{p}"
-
-        def fn(n=n, p=p, cid=cid):
-            col = titssys.sl_rank1_column_system(n, p)
-            proj = titssys.projective_rank1_system(n, p)
-            a = sorted(titssys.bruhat_cells(col).values())
-            b = sorted(titssys.bruhat_cells(proj).values())
-            ok = (
-                a == b
-                and titssys.check_axioms(col).passed
-                and titssys.check_axioms(proj).passed
-            )
-            return CaseResult(cid, {"n": n, "p": p}, str(a), str(b), ok)
-
-        cases.append((cid, fn))
-    for q in (3, 5, 7):
-        cid = f"affine/{q}"
-
-        def fn(q=q, cid=cid):
-            c = titssys.affine_rank1_system(q)
-            rep = titssys.check_axioms(c)
-            flags = titssys.classify(c)
-            ok = rep.passed and flags.split
-            return CaseResult(
-                cid,
-                {"q": q, "flags": flags.to_record()},
-                "pass+split",
-                ("pass" if rep.passed else "fail") + ("+split" if flags.split else ""),
-                ok,
-            )
-
-        cases.append((cid, fn))
-    return cases
+    cases = [
+        (f"agree/sl-rank1-{n}-{p}", partial(agree_case, n, p))
+        for n, p in [(2, 2), (2, 3), (3, 2)]
+    ]
+    return cases + [(f"affine/{q}", partial(affine_case, q)) for q in (3, 5, 7)]
 
 
 def nonstandard_cases():
-    def fn():
-        c, flags = titssys.psl3_f2_nonstandard_system()
-        rep = titssys.check_axioms(c)
-        fit = fingrp.fitting_subgroup(c.B)
-        std = titssys.standard_sl_system(3, 2)
-        std_cells = titssys.bruhat_cells(std)
-        b0 = std.B.order
-        parabolic_orders = sorted(
-            [b0] + [b0 + v for k, v in std_cells.items() if len(k.split()) == 1]
-        )
-        ok = (
-            rep.passed
-            and flags.split
-            and c.B.order == 21
-            and fit.order == 7
-            and len(rep.cells) == 2
-            and c.B.order not in parabolic_orders
-        )
-        return CaseResult(
-            "psl3f2/nonstandard",
-            {
-                "b_order": c.B.order,
-                "fit_order": fit.order,
-                "standard_parabolic_orders": parabolic_orders,
-            },
-            "rank1+split+|B|=21",
-            "ok" if ok else "mismatch",
-            ok,
-        )
-
-    return [("psl3f2/nonstandard", fn)]
+    return [("psl3f2/nonstandard", nonstandard_case)]
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +446,7 @@ def cmd_lemma2(args):
     cases = lemma2_cases(args.max_rank, families)
     if not cases:
         raise UsageError("no families selected")
-    result = run_suite("lemma2", cases, jobs=args.jobs)
+    result = run_suite("lemma2", cases)
     emit_suite(result, args.format, sys.stdout)
     return _exit_code([result])
 
@@ -557,7 +455,7 @@ def cmd_bn(args):
     spec = _parse_bn_spec(args)
     max_group = _max_group()
     cases = bn_cases(spec, max_group)
-    result = run_suite("bn", cases, jobs=args.jobs)
+    result = run_suite("bn", cases)
     emit_suite(result, args.format, sys.stdout)
     return _exit_code([result])
 
@@ -637,11 +535,9 @@ def cmd_report(args):
         raise UsageError("--max-rank must be between 2 and 12")
     max_group = _max_group()
     suites = []
-    suites.append(run_suite("lemma2", lemma2_cases(args.max_rank), jobs=args.jobs))
-    suites.append(run_suite("oracle", oracle_cases(), jobs=args.jobs))
-    suites.append(
-        run_suite("weights", weight_set_cases(min(args.max_rank, 8)), jobs=args.jobs)
-    )
+    suites.append(run_suite("lemma2", lemma2_cases(args.max_rank)))
+    suites.append(run_suite("oracle", oracle_cases()))
+    suites.append(run_suite("weights", weight_set_cases(min(args.max_rank, 8))))
     bn_specs = [
         ("sl", 2, 2), ("sl", 2, 3), ("sl", 2, 5), ("sl", 2, 7),
         ("sl", 3, 2), ("sl", 3, 3), ("sl", 4, 2),
@@ -654,9 +550,9 @@ def cmd_report(args):
             continue
         std_cases.extend(bn_cases(spec, max_group))
     std_cases.extend(coxeter_order_cases(max_group))
-    suites.append(run_suite("bn-standard", std_cases, jobs=args.jobs, skipped=skipped))
-    suites.append(run_suite("bn-rank1", rank1_agreement_cases(), jobs=args.jobs))
-    suites.append(run_suite("bn-nonstandard", nonstandard_cases(), jobs=args.jobs))
+    suites.append(run_suite("bn-standard", std_cases, skipped=skipped))
+    suites.append(run_suite("bn-rank1", rank1_agreement_cases()))
+    suites.append(run_suite("bn-nonstandard", nonstandard_cases()))
     doc = {
         "schema": SCHEMA_VERSION,
         "suites": [s.to_record() for s in sorted(suites, key=lambda s: s.suite_id)],
@@ -679,7 +575,6 @@ def build_parser():
     p.add_argument("--max-rank", type=int, default=8)
     p.add_argument("--family", action="append", choices=["A", "B", "BC", "C", "D", "E", "F", "G"])
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_lemma2)
 
     p = sub.add_parser("bn", help="verify one example Tits system")
@@ -689,7 +584,6 @@ def build_parser():
     p.add_argument("--affine", type=int, metavar="P")
     p.add_argument("--example", type=str)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bn)
 
     p = sub.add_parser("roots", help="list the roots of one system")
@@ -709,7 +603,6 @@ def build_parser():
     p = sub.add_parser("report", help="run every suite and emit one JSON document")
     p.add_argument("--all", action="store_true")
     p.add_argument("--max-rank", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_report)
 
     return parser

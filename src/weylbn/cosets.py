@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GroupTooLarge, RankTooSmall, WitnessNotApplicable
+from .errors import RankTooSmall, WitnessNotApplicable
 from .rootsys import branch_node, build_root_system, dynkin_path, is_end_node, reduced_form
 from .weyl import (
     act_on_weight,
+    all_elements,
     element_of,
     fundamental_weight,
     is_minus_one,
@@ -215,33 +216,19 @@ def double_coset_orbit_sizes(choice):
 def double_coset_count_naive(choice, cap=NAIVE_WEYL_CAP):
     """Independent oracle: partition the fully enumerated Weyl group.
 
-    Enumerates W as root permutations and partitions it into W' x W'
-    double cosets by direct multiplication (two-sided closure under the
-    simple reflections of W').  Only for |W| <= cap.
+    Enumerates W as root permutations (:func:`weyl.all_elements`) and
+    partitions it into W' x W' double cosets by direct multiplication
+    (two-sided closure under the simple reflections of W').  Only for
+    |W| <= cap; GroupTooLarge past it.
     """
     core = choice.core
-    ident = tuple(range(len(core.roots)))
-    gens = core.simple_refl_perms
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[p[r]] for r in range(len(p)))
-                if q not in elements:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(f"|W| exceeds the naive cap {cap}")
-                    elements.add(q)
-                    nxt.append(q)
-        frontier = nxt
     sub_gens = [
         core.simple_refl_perms[n - 1]
         for n in range(1, core.rank + 1)
         if n != choice.removed
     ]
-    n_idx = range(len(ident))
-    remaining = set(elements)
+    n_idx = range(len(core.roots))
+    remaining = set(all_elements(core, cap=cap))
     count = 0
     while remaining:
         seed = remaining.pop()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import EnumerationCapExceeded
-from .rootsys import coxeter_matrix, dot
+from .rootsys import coxeter_matrix, dot, reduced_form
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -78,11 +78,19 @@ def element_of(rs, word):
     return WeylElement(rs, perm)
 
 
+@lru_cache(maxsize=None)
+def _nondivisible_positive(rs):
+    """Positive roots whose half is not a root: all of them unless ``rs``
+    is non-reduced (BC), where 2a and a are one reflection."""
+    kept = set(reduced_form(rs).roots)
+    return tuple(r for r in sorted(rs.positive_set) if rs.roots[r] in kept)
+
+
 def length(w):
-    """Number of positive roots sent negative by ``w``."""
+    """Coxeter length: the positive nondivisible roots sent negative by ``w``."""
     if w._length is None:
         pos = w.rs.positive_set
-        w._length = sum(1 for r in pos if w.perm[r] not in pos)
+        w._length = sum(1 for r in _nondivisible_positive(w.rs) if w.perm[r] not in pos)
     return w._length
 
 
@@ -104,7 +112,8 @@ def longest_element(rs):
 
     Starting from the identity, left-multiply by any simple reflection
     that increases length until none does; the result is checked to have
-    length #roots/2 and to be an involution.
+    length the number of positive nondivisible roots and to be an
+    involution.
     """
     pos = rs.positive_set
     simples = rs.simple_indices
@@ -118,7 +127,7 @@ def longest_element(rs):
                 break
         else:
             break
-    if length(w) * 2 != len(rs.roots):
+    if length(w) != len(_nondivisible_positive(rs)):
         raise AssertionError("greedy ascent did not reach the longest element")
     if not (w * w).is_identity():
         raise AssertionError("longest element is not an involution")

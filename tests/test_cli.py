@@ -11,6 +11,10 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def test_jobs_option_is_gone(capsys):
+    assert run(capsys, ["lemma2", "--jobs", "2"])[0] == 2
+
+
 def test_exit_code_usage_errors(capsys):
     assert run(capsys, ["lemma2", "--max-rank", "1"])[0] == 2
     assert run(capsys, ["lemma2", "--max-rank", "13"])[0] == 2
@@ -35,15 +39,11 @@ def test_lemma2_family_filter(capsys):
     assert "count/A3/n1" in out and "B2" not in out
 
 
-def test_json_byte_stable_and_jobs_invariant(capsys):
+def test_json_byte_stable(capsys):
     code, out1, _ = run(capsys, ["lemma2", "--max-rank", "2", "--format", "json"])
     assert code == 0
     code, out2, _ = run(capsys, ["lemma2", "--max-rank", "2", "--format", "json"])
     assert out1 == out2
-    code, out3, _ = run(
-        capsys, ["lemma2", "--max-rank", "2", "--format", "json", "--jobs", "3"]
-    )
-    assert out1 == out3
     doc = json.loads(out1)
     assert doc["schema"] == 1
     assert doc["summary"]["failed"] == 0
@@ -185,10 +185,11 @@ def test_run_suite_turns_internal_errors_into_failed_cases():
         raise AssertionError("definition check failed")
 
     def fine():
-        return CaseResult("b", {}, "x", "x", True)
+        return {}, "x", "x", True
 
-    result = run_suite("s", [("a", broken), ("b", fine)])
+    result = run_suite("s", [("b", fine), ("a", broken)])
     assert [c.id for c in result.cases] == ["a", "b"]
+    assert result.cases[1] == CaseResult("b", {}, "x", "x", True)
     assert result.failed == 1 and result.passed == 1
     assert result.cases[0].actual == "AssertionError: definition check failed"
 
@@ -250,3 +251,20 @@ def test_failed_witness_names_its_sub_checks(capsys, monkeypatch):
     case = cases["witness/A3/n2"]
     assert case["actual"] == "fail: length_ok,coset_distinct" and not case["pass"]
     assert cases["witness/A3/n1"]["actual"] == "not-applicable"
+
+
+def test_report_all_golden(capsys, monkeypatch):
+    # The digest of ``report --all`` at the closure-built cases; it pins
+    # every suite builder, including oracle, weights and the bn suites.
+    import hashlib
+
+    monkeypatch.delenv("WEYL_BN_MAX_GROUP", raising=False)
+    code, out, _ = run(capsys, ["report", "--all"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "9adb546d2870a3eead96777fdfa3e1098abefd917e431a7f4c5a24d6b46666d5"
+    )
+    for suite in json.loads(out)["suites"]:
+        ids = [c["id"] for c in suite["cases"]]
+        assert len(ids) == len(set(ids)), suite["suite"]

@@ -147,6 +147,21 @@ def test_length_identities_exhaustive(fam, rank):
         assert length(w0 * w) == length(w0) - ell
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_bc_length_is_coxeter_length(rank):
+    # 2a and a give one reflection, so BC_n's length is B_n's length.
+    from weylbn.weyl import WeylElement
+
+    bc = build_root_system(("BC", rank))
+    b = build_root_system(("B", rank))
+    assert length(element_of(bc, (rank,))) == 1
+    assert length(longest_element(bc)) == length(longest_element(b))
+    for perm, ell in all_elements(bc).items():
+        w = WeylElement(bc, perm)
+        word = canonical_reduced_word(w)
+        assert length(w) == ell == len(word) == length(element_of(b, word))
+
+
 @pytest.mark.parametrize("fam,rank", [("E", 8), ("E", 7), ("B", 8), ("D", 8), ("A", 8)])
 def test_length_identities_sampled(fam, rank):
     rs = build_root_system((fam, rank))
