@@ -18,15 +18,25 @@ tables of its generators, as the enumeration formed them, and the
 breadth-first tree that reached each element x_i = g_j * x_p from the
 identity; any right table follows that tree in one pass, since
 x_i * x = g_j * (x_p * x), and L_x = I o R_{x^-1} o I with I the inverse
-table.  Cosets, double cosets and generated subgroups are then orbits of
-a few such tables, found by ``orbits``.
+table.  The inverse table is read off the same tree: x_i = g_j * x_p
+gives x_i^-1 = x_p^-1 * g_j^-1, one lookup in R_{g_j^-1}, so ``ops.inv``
+runs once per generator (and on a sample, as a check).  Cosets, double
+cosets and generated subgroups are then orbits of a few such tables,
+found by ``orbits``.
+
+SL_n(F_p) is enumerated by that breadth-first search with its
+generators, the transvections I + E_{i,i+-1}, acting as row operations
+(row_i += row_j mod p) instead of matrix products.  The shaped subgroups
+(upper-triangular, monomial, diagonal, unipotent) are built from their
+candidate matrices, kept when they are members, not by scanning G.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import permutations, product
 from operator import mul as _times
 
 from .errors import GroupTooLarge
@@ -60,7 +70,7 @@ class FiniteGroup:
         self.ops = ops
         self.elements = tuple(sorted(elements))
         self.elemset = frozenset(self.elements)
-        self._gens = tuple(gens) if gens is not None else None
+        self._gens = tuple(dict.fromkeys(gens)) if gens is not None else None
         self.root = self if root is None else root
         self._bfs = bfs
         if check:
@@ -105,11 +115,19 @@ class FiniteGroup:
 
     @cached_property
     def inv_table(self):
-        """Root index of each root element's inverse (None if outside the root)."""
+        """Root index of each root element's inverse, read off the BFS tree:
+        x_i = g_j * x_p gives x_i^-1 = x_p^-1 * g_j^-1, a lookup in the
+        right table of g_j^-1."""
         if self.root is not self:
             return self.root.inv_table
-        index, inv = self.index, self.ops.inv
-        return [index.get(inv(x)) for x in self.elements]
+        steps = self._core[1]
+        right = [self.right_table(self.ops.inv(g)) for g in self.generators()]
+        table = [0] * len(self.elements)
+        e = self.index[self.ops.identity]
+        table[e] = e
+        for i, j, p in steps:
+            table[i] = right[j][table[p]]
+        return table
 
     def inverse(self, x):
         """x^-1, read from the root's inverse table."""
@@ -119,12 +137,24 @@ class FiniteGroup:
     @cached_property
     def _core(self):
         """Root only: (left tables of the generators, BFS steps (i, j, p))
-        in root indices, each step meaning x_i = gens[j] * x_p."""
-        order, tables, via = self._bfs or _closure(self.ops, self.generators())
-        self._bfs = None
+        in root indices, each step meaning x_i = gens[j] * x_p.
+
+        Raises ValueError unless the generators' closure is the element
+        set, which is how an element list that is not a group shows.
+        """
+        n = len(self.elements)
+        bfs, self._bfs = self._bfs, None
+        msg = f"{self.ops.label}: the generators' closure is not the element set"
+        try:
+            order, tables, via = bfs or _closure(
+                self.ops.identity, [partial(self.ops.mul, g) for g in self.generators()], cap=n
+            )
+        except GroupTooLarge:
+            raise ValueError(msg) from None
         index = self.index
-        pos = [index[x] for x in order]
-        n = len(pos)
+        pos = [index.get(x) for x in order]
+        if len(pos) != n or None in pos:
+            raise ValueError(msg)
         left = []
         for tab in tables:
             perm = [0] * n
@@ -151,12 +181,17 @@ class FiniteGroup:
         return [inv[r[j]] for j in inv]
 
     def _spot_check(self):
-        mul = self.ops.mul
+        """Membership of the identity, ``ops.inv`` on every generator (the
+        inverse table follows from these), the generators' closure (built
+        with the inverse table), then sampled products, associativity and
+        inverses against the ``ops`` oracles."""
+        mul, inv = self.ops.mul, self.ops.inv
         e = self.ops.identity
         if e not in self.elemset:
             raise ValueError(f"{self.ops.label}: identity not a member")
-        if None in self.inv_table:
-            raise ValueError(f"{self.ops.label}: not closed under inversion")
+        if any(mul(g, inv(g)) != e for g in self.generators()):
+            raise ValueError(f"{self.ops.label}: ops.inv does not invert a generator")
+        self.inv_table  # builds the BFS tree: ValueError unless a group
         rng = random.Random(20160)
         n = len(self.elements)
         for _ in range(min(200, n * n)):
@@ -167,6 +202,8 @@ class FiniteGroup:
             c = self.elements[rng.randrange(n)]
             if mul(mul(a, b), c) != mul(a, mul(b, c)):
                 raise ValueError(f"{self.ops.label}: multiplication not associative")
+            if inv(a) != self.inverse(a):
+                raise ValueError(f"{self.ops.label}: inverse table disagrees with ops.inv")
         if mul(e, self.elements[0]) != self.elements[0]:
             raise ValueError(f"{self.ops.label}: identity law fails")
 
@@ -233,23 +270,22 @@ def left_coset_reps(G, K, seeds=None):
     return rep_of
 
 
-def _closure(ops, gens, cap=None):
-    """Breadth-first closure of ``gens`` from the identity.
+def _closure(identity, acts, cap=None):
+    """Breadth-first closure from the identity under left actions.
 
-    Returns (order, tables, via) in discovery numbering: ``order`` lists
-    the elements, ``tables[j][t]`` is the number of gens[j] * order[t], and
+    ``acts[j]`` maps x to g_j * x for the j-th generator g_j.  Returns
+    (order, tables, via) in discovery numbering: ``order`` lists the
+    elements, ``tables[j][t]`` is the number of g_j * order[t], and
     ``via[t - 1] = (j, s)`` says order[t] was first reached as
-    gens[j] * order[s].
+    g_j * order[s].
     """
-    mul = ops.mul
-    gens = list(dict.fromkeys(gens))
-    order = [ops.identity]
-    num = {ops.identity: 0}
-    tables = [[] for _ in gens]
+    order = [identity]
+    num = {identity: 0}
+    tables = [[] for _ in acts]
     via = []
     for s, x in enumerate(order):
-        for j, (a, tab) in enumerate(zip(gens, tables)):
-            c = mul(a, x)
+        for j, (act, tab) in enumerate(zip(acts, tables)):
+            c = act(x)
             t = num.get(c)
             if t is None:
                 if cap is not None and len(order) >= cap:
@@ -263,7 +299,8 @@ def _closure(ops, gens, cap=None):
 
 def closure(ops, gens, cap=None):
     """BFS closure of ``gens`` under multiplication; sorted element tuple."""
-    return tuple(sorted(_closure(ops, gens, cap)[0]))
+    acts = [partial(ops.mul, g) for g in dict.fromkeys(gens)]
+    return tuple(sorted(_closure(ops.identity, acts, cap)[0]))
 
 
 def element_order(ops, x):
@@ -573,10 +610,34 @@ def sl_order(n, p):
     return order
 
 
+def _row_addition(i, j, c, p):
+    """Left multiplication by the transvection I + c*E_ij as a row
+    operation: row i of x plus c times row j, mod p."""
+
+    def act(x):
+        rows = list(x)
+        rows[i] = tuple([(a + c * b) % p for a, b in zip(x[i], x[j])])
+        return tuple(rows)
+
+    return act
+
+
+def _sl_generators(n, p):
+    """The transvections I + E_{i,i+-1}, and their left actions as row
+    operations, in the same order."""
+    acts = [_row_addition(i, j, 1, p) for i in range(n) for j in range(n) if abs(i - j) == 1]
+    return [act(mat_identity(n)) for act in acts], acts
+
+
 def special_linear_group(n, p, cap=SL_ENUM_CAP):
     """SL_n(F_p), fully enumerated from the elementary transvections
     I + E_{i,i+1} and I + E_{i+1,i}.  They generate it: the other
     I + E_ij are commutators of these, and p is prime.
+
+    The breadth-first enumeration applies each generator as a row
+    operation (row_i += row_j mod p), not as a matrix product, and the
+    group keeps its tree, from which right tables and the inverse table
+    are read (see the module docstring).
 
     Instances are cached per (n, p); they are immutable and shared.
     """
@@ -588,21 +649,14 @@ def special_linear_group(n, p, cap=SL_ENUM_CAP):
     expected = sl_order(n, p)
     if expected > cap:
         raise GroupTooLarge(f"|SL_{n}(F_{p})| = {expected} exceeds cap {cap}")
-    ops = matrix_ops(n, p)
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) == 1:
-                m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-                m[i][j] = 1
-                gens.append(tuple(tuple(row) for row in m))
-    bfs = _closure(ops, gens, cap=cap + 1)
+    gens, acts = _sl_generators(n, p)
+    bfs = _closure(mat_identity(n), acts, cap=cap + 1)
     elements = bfs[0]
     if len(elements) != expected:
         raise AssertionError(
             f"enumerated {len(elements)} elements, order formula says {expected}"
         )
-    G = FiniteGroup(ops, elements, gens=gens, bfs=bfs)
+    G = FiniteGroup(matrix_ops(n, p), elements, gens=gens, bfs=bfs)
     _sl_cache[(n, p)] = G
     return G
 
@@ -610,44 +664,61 @@ def special_linear_group(n, p, cap=SL_ENUM_CAP):
 _sl_cache = {}
 
 
+def _shaped_subgroup(G, shapes):
+    """The members of the matrix group G that have one of ``shapes``.
+
+    A shape maps positions (i, j) to the values allowed there, every other
+    entry being 0.  Its candidate matrices are enumerated and kept when
+    they are members of G, so the cost is the number of candidates, not
+    |G|.  On a central quotient, whose members are canonical scalar
+    multiples, this is still every member of the shape: a scalar multiple
+    of a matrix has the same shape.
+    """
+    n = G.ops.meta[1]
+    elemset = G.elemset
+    members = []
+    for shape in shapes:
+        for values in product(*shape.values()):
+            m = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(shape, values):
+                m[i][j] = v
+            m = tuple(map(tuple, m))
+            if m in elemset:
+                members.append(m)
+    return G.subgroup(members)
+
+
+def _triangular_shape(n, p, diagonal):
+    """Upper-triangular shape with the given diagonal values."""
+    shape = {(i, i): diagonal for i in range(n)}
+    shape.update({(i, j): range(p) for i in range(n) for j in range(i + 1, n)})
+    return shape
+
+
 def upper_triangular_subgroup(G):
     """Upper-triangular members of a matrix group."""
-    members = [
-        m for m in G.elements if all(m[i][j] == 0 for i in range(len(m)) for j in range(i))
-    ]
-    return G.subgroup(members)
+    _, n, p = G.ops.meta
+    return _shaped_subgroup(G, [_triangular_shape(n, p, range(1, p))])
 
 
 def strictly_upper_unipotent_subgroup(G):
     """Unipotent upper-triangular members (1 on the diagonal)."""
-    members = [
-        m
-        for m in G.elements
-        if all(m[i][i] == 1 for i in range(len(m)))
-        and all(m[i][j] == 0 for i in range(len(m)) for j in range(i))
-    ]
-    return G.subgroup(members)
+    _, n, p = G.ops.meta
+    return _shaped_subgroup(G, [_triangular_shape(n, p, (1,))])
 
 
 def monomial_subgroup(G):
     """Members with exactly one nonzero entry in each row and column."""
-    members = []
-    for m in G.elements:
-        n = len(m)
-        rows_ok = all(sum(1 for x in row if x) == 1 for row in m)
-        cols_ok = all(sum(1 for i in range(n) if m[i][j]) == 1 for j in range(n))
-        if rows_ok and cols_ok:
-            members.append(m)
-    return G.subgroup(members)
+    _, n, p = G.ops.meta
+    units = range(1, p)
+    return _shaped_subgroup(
+        G, [{(i, s[i]): units for i in range(n)} for s in permutations(range(n))]
+    )
 
 
 def diagonal_subgroup(G):
-    members = [
-        m
-        for m in G.elements
-        if all(m[i][j] == 0 for i in range(len(m)) for j in range(len(m)) if i != j)
-    ]
-    return G.subgroup(members)
+    _, n, p = G.ops.meta
+    return _shaped_subgroup(G, [{(i, i): range(1, p) for i in range(n)}])
 
 
 def _scalar_canonical(m, p):
@@ -680,13 +751,11 @@ def central_quotient(G):
         meta=("pmatrix", n, p),
     )
     elements = sorted({canon(m) for m in G.elements})
-    scalars = [
-        m
-        for m in G.elements
-        if all(m[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        and len({m[i][i] for i in range(n)}) == 1
-    ]
-    if len(elements) * len(scalars) != G.order:
+    scalars = sum(
+        tuple(tuple(lam if i == j else 0 for j in range(n)) for i in range(n)) in G.elemset
+        for lam in range(1, p)
+    )
+    if len(elements) * scalars != G.order:
         raise AssertionError("quotient order times scalar count != group order")
     return FiniteGroup(ops, elements)
 

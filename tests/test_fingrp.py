@@ -8,6 +8,9 @@ from weylbn.fingrp import (
     FiniteGroup,
     GroupAction,
     GroupOps,
+    _closure,
+    _row_addition,
+    _sl_generators,
     action_orbits,
     affine_group,
     affine_line_action,
@@ -28,6 +31,7 @@ from weylbn.fingrp import (
     mat_identity,
     mat_inv,
     mat_mul,
+    matrix_ops,
     monomial_subgroup,
     normal_subgroups,
     orbits,
@@ -274,8 +278,10 @@ def test_mat_mul_against_triple_sum(n, p):
         lambda: special_linear_group(2, 3),
         lambda: affine_group(5),
         lambda: central_quotient(special_linear_group(3, 2)),
+        lambda: special_linear_group(3, 3),
+        lambda: special_linear_group(4, 2),
     ],
-    ids=["sl-2-3", "affine-5", "psl-3-2"],
+    ids=["sl-2-3", "affine-5", "psl-3-2", "sl-3-3", "sl-4-2"],
 )
 def test_index_tables_match_multiplication(make):
     """Left, right and inverse tables agree with the multiplication oracle."""
@@ -314,3 +320,160 @@ def test_left_coset_reps_against_sorting():
     for g in els:
         coset = sorted(mul(g, b) for b in B.elements)
         assert els[rep_of[G.index[g]]] == coset[0]
+
+
+# ---------------------------------------------------------------------------
+# Non-group element lists, row operations and the BFS tree
+
+
+def _c4_ops(inv):
+    return GroupOps(mul=lambda a, b: (a + b) % 4, inv=inv, identity=0, fmt=str, label="C4")
+
+
+def test_non_group_element_lists_raise_value_error():
+    G = special_linear_group(2, 3)
+    ops, els = G.ops, G.elements
+    e = ops.identity
+    for gone in (els[0], els[-1], ops.inv(els[-1])):
+        if gone != e:
+            with pytest.raises(ValueError):
+                FiniteGroup(ops, [x for x in els if x != gone])
+    # SL2(F3) has no subgroup of order 12.
+    half = [e] + [x for x in els if x != e][:11]
+    with pytest.raises(ValueError):
+        FiniteGroup(ops, half)
+
+
+def test_generators_reaching_part_of_the_elements_raise_value_error():
+    G = special_linear_group(2, 3)
+    with pytest.raises(ValueError, match="closure is not the element set"):
+        FiniteGroup(G.ops, G.elements, gens=[G.generators()[0]])
+
+
+def test_spot_check_compares_inverses_with_ops_inv():
+    assert FiniteGroup(_c4_ops(lambda a: (-a) % 4), range(4)).inv_table == [0, 3, 2, 1]
+    for wrong in (lambda a: a, lambda a: a + 4):
+        with pytest.raises(ValueError, match="does not invert a generator"):
+            FiniteGroup(_c4_ops(wrong), range(4))
+    # ops.inv wrong at 2 only, not at the generator 1: the tree's table is
+    # right, and the sampled comparison finds ops.inv disagreeing with it.
+    with pytest.raises(ValueError, match="disagrees with ops.inv"):
+        FiniteGroup(_c4_ops([0, 3, 0, 1].__getitem__), range(4))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_row_addition_is_left_multiplication_by_a_transvection(n, p):
+    rng = random.Random(n * 10 + p)
+    mats = [tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)) for _ in range(20)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for c in range(1, p):
+                t = [list(row) for row in mat_identity(n)]
+                t[i][j] = c
+                t = tuple(map(tuple, t))
+                act = _row_addition(i, j, c, p)
+                for x in mats:
+                    assert act(x) == mat_mul(t, x, p)
+
+
+def _closure_by_products(ops, gens):
+    """The matrix-product closure the row operations replaced, kept as
+    their oracle: (order, tables, via) as ``_closure`` returns them."""
+    mul = ops.mul
+    gens = list(dict.fromkeys(gens))
+    order = [ops.identity]
+    num = {ops.identity: 0}
+    tables = [[] for _ in gens]
+    via = []
+    for s, x in enumerate(order):
+        for j, (a, tab) in enumerate(zip(gens, tables)):
+            c = mul(a, x)
+            t = num.get(c)
+            if t is None:
+                t = num[c] = len(order)
+                order.append(c)
+                via.append((j, s))
+            tab.append(t)
+    return order, tables, via
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_row_operation_closure_matches_product_closure(n, p):
+    gens, acts = _sl_generators(n, p)
+    got = _closure(mat_identity(n), acts)
+    assert got == _closure_by_products(matrix_ops(n, p), gens)
+    assert len(got[0]) == sl_order(n, p)
+
+
+def test_closure_by_left_multiplication_matches_products():
+    for G in (central_quotient(special_linear_group(3, 2)), affine_group(7)):
+        gens = G.generators() + G.generators()[:1]
+        acts = [lambda x, g=g: G.ops.mul(g, x) for g in dict.fromkeys(gens)]
+        assert _closure(G.ops.identity, acts) == _closure_by_products(G.ops, gens)
+        assert closure(G.ops, gens) == G.elements
+
+
+# ---------------------------------------------------------------------------
+# Shaped subgroups against scans of every element
+
+
+def _upper_triangular_scan(G):
+    return {m for m in G.elements if all(m[i][j] == 0 for i in range(len(m)) for j in range(i))}
+
+
+def _unipotent_scan(G):
+    return {
+        m
+        for m in G.elements
+        if all(m[i][i] == 1 for i in range(len(m)))
+        and all(m[i][j] == 0 for i in range(len(m)) for j in range(i))
+    }
+
+
+def _monomial_scan(G):
+    members = set()
+    for m in G.elements:
+        n = len(m)
+        rows_ok = all(sum(1 for x in row if x) == 1 for row in m)
+        cols_ok = all(sum(1 for i in range(n) if m[i][j]) == 1 for j in range(n))
+        if rows_ok and cols_ok:
+            members.add(m)
+    return members
+
+
+def _diagonal_scan(G):
+    return {
+        m
+        for m in G.elements
+        if all(m[i][j] == 0 for i in range(len(m)) for j in range(len(m)) if i != j)
+    }
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: special_linear_group(2, 2),
+        lambda: special_linear_group(2, 3),
+        lambda: special_linear_group(2, 5),
+        lambda: special_linear_group(3, 2),
+        lambda: special_linear_group(3, 3),
+        lambda: special_linear_group(4, 2),
+        lambda: central_quotient(special_linear_group(3, 2)),
+        lambda: central_quotient(special_linear_group(2, 3)),
+        lambda: central_quotient(special_linear_group(2, 5)),
+    ],
+    ids=["sl-2-2", "sl-2-3", "sl-2-5", "sl-3-2", "sl-3-3", "sl-4-2", "psl-3-2", "psl-2-3", "psl-2-5"],
+)
+def test_shaped_subgroups_match_scans(make):
+    G = make()
+    for build, scan in [
+        (upper_triangular_subgroup, _upper_triangular_scan),
+        (strictly_upper_unipotent_subgroup, _unipotent_scan),
+        (monomial_subgroup, _monomial_scan),
+        (diagonal_subgroup, _diagonal_scan),
+    ]:
+        H = build(G)
+        assert H.elemset == scan(G) and H.root is G.root
