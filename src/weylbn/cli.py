@@ -38,6 +38,7 @@ from .weyl import (
 )
 
 SCHEMA_VERSION = 1
+MAX_RANK = 12
 MAX_GROUP_ENV = "WEYL_BN_MAX_GROUP"
 
 
@@ -114,7 +115,7 @@ def run_suite(suite_id, cases, skipped=()):
     exception inside it fails only that case, with the exception as the
     actual value.
     """
-    start = time.monotonic()
+    start = time.monotonic_ns()
     results = []
     for case_id, fn in cases:
         try:
@@ -124,7 +125,7 @@ def run_suite(suite_id, cases, skipped=()):
                 CaseResult(case_id, {}, "no error", f"{type(exc).__name__}: {exc}", False)
             )
     results.sort(key=lambda c: c.id)
-    wall = int((time.monotonic() - start) * 1000)
+    wall = (time.monotonic_ns() - start) // 10**6
     return SuiteResult(suite_id, results, wall, skipped=tuple(skipped))
 
 
@@ -439,9 +440,13 @@ def _exit_code(results):
 # Subcommand handlers
 
 
+def _check_max_rank(args):
+    if not 2 <= args.max_rank <= MAX_RANK:
+        raise UsageError(f"--max-rank must be between 2 and {MAX_RANK}")
+
+
 def cmd_lemma2(args):
-    if not 2 <= args.max_rank <= 12:
-        raise UsageError("--max-rank must be between 2 and 12")
+    _check_max_rank(args)
     families = set(args.family) if args.family else None
     cases = lemma2_cases(args.max_rank, families)
     if not cases:
@@ -480,16 +485,31 @@ def _parse_bn_spec(args):
             raise UsageError(f"unknown example {args.example!r}")
         return ("psl3f2-nonstandard",)
     if kind == "affine":
-        return ("affine", args.affine)
-    n, p = {"sl": args.sl, "sl-rank1": args.sl_rank1, "projective": args.projective}[kind]
-    return (kind, n, p)
+        spec = ("affine", args.affine)
+    else:
+        n, p = {"sl": args.sl, "sl-rank1": args.sl_rank1, "projective": args.projective}[kind]
+        if n < 2:
+            raise UsageError(f"--{kind} needs N >= 2, got {n}")
+        spec = (kind, n, p)
+    # Checked here, before _system_for compares the group order with the cap.
+    if not fingrp._is_prime(spec[-1]):
+        raise UsageError(f"{spec[-1]} is not prime")
+    return spec
+
+
+def _root_system(args):
+    """The root system named by the arguments; a usage error when it is
+    inadmissible or its rank is over MAX_RANK."""
+    if args.rank > MAX_RANK:
+        raise UsageError(f"rank must be at most {MAX_RANK}, got {args.rank}")
+    try:
+        return build_root_system((args.family, args.rank))
+    except WeylBNError as exc:
+        raise UsageError(str(exc))
 
 
 def cmd_roots(args):
-    try:
-        rs = build_root_system((args.family, args.rank))
-    except WeylBNError as exc:
-        raise UsageError(str(exc))
+    rs = _root_system(args)
     if args.format == "json":
         sys.stdout.write(rs.to_json() + "\n")
         return 0
@@ -503,8 +523,8 @@ def cmd_roots(args):
 
 
 def cmd_reduced_words(args):
+    rs = _root_system(args)
     try:
-        rs = build_root_system((args.family, args.rank))
         word = parse_word(args.word)
         w = element_of(rs, word)
     except (WeylBNError, ValueError) as exc:
@@ -531,8 +551,7 @@ def cmd_reduced_words(args):
 def cmd_report(args):
     if not args.all:
         raise UsageError("report requires --all")
-    if not 2 <= args.max_rank <= 12:
-        raise UsageError("--max-rank must be between 2 and 12")
+    _check_max_rank(args)
     max_group = _max_group()
     suites = []
     suites.append(run_suite("lemma2", lemma2_cases(args.max_rank)))

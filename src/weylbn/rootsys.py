@@ -1,6 +1,11 @@
 """Irreducible crystallographic root systems with exact integer arithmetic.
 
-Roots are integer vectors in the standard ambient coordinates of the
+Every family is built the same way.  The Cartan matrix of the Bourbaki
+simple roots generates the positive roots as integer coefficient vectors
+in the simple-root basis (Bourbaki, *Lie Groups and Lie Algebras*,
+ch. VI; Humphreys, *Reflection Groups and Coxeter Groups*, ch. 3), and
+each root's ambient vector is the sum of the simple roots weighted by
+its coefficients.  Ambient vectors use the standard coordinates of the
 Bourbaki plates.  Families whose Bourbaki realization has half-integer
 coordinates (the E family and F4) carry a global ``scale`` factor of 2 so
 that every stored coordinate is an exact integer; all pairings are ratios
@@ -8,7 +13,8 @@ of dot products, so the scale cancels.  Simple roots and node numbers
 follow the Bourbaki plates and are 1-based throughout the public API
 (see the numbering table in the README).
 
-The non-reduced family BC stores both a root and its double; every
+The non-reduced family BC has the Cartan matrix of B and adds twice each
+shortest root, so it stores both a root and its double; every
 Weyl-group computation on a BC system goes through its reduced core of
 nondivisible roots (type B), see :func:`nondivisible_core`.
 """
@@ -18,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
 
 from .errors import InvalidSpec, NonCrystallographicInput, NotNonReduced
 
@@ -133,126 +138,6 @@ def reflect_vector(a, v):
     return tuple(x - c * y for x, y in zip(v, a))
 
 
-def _classical_roots(spec, dim):
-    fam, n = spec.family, spec.rank
-    roots = set()
-    if fam == "A":
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    roots.add(_sub(_e(i, dim), _e(j, dim)))
-        return roots
-    short = {_e(i, dim) for i in range(n)} | {_neg(_e(i, dim)) for i in range(n)}
-    long_ = {_scale_vec(2, v) for v in short}
-    mixed = set()
-    for i, j in combinations(range(n), 2):
-        for si, sj in product((1, -1), repeat=2):
-            mixed.add(_add(_scale_vec(si, _e(i, dim)), _scale_vec(sj, _e(j, dim))))
-    if fam == "B":
-        return short | mixed
-    if fam == "C":
-        return long_ | mixed
-    if fam == "D":
-        return mixed
-    if fam == "BC":
-        return short | long_ | mixed
-    raise InvalidSpec(fam)
-
-
-def _closure_roots(simples):
-    """All roots generated from the simple roots by simple reflections."""
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        new = []
-        for v in frontier:
-            for a in simples:
-                w = reflect_vector(a, v)
-                if w not in roots:
-                    roots.add(w)
-                    new.append(w)
-        frontier = new
-    return roots
-
-
-def _coefficients(simples, roots, dim):
-    """Expand each root in the simple-root basis, exactly, in integers.
-
-    Picks the first ambient coordinates whose rows of the simple-root
-    matrix are independent (the pivots), takes the integer adjugate
-    ``adj`` and determinant ``det`` of that square once, and for each root
-    v solves det·c = adj·v[pivots].  The full ambient equation
-    sum_j c_j·simples[j] = v is verified for every root before the
-    divisibility of adj·v[pivots] by det, so a root outside the span is
-    reported as such even when its coefficients would not be integers.
-    """
-    rank = len(simples)
-    pivots = _independent_rows(simples, dim)
-    if len(pivots) != rank:
-        raise InvalidSpec("simple roots are linearly dependent")
-    adj, det = _adjugate([[s[i] for s in simples] for i in pivots])
-    coeffs = {}
-    for v in roots:
-        rhs = [v[i] for i in pivots]
-        num = [dot(row, rhs) for row in adj]
-        for i in range(dim):
-            if sum(s[i] * x for s, x in zip(simples, num)) != det * v[i]:
-                raise InvalidSpec(f"root {v} is outside the simple-root span")
-        if any(x % det for x in num):
-            raise NonCrystallographicInput(f"root {v} has non-integer coefficients")
-        coeffs[v] = tuple(x // det for x in num)
-    return coeffs
-
-
-def _independent_rows(simples, dim):
-    """The ambient coordinates i, taken greedily in order, whose rows
-    (simples[0][i], ..., simples[-1][i]) are independent of the rows kept
-    before them.  Integer elimination: each kept row is reduced to zero at
-    the leading columns of the rows kept before it."""
-    kept, pivots = [], []
-    for i in range(dim):
-        row = [s[i] for s in simples]
-        for lead, base in kept:
-            if row[lead]:
-                f, g = base[lead], row[lead]
-                row = [f * x - g * y for x, y in zip(row, base)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            kept.append((lead, row))
-            pivots.append(i)
-            if len(pivots) == len(simples):
-                break
-    return pivots
-
-
-def _adjugate(mat):
-    """(adj, det) of a nonsingular integer matrix, adj·mat = det·I.
-
-    Integer Gauss-Jordan elimination on [mat | I] with Bareiss's update,
-    in which every division is exact: after step k the left block's leading
-    k+1 columns are d·I with d the determinant of the leading minor, and
-    at the end the right block is d·mat^-1 with d = ±det; row swaps fix
-    the sign.
-    """
-    n = len(mat)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    prev, sign = 1, 1
-    for k in range(n):
-        piv = next(i for i in range(k, n) if m[i][k])
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        top = m[k]
-        p = top[k]
-        for i in range(n):
-            if i != k:
-                row = m[i]
-                g = row[k]
-                m[i] = [(p * x - g * y) // prev for x, y in zip(row, top)]
-        prev = p
-    return [[sign * x for x in row[n:]] for row in m], sign * prev
-
-
 class RootSystem:
     """An immutable root datum: indexed roots plus Cartan/Dynkin data.
 
@@ -275,28 +160,29 @@ class RootSystem:
         "simple_refl_perms",
     )
 
-    def __init__(self, spec, ambient_dim, scale, roots, simples, coeffs):
+    def __init__(self, spec, ambient_dim, scale, simples, cartan, positive):
+        """``positive`` lists the positive roots' simple-root coefficients."""
         self.spec = spec
         self.ambient_dim = ambient_dim
         self.scale = scale
-        self.roots = tuple(sorted(roots))
+        vector = {c: _combine(c, simples) for c in positive}
+        vector.update({_neg(c): _neg(v) for c, v in vector.items()})
+        self.coeffs = tuple(sorted(vector, key=vector.__getitem__))
+        self.roots = tuple(vector[c] for c in self.coeffs)
         self.root_index = {v: i for i, v in enumerate(self.roots)}
-        self.simple_indices = tuple(self.root_index[s] for s in simples)
-        self.coeffs = tuple(coeffs[v] for v in self.roots)
-        self.positive_set = frozenset(
-            i for i, c in enumerate(self.coeffs) if _first_nonzero(c) > 0
-        )
-        self.neg_index = tuple(self.root_index[_neg(v)] for v in self.roots)
-        self.cartan = _cartan_matrix(simples)
+        index = {c: i for i, c in enumerate(self.coeffs)}
+        n = len(cartan)
+        self.simple_indices = tuple(index[_e(i, n)] for i in range(n))
+        self.positive_set = frozenset(index[c] for c in positive)
+        self.neg_index = tuple(index[_neg(c)] for c in self.coeffs)
+        self.cartan = cartan
         self.dynkin_edges = tuple(
-            (i + 1, j + 1)
-            for i in range(len(simples))
-            for j in range(i + 1, len(simples))
-            if self.cartan[i][j] != 0
+            (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if cartan[i][j] != 0
         )
+        # s_i: c -> c - <c, a_i^v>·e_i, where <c, a_i^v> = sum_j c_j·cartan[j][i].
         self.simple_refl_perms = tuple(
-            tuple(self.root_index[reflect_vector(s, v)] for v in self.roots)
-            for s in simples
+            tuple(index[c[:i] + (c[i] - dot(c, col),) + c[i + 1 :]] for c in self.coeffs)
+            for i, col in enumerate(zip(*cartan))
         )
         self._check()
 
@@ -358,13 +244,6 @@ class RootSystem:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _first_nonzero(seq):
-    for x in seq:
-        if x:
-            return x
-    return 0
-
-
 def _cartan_matrix(simples):
     """Row i lists the weight-basis coordinates of simple root i.
 
@@ -385,20 +264,45 @@ def _cartan_matrix(simples):
     return tuple(rows)
 
 
+def _positive_coefficients(cartan):
+    """The positive roots in simple-root coordinates, from the Cartan matrix.
+
+    Starting from the unit vectors, c -> c + k·e_i whenever
+    k = -<c, a_i^v> = -sum_j c_j·cartan[j][i] is positive: that is s_i·c,
+    a root of greater height, and every positive root is reached this way
+    from a simple one (Humphreys 1990, ch. 3).
+    """
+    n = len(cartan)
+    found = [_e(i, n) for i in range(n)]
+    seen = set(found)
+    for c in found:  # found grows as the loop runs: a breadth-first walk
+        for i, col in enumerate(zip(*cartan)):
+            k = -dot(c, col)
+            if k > 0:
+                up = c[:i] + (c[i] + k,) + c[i + 1 :]
+                if up not in seen:
+                    seen.add(up)
+                    found.append(up)
+    return found
+
+
+def _combine(c, simples):
+    """The ambient vector sum_j c_j·simples[j]."""
+    return tuple(dot(c, row) for row in zip(*simples))
+
+
 @lru_cache(maxsize=None)
 def _build_cached(family, rank):
     spec = RootSystemSpec(family, rank)
     dim, scale, simples = _simple_root_data(spec)
-    simples = [tuple(v) for v in simples]
-    if spec.family in ("A", "B", "C", "D", "BC"):
-        roots = _classical_roots(spec, dim)
-        for s in simples:
-            if s not in roots:
-                raise InvalidSpec(f"simple root {s} missing from construction")
-    else:
-        roots = _closure_roots(simples)
-    coeffs = _coefficients(simples, roots, dim)
-    return RootSystem(spec, dim, scale, roots, simples, coeffs)
+    cartan = _cartan_matrix(simples)
+    positive = _positive_coefficients(cartan)
+    if family == "BC":
+        # BC has the Cartan matrix of B; it adds twice each shortest root.
+        norms = [dot(v, v) for v in (_combine(c, simples) for c in positive)]
+        least = min(norms)
+        positive += [_scale_vec(2, c) for c, m in zip(positive, norms) if m == least]
+    return RootSystem(spec, dim, scale, simples, cartan, positive)
 
 
 def build_root_system(spec):

@@ -268,3 +268,39 @@ def test_report_all_golden(capsys, monkeypatch):
     for suite in json.loads(out)["suites"]:
         ids = [c["id"] for c in suite["cases"]]
         assert len(ids) == len(set(ids)), suite["suite"]
+
+
+def test_roots_golden(capsys):
+    # One digest over the text and JSON `roots` stdout of 63 types, taken
+    # at the per-family root tables and the integer adjugate solve.
+    import hashlib
+
+    from weylbn.cosets import sweep_cases
+
+    types = sorted(sweep_cases(12) + [("A", 1), ("B", 1), ("C", 1), ("BC", 1), ("D", 3)])
+    digest = hashlib.sha256()
+    for fam, rank in types:
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, ["roots", fam, str(rank), "--format", fmt])
+            assert code == 0
+            digest.update(out.encode())
+    assert len(types) == 63
+    assert digest.hexdigest() == "ff89599bbbffea08cd50a5b794dcfa5d1e899a58d1eb0fecb505c826b5be2fdd"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bn", "--sl", "3", "4"], "4 is not prime"),
+        (["bn", "--sl", "-1", "2"], "--sl needs N >= 2, got -1"),
+        (["bn", "--projective", "1", "2"], "--projective needs N >= 2, got 1"),
+        (["bn", "--sl", "0", "2"], "--sl needs N >= 2, got 0"),
+        (["bn", "--sl-rank1", "0", "3"], "--sl-rank1 needs N >= 2, got 0"),
+        (["bn", "--affine", "200"], "200 is not prime"),
+        (["roots", "A", "13"], "rank must be at most 12, got 13"),
+        (["reduced-words", "A", "13", "1"], "rank must be at most 12, got 13"),
+    ],
+)
+def test_malformed_specs_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,9 +1,10 @@
-"""The integer root-coefficient solve of rootsys against the rational one
-it replaced, and the error paths both share.
+"""The coefficient-closure build of rootsys against an ambient oracle.
 
-``_coefficients_fraction`` is that rational solve: pivot rows found by
-rank tests over Q, the pivot square inverted by Gauss-Jordan over Q, and
-every ambient coordinate and the integrality of each root checked.
+The oracle closes the Bourbaki simple roots under ``reflect_vector`` in
+the ambient coordinates, then solves each root's coefficients with
+``_coefficients_fraction``: pivot rows found by rank tests over Q, the
+pivot square inverted by Gauss-Jordan over Q, and every ambient
+coordinate and the integrality of each root checked.
 """
 
 from fractions import Fraction
@@ -14,10 +15,13 @@ from weylbn.cosets import sweep_cases
 from weylbn.errors import InvalidSpec, NonCrystallographicInput
 from weylbn.rootsys import (
     RootSystemSpec,
-    _coefficients,
     _simple_root_data,
     build_root_system,
+    reflect_vector,
 )
+
+# The sweep types, BC1, the rank-one A, B and C, and D3 (= A3).
+TYPES = sorted(sweep_cases(12) + [("A", 1), ("B", 1), ("C", 1), ("BC", 1), ("D", 3)])
 
 
 def _rank_of(mat):
@@ -84,18 +88,39 @@ def _coefficients_fraction(simples, roots, dim):
     return coeffs
 
 
-@pytest.mark.parametrize("fam,rank", sweep_cases(8))
+def _reflection_closure(simples, seeds):
+    """Every vector reached from ``seeds`` by reflections in ``simples``."""
+    roots = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        frontier = {reflect_vector(a, v) for v in frontier for a in simples} - roots
+        roots |= frontier
+    return roots
+
+
+@pytest.mark.parametrize("fam,rank", TYPES)
 def test_integer_coefficients_match_fractions(fam, rank):
     dim, _, simples = _simple_root_data(RootSystemSpec(fam, rank))
-    simples = [tuple(s) for s in simples]
-    roots = build_root_system((fam, rank)).roots
-    got = _coefficients(simples, roots, dim)
-    assert got == _coefficients_fraction(simples, roots, dim)
+    # BC's doubled roots are the orbit of 2·a_n under the reflections of B.
+    seeds = (simples + [tuple(2 * x for x in simples[-1])]) if fam == "BC" else simples
+    roots = tuple(sorted(_reflection_closure(simples, seeds)))
+    coeffs = _coefficients_fraction(simples, roots, dim)
+    index = {v: i for i, v in enumerate(roots)}
+    perms = tuple(tuple(index[reflect_vector(s, v)] for v in roots) for s in simples)
+    # s_j·a_i = a_i - cartan[i][j]·a_j.
+    cartan = tuple(
+        tuple(int(i == j) - coeffs[reflect_vector(sj, si)][j] for j, sj in enumerate(simples))
+        for i, si in enumerate(simples)
+    )
     rs = build_root_system((fam, rank))
-    assert rs.coeffs == tuple(got[v] for v in rs.roots)
+    assert rs.roots == roots
+    assert rs.coeffs == tuple(coeffs[v] for v in roots)
+    assert rs.simple_refl_perms == perms
+    assert rs.cartan == cartan
+    assert rs.positive_set == {i for i, v in enumerate(roots) if min(coeffs[v]) >= 0}
 
 
-SOLVERS = [_coefficients, _coefficients_fraction]
+SOLVERS = [_coefficients_fraction]
 
 
 @pytest.mark.parametrize("solve", SOLVERS)
