@@ -10,8 +10,9 @@ Exit codes: 0 all cases passed, 1 at least one case failed, 2 usage or
 parse error.  Formats: text (default), json, csv.  The JSON format is
 byte-stable across runs (sorted keys, canonical case order, no
 timings); wall time is shown in the text format only.  All numbers are
-exact integers.  The environment variable WEYL_BN_MAX_GROUP overrides
-the exhaustive-check group-size cap.
+exact integers.  The environment variable WEYL_BN_MAX_GROUP, a
+positive integer, overrides the group-size cap of every bn system and
+suite: a system over it is refused, and ``report`` skips it with a note.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ MAX_GROUP_ENV = "WEYL_BN_MAX_GROUP"
 
 def _max_group():
     raw = os.environ.get(MAX_GROUP_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"{MAX_GROUP_ENV} must be an integer, got {raw!r}")
-    return titssys.DEFAULT_MAX_GROUP
+    if not raw:
+        return titssys.DEFAULT_MAX_GROUP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise UsageError(f"{MAX_GROUP_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 class UsageError(WeylBNError):
@@ -345,14 +345,34 @@ def weight_set_cases(max_rank=8):
     return [(f"weights/A{m}", partial(weights_case, m)) for m in range(2, max_rank + 1)]
 
 
+def _group_order(spec):
+    """The order of the largest group the system named by ``spec`` builds."""
+    if spec[0] == "affine":
+        return spec[1] * (spec[1] - 1)
+    if spec[0] == "psl3f2-nonstandard":
+        return fingrp.sl_order(3, 2)
+    return fingrp.sl_order(spec[1], spec[2])
+
+
+def _within_cap(specs, max_group):
+    """The specs whose group order is at most ``max_group``, and a skip
+    note for each other one."""
+    kept, skipped = [], []
+    for spec in specs:
+        if _group_order(spec) > max_group:
+            skipped.append(f"{'-'.join(map(str, spec))}: order over cap {max_group}")
+        else:
+            kept.append(spec)
+    return kept, skipped
+
+
 def _system_for(spec, max_group):
     """Build the system named by ``spec``, refusing (GroupTooLarge) before
     any enumeration when its group order is over ``max_group``."""
     kind = spec[0]
-    if kind in ("sl", "sl-rank1", "projective", "affine"):
-        order = spec[1] * (spec[1] - 1) if kind == "affine" else fingrp.sl_order(spec[1], spec[2])
-        if order > max_group:
-            raise GroupTooLarge(f"group order {order} exceeds the cap {max_group}")
+    order = _group_order(spec)
+    if order > max_group:
+        raise GroupTooLarge(f"group order {order} exceeds the cap {max_group}")
     if kind == "sl":
         return titssys.standard_sl_system(spec[1], spec[2])
     if kind == "sl-rank1":
@@ -389,16 +409,20 @@ def coxeter_order_cases(max_group=titssys.DEFAULT_MAX_GROUP):
     ]
 
 
-def rank1_agreement_cases():
-    cases = [
-        (f"agree/sl-rank1-{n}-{p}", partial(agree_case, n, p))
-        for n, p in [(2, 2), (2, 3), (3, 2)]
-    ]
-    return cases + [(f"affine/{q}", partial(affine_case, q)) for q in (3, 5, 7)]
+def rank1_agreement_cases(max_group=titssys.DEFAULT_MAX_GROUP):
+    """The rank-1 agreement and affine cases within ``max_group``, and
+    the skip notes for the others."""
+    agree, skipped = _within_cap([("sl-rank1", n, p) for n, p in [(2, 2), (2, 3), (3, 2)]], max_group)
+    affine, more = _within_cap([("affine", q) for q in (3, 5, 7)], max_group)
+    cases = [(f"agree/sl-rank1-{n}-{p}", partial(agree_case, n, p)) for _, n, p in agree]
+    cases += [(f"affine/{q}", partial(affine_case, q)) for _, q in affine]
+    return cases, skipped + more
 
 
-def nonstandard_cases():
-    return [("psl3f2/nonstandard", nonstandard_case)]
+def nonstandard_cases(max_group=titssys.DEFAULT_MAX_GROUP):
+    """The non-standard PSL3(F2) case within ``max_group``, and its skip note."""
+    kept, skipped = _within_cap([("psl3f2-nonstandard",)], max_group)
+    return [("psl3f2/nonstandard", nonstandard_case) for _ in kept], skipped
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +581,15 @@ def cmd_report(args):
     suites.append(run_suite("lemma2", lemma2_cases(args.max_rank)))
     suites.append(run_suite("oracle", oracle_cases()))
     suites.append(run_suite("weights", weight_set_cases(min(args.max_rank, 8))))
-    bn_specs = [
-        ("sl", 2, 2), ("sl", 2, 3), ("sl", 2, 5), ("sl", 2, 7),
-        ("sl", 3, 2), ("sl", 3, 3), ("sl", 4, 2),
-    ]
-    std_cases = []
-    skipped = []
-    for spec in bn_specs:
-        if fingrp.sl_order(spec[1], spec[2]) > max_group:
-            skipped.append(f"sl-{spec[1]}-{spec[2]}: order over cap {max_group}")
-            continue
-        std_cases.extend(bn_cases(spec, max_group))
+    bn_specs, skipped = _within_cap(
+        [("sl", n, p) for n, p in [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]],
+        max_group,
+    )
+    std_cases = [case for spec in bn_specs for case in bn_cases(spec, max_group)]
     std_cases.extend(coxeter_order_cases(max_group))
     suites.append(run_suite("bn-standard", std_cases, skipped=skipped))
-    suites.append(run_suite("bn-rank1", rank1_agreement_cases()))
-    suites.append(run_suite("bn-nonstandard", nonstandard_cases()))
+    suites.append(run_suite("bn-rank1", *rank1_agreement_cases(max_group)))
+    suites.append(run_suite("bn-nonstandard", *nonstandard_cases(max_group)))
     doc = {
         "schema": SCHEMA_VERSION,
         "suites": [s.to_record() for s in sorted(suites, key=lambda s: s.suite_id)],

@@ -25,14 +25,17 @@ independent and may run in parallel; results merge deterministically in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import RankTooSmall, WitnessNotApplicable
+from .fingrp import FiniteGroup, GroupOps, _closure, orbits
 from .rootsys import branch_node, build_root_system, dynkin_path, is_end_node, reduced_form
 from .weyl import (
     act_on_weight,
-    all_elements,
+    compose,
     element_of,
     fundamental_weight,
+    invert,
     is_minus_one,
     length,
     longest_element,
@@ -216,37 +219,19 @@ def double_coset_orbit_sizes(choice):
 def double_coset_count_naive(choice, cap=NAIVE_WEYL_CAP):
     """Independent oracle: partition the fully enumerated Weyl group.
 
-    Enumerates W as root permutations (:func:`weyl.all_elements`) and
-    partitions it into W' x W' double cosets by direct multiplication
-    (two-sided closure under the simple reflections of W').  Only for
-    |W| <= cap; GroupTooLarge past it.
+    Enumerates W once, as a FiniteGroup of root permutations under
+    composition, and counts the orbits of the left and right
+    multiplication tables of the simple reflections of W': the W' x W'
+    double cosets.  Only for |W| <= cap; GroupTooLarge past it.
     """
     core = choice.core
-    sub_gens = [
-        core.simple_refl_perms[n - 1]
-        for n in range(1, core.rank + 1)
-        if n != choice.removed
-    ]
-    n_idx = range(len(core.roots))
-    remaining = set(all_elements(core, cap=cap))
-    count = 0
-    while remaining:
-        seed = remaining.pop()
-        count += 1
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in sub_gens:
-                    for q in (
-                        tuple(g[p[r]] for r in n_idx),
-                        tuple(p[g[r]] for r in n_idx),
-                    ):
-                        if q in remaining:
-                            remaining.remove(q)
-                            nxt.append(q)
-            frontier = nxt
-    return count
+    gens = core.simple_refl_perms
+    ident = tuple(range(len(core.roots)))
+    bfs = _closure(ident, [partial(compose, g) for g in gens], cap=cap)
+    ops = GroupOps(compose, invert, ident, str, f"W({core.spec.label()})")
+    W = FiniteGroup(ops, bfs[0], gens=gens, check=False, bfs=bfs)
+    sub = [g for n, g in enumerate(gens, start=1) if n != choice.removed]
+    return len(orbits([W.left_table(g) for g in sub] + [W.right_table(g) for g in sub], W.order))
 
 
 def sweep_cases(max_rank, families=None):

@@ -24,6 +24,12 @@ runs once per generator (and on a sample, as a check).  Cosets, double
 cosets and generated subgroups are then orbits of a few such tables,
 found by ``orbits``.
 
+Subgroups given by seeds rather than by a shape are one ``_closure``
+each: ``normal_closure(G, seeds, conj_gens)`` closes the identity under
+left multiplication by the seeds and conjugation by ``conj_gens``, and
+commutator subgroups, the Fitting subgroup and the normal-subgroup
+lattice are all built from it.
+
 SL_n(F_p) is enumerated by that breadth-first search with its
 generators, the transvections I + E_{i,i+-1}, acting as row operations
 (row_i += row_j mod p) instead of matrix products.  The shaped subgroups
@@ -314,11 +320,12 @@ def element_order(ops, x):
 
 
 def is_normal(H, G):
-    """Conjugate H's generators by every element of G."""
+    """g H g^-1 ⊆ H for each of G's generators g.  H is finite, so that
+    inclusion is equality, and then it holds for every product of them."""
     mul = G.ops.mul
     hset = H.elemset
     hgens = H.generators()
-    for g in G.elements:
+    for g in G.generators():
         gi = G.inverse(g)
         for h in hgens:
             if mul(mul(g, h), gi) not in hset:
@@ -338,58 +345,63 @@ def conjugacy_classes(G):
     return [frozenset(els[i] for i in orb) for orb in orbits(perms, len(els))]
 
 
-def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
-    """All normal subgroups, as closures of unions of conjugacy classes.
+def normal_closure(G, seeds, conj_gens):
+    """The least subgroup of G that contains ``seeds`` and is normalized by
+    ``conj_gens``: one ``_closure`` from the identity whose actions are left
+    multiplication by each seed and conjugation by each of ``conj_gens``.
 
-    Grown lattice-style: starting from the trivial subgroup, repeatedly
-    close a known normal subgroup together with one more conjugacy class.
-    Every normal subgroup is a union of classes, so this reaches all of
-    them.  Raises GroupTooLarge past ``cap`` many subgroups.
+    The set K it reaches is that subgroup.  K is finite and closed under
+    conjugation by g, so conjugation by g permutes K, and K is closed under
+    conjugation by g^-1 too, hence by the group C the ``conj_gens``
+    generate.  Then for c in C, a seed s and x in K,
+    (c s c^-1) x = c (s (c^-1 x c)) c^-1 lies in K: K is closed under left
+    multiplication by every conjugate of a seed, so it holds the subgroup
+    they generate, which is the least one wanted and contains K.
+    """
+    mul, e = G.ops.mul, G.ops.identity
+    acts = [partial(mul, s) for s in dict.fromkeys(seeds) if s != e]
+    for g in dict.fromkeys(conj_gens):
+        gi = G.inverse(g)
+        acts.append(lambda x, g=g, gi=gi: mul(mul(g, x), gi))
+    return G.subgroup(_closure(e, acts)[0])
+
+
+def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
+    """All normal subgroups, as normal closures of class representatives.
+
+    Grown lattice-style: starting from the trivial subgroup, take the
+    normal closure of a known subgroup's representatives together with
+    the least member of one more conjugacy class.  Every normal subgroup
+    is a union of classes, so this reaches all of them.  Raises
+    GroupTooLarge past ``cap`` many subgroups.
     """
     classes = conjugacy_classes(G)
+    gens = G.generators()
     trivial = frozenset({G.ops.identity})
     found = {trivial}
-    worklist = [trivial]
+    worklist = [(trivial, ())]
     while worklist:
-        base = worklist.pop()
+        base, reps = worklist.pop()
         for cls in classes:
             if cls <= base:
                 continue
-            grown = frozenset(closure(G.ops, tuple(base | cls)))
+            more = reps + (min(cls),)
+            grown = normal_closure(G, more, gens).elemset
             if grown not in found:
                 if len(found) >= cap:
                     raise GroupTooLarge(f"more than {cap} normal subgroups")
                 found.add(grown)
-                worklist.append(grown)
+                worklist.append((grown, more))
     return [G.subgroup(els) for els in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
 def commutator_subgroup(G, H, L):
-    """[H, L] inside G: normal closure of generator commutators."""
+    """[H, L] inside G: the normal closure of the commutators of H's and
+    L's generators under conjugation by both generating sets."""
     mul, inv = G.ops.mul, G.inverse
-
-    def comm(a, b):
-        return mul(mul(a, b), mul(inv(a), inv(b)))
-
-    seed = {comm(h, l) for h in H.generators() for l in L.generators()}
-    seed.discard(G.ops.identity)
-    if not seed:
-        return G.subgroup((G.ops.identity,))
-    # Close under multiplication and conjugation by H and L generators.
-    mulcl = closure(G.ops, tuple(seed))
-    conj_gens = tuple(H.generators()) + tuple(L.generators())
-    while True:
-        cset = frozenset(mulcl)
-        new = []
-        for g in conj_gens:
-            gi = inv(g)
-            for h in mulcl:
-                c = mul(mul(g, h), gi)
-                if c not in cset:
-                    new.append(c)
-        if not new:
-            return G.subgroup(mulcl)
-        mulcl = closure(G.ops, tuple(cset) + tuple(new))
+    hgens, lgens = H.generators(), L.generators()
+    seeds = [mul(mul(h, l), mul(inv(h), inv(l))) for h in hgens for l in lgens]
+    return normal_closure(G, seeds, hgens + lgens)
 
 
 def is_nilpotent(H, cap=NILPOTENCY_CAP):
@@ -405,54 +417,30 @@ def is_nilpotent(H, cap=NILPOTENCY_CAP):
     return True
 
 
-def _p_core(G, p, classes):
-    """Largest normal p-subgroup: greedy join of p-power-order classes."""
-    candidates = [
-        cls for cls in classes if _is_p_power(element_order(G.ops, next(iter(cls))), p)
-    ]
-    core = frozenset({G.ops.identity})
-    changed = True
-    while changed:
-        changed = False
-        for cls in candidates:
-            if cls <= core:
-                continue
-            grown = frozenset(closure(G.ops, tuple(core | cls)))
-            if _is_p_power(len(grown), p):
-                core = grown
-                changed = True
-    return core
-
-
-def _is_p_power(n, p):
-    while n % p == 0:
-        n //= p
+def _is_prime_power(n):
+    """n = p^k for a prime p and some k >= 0."""
+    d = 2
+    while d <= n and n % d:
+        d += 1
+    while n % d == 0:
+        n //= d
     return n == 1
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def fitting_subgroup(B, cap=NILPOTENCY_CAP):
-    """Largest nilpotent normal subgroup: the join of the p-cores."""
+    """Largest nilpotent normal subgroup: the join of the p-cores O_p(B).
+
+    An element lies in O_p(B) exactly when its normal closure is a
+    p-group, so Fit(B) is the normal closure of the least member of each
+    conjugacy class whose own normal closure has prime-power order.
+    """
     if B.order > cap:
         raise GroupTooLarge(f"Fitting computation capped at {cap}")
-    classes = conjugacy_classes(B)
-    gens = set()
-    for p in _prime_factors(B.order) or [2]:
-        gens |= _p_core(B, p, classes)
-    fit = B.subgroup(closure(B.ops, tuple(gens)))
+    gens = B.generators()
+    reps = [min(cls) for cls in conjugacy_classes(B)]
+    fit = normal_closure(
+        B, [x for x in reps if _is_prime_power(normal_closure(B, [x], gens).order)], gens
+    )
     if not is_nilpotent(fit, cap=cap) or not is_normal(fit, B):
         raise AssertionError("Fitting subgroup candidate fails its definition")
     return fit
@@ -502,17 +490,11 @@ def setwise_stabilizer(action, pair):
 
 
 def is_2transitive(action):
-    """Transitive with point stabilizer transitive on the rest."""
-    pts = action.points
-    if len(pts) < 2:
-        return False
-    if len(action_orbits(action)) != 1:
-        return False
-    x = pts[0]
-    stab = stabilizer(action, x)
-    rest = tuple(p for p in pts if p != x)
-    sub_action = GroupAction(stab, rest, action.apply)
-    return len(action_orbits(sub_action)) == 1
+    """Transitive on the ordered pairs of distinct points."""
+    pts, apply = action.points, action.apply
+    pairs = tuple((x, y) for x in pts for y in pts if x != y)
+    on_pairs = GroupAction(action.group, pairs, lambda g, xy: (apply(g, xy[0]), apply(g, xy[1])))
+    return len(action_orbits(on_pairs)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -771,26 +753,13 @@ def projective_space_action(n, p):
     def canon(v):
         return min(tuple(x * lam % p for x in v) for lam in range(1, p))
 
-    pts = sorted(
-        {
-            canon(v)
-            for v in _all_vectors(n + 1, p)
-            if any(v)
-        }
-    )
+    pts = sorted({canon(v) for v in product(range(p), repeat=n + 1) if any(v)})
 
     def apply(m, v):
         w = tuple(sum(m[i][k] * v[k] for k in range(n + 1)) % p for i in range(n + 1))
         return canon(w)
 
     return GroupAction(G, tuple(pts), apply)
-
-
-def _all_vectors(n, p):
-    vs = [()]
-    for _ in range(n):
-        vs = [v + (x,) for v in vs for x in range(p)]
-    return vs
 
 
 def coset_action(G, B):
@@ -839,19 +808,8 @@ def affine_line_action(p):
 
 
 def _primitive_root(p):
-    for g in range(2, p):
-        if element_order_modp(g, p) == p - 1:
-            return g
-    return 1
-
-
-def element_order_modp(g, p):
-    n = 1
-    cur = g % p
-    while cur != 1:
-        cur = cur * g % p
-        n += 1
-    return n
+    """The least g whose powers are all of F_p^* (1 when p = 2)."""
+    return next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
 
 
 def export_multiplication_csv(G, fh):

@@ -13,9 +13,10 @@ independent elements parallelizes freely.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import EnumerationCapExceeded
+from .fingrp import _closure
 from .rootsys import coxeter_matrix, dot, reduced_form
 
 DEFAULT_WORD_CAP = 10**6
@@ -32,15 +33,10 @@ class WeylElement:
         self._length = None
 
     def __mul__(self, other):
-        p, q = self.perm, other.perm
-        return WeylElement(self.rs, tuple(p[q[r]] for r in range(len(p))))
+        return WeylElement(self.rs, compose(self.perm, other.perm))
 
     def inverse(self):
-        p = self.perm
-        inv = [0] * len(p)
-        for r, img in enumerate(p):
-            inv[img] = r
-        return WeylElement(self.rs, tuple(inv))
+        return WeylElement(self.rs, invert(self.perm))
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.perm == other.perm
@@ -53,6 +49,19 @@ class WeylElement:
 
     def is_identity(self):
         return all(img == r for r, img in enumerate(self.perm))
+
+
+def compose(p, q):
+    """The root permutation p o q: apply q, then p."""
+    return tuple(map(p.__getitem__, q))
+
+
+def invert(p):
+    """The inverse of the root permutation p."""
+    inv = [0] * len(p)
+    for r, img in enumerate(p):
+        inv[img] = r
+    return tuple(inv)
 
 
 def identity_element(rs):
@@ -73,8 +82,7 @@ def element_of(rs, word):
             raise ValueError(f"letter {letter} outside 1..{n}")
     perm = tuple(range(len(rs.roots)))
     for letter in word:
-        refl = rs.simple_refl_perms[letter - 1]
-        perm = tuple(perm[refl[r]] for r in range(len(perm)))
+        perm = compose(perm, rs.simple_refl_perms[letter - 1])
     return WeylElement(rs, perm)
 
 
@@ -314,27 +322,13 @@ def format_word(word):
 def all_elements(rs, cap=None):
     """Every element of the Weyl group, by closure of the simple reflections.
 
-    Returns a dict mapping each permutation tuple to its length.  Intended
-    for small groups; ``cap`` bounds the enumeration when given.
+    Returns a dict mapping each permutation tuple to its length, its depth
+    in the breadth-first closure.  Intended for small groups; ``cap``
+    bounds the enumeration (GroupTooLarge past it) when given.
     """
-    from .errors import GroupTooLarge
-
-    ident = tuple(range(len(rs.roots)))
-    gens = rs.simple_refl_perms
-    lengths = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            lp = lengths[p]
-            for g in gens:
-                q = tuple(g[p[r]] for r in range(len(p)))
-                if q not in lengths:
-                    if cap is not None and len(lengths) >= cap:
-                        raise GroupTooLarge(
-                            f"Weyl group larger than cap {cap}"
-                        )
-                    lengths[q] = lp + 1
-                    nxt.append(q)
-        frontier = nxt
-    return lengths
+    acts = [partial(compose, g) for g in rs.simple_refl_perms]
+    order, _, via = _closure(tuple(range(len(rs.roots))), acts, cap=cap)
+    depth = [0]
+    for _, s in via:
+        depth.append(depth[s] + 1)
+    return dict(zip(order, depth))

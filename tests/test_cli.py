@@ -147,6 +147,37 @@ def test_bad_env_cap(capsys, monkeypatch):
     assert "WEYL_BN_MAX_GROUP" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+@pytest.mark.parametrize("argv", [["bn", "--sl", "2", "2"], ["report", "--all", "--max-rank", "2"]])
+def test_cap_must_be_a_positive_integer(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("WEYL_BN_MAX_GROUP", value)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: WEYL_BN_MAX_GROUP must be a positive integer, got {value!r}\n"
+
+
+def test_report_cap_applies_to_every_bn_suite(capsys, monkeypatch):
+    monkeypatch.setenv("WEYL_BN_MAX_GROUP", "100")
+    code, out, _ = run(capsys, ["report", "--all", "--max-rank", "2"])
+    assert code == 0
+    suites = {s["suite"]: s for s in json.loads(out)["suites"]}
+    assert suites["bn-rank1"]["skipped"] == ["sl-rank1-3-2: order over cap 100"]
+    assert suites["bn-nonstandard"]["skipped"] == ["psl3f2-nonstandard: order over cap 100"]
+    assert suites["bn-nonstandard"]["cases"] == []
+    assert "sl-3-2: order over cap 100" in suites["bn-standard"]["skipped"]
+    ids = [c["id"] for name in suites if name.startswith("bn-") for c in suites[name]["cases"]]
+    assert "agree/sl-rank1-2-3" in ids and "affine/7" in ids
+    for bad in ("sl-2-5", "sl-3-2", "sl-rank1-3-2", "psl3f2"):
+        assert not any(bad in case_id for case_id in ids)
+
+
+def test_bn_example_honours_the_cap(capsys, monkeypatch):
+    monkeypatch.setenv("WEYL_BN_MAX_GROUP", "100")
+    code, out, err = run(capsys, ["bn", "--example", "psl3f2-nonstandard"])
+    assert (code, out) == (1, "")
+    assert err == "error: GroupTooLarge: group order 168 exceeds the cap 100\n"
+
+
 def test_bn_sl33_json_golden(capsys):
     # The digest of this stdout at the tuple-multiplication implementation.
     import hashlib

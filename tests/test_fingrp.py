@@ -9,6 +9,7 @@ from weylbn.fingrp import (
     GroupAction,
     GroupOps,
     _closure,
+    _primitive_root,
     _row_addition,
     _sl_generators,
     action_orbits,
@@ -118,6 +119,42 @@ def test_closure_and_normality():
     assert T.order == 5 and is_normal(T, A)
     B = A.subgroup(closure(A.ops, [(0, 2)]))
     assert B.order == 4 and not is_normal(B, A)
+
+
+def _normal_by_definition(H, G):
+    """g h g^-1 in H for every element g of G and h of H."""
+    mul = G.ops.mul
+    return all(mul(mul(g, h), G.inverse(g)) in H.elemset for g in G.elements for h in H.elements)
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_is_normal_matches_all_elements_definition(n, p):
+    G = special_linear_group(n, p)
+    B, N = upper_triangular_subgroup(G), monomial_subgroup(G)
+    H = G.subgroup(B.elemset & N.elemset)
+    U = strictly_upper_unipotent_subgroup(G)
+    pairs = [(H, N, True), (U, B, True), (B, G, False), (N, G, False)]
+    for sub, group, normal in pairs:
+        assert is_normal(sub, group) == _normal_by_definition(sub, group) == normal
+
+
+def test_is_normal_rejects_a_non_normal_subgroup_of_sl23():
+    G = special_linear_group(2, 3)
+    for x in G.elements:
+        C = G.subgroup(closure(G.ops, [x]))
+        assert is_normal(C, G) == _normal_by_definition(C, G)
+    C3 = G.subgroup(closure(G.ops, [((1, 1), (0, 1))]))
+    assert C3.order == 3 and not is_normal(C3, G)
+
+
+def test_primitive_root_has_full_multiplicative_order():
+    def order(g, p):
+        return next(k for k in range(1, p) if pow(g, k, p) == 1)
+
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        g = _primitive_root(p)
+        assert order(g, p) == p - 1
+        assert all(order(h, p) < p - 1 for h in range(2, g))
 
 
 def test_normal_subgroups_psl3f2_simple():

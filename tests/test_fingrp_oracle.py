@@ -1,0 +1,301 @@
+"""The normal-closure subgroup routines, the pair-orbit 2-transitivity test
+and the group-core Weyl enumeration against the algorithms they replaced.
+
+The references multiply group elements as tuples and close sets by
+breadth-first search: [H, L] as a closure re-conjugated until it is
+stable, the Fitting subgroup as the join of p-cores grown one conjugacy
+class at a time, the normal-subgroup lattice by closing every element of
+a known subgroup together with one more class, 2-transitivity from a
+point stabilizer, the Weyl group by a frontier search over root
+permutations, and double cosets by a two-sided closure.
+"""
+
+import pytest
+
+from weylbn.cosets import ParabolicChoice, double_coset_count_naive, sweep_cases
+from weylbn.fingrp import (
+    FiniteGroup,
+    GroupAction,
+    GroupOps,
+    affine_group,
+    affine_line_action,
+    central_quotient,
+    closure,
+    commutator_subgroup,
+    conjugacy_classes,
+    coset_action,
+    fitting_subgroup,
+    is_2transitive,
+    normal_closure,
+    normal_subgroups,
+    projective_space_action,
+    special_linear_group,
+    upper_triangular_subgroup,
+)
+from weylbn.rootsys import build_root_system
+from weylbn.titssys import projective_rank1_system, psl3_f2_nonstandard_system
+from weylbn.weyl import all_elements
+
+
+def _generated(ops, gens):
+    """Frontier closure of ``gens`` under left multiplication."""
+    mul = ops.mul
+    gens = list(dict.fromkeys(gens))
+    els = {ops.identity}
+    frontier = [ops.identity]
+    while frontier:
+        new = []
+        for b in frontier:
+            for a in gens:
+                c = mul(a, b)
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+        frontier = new
+    return frozenset(els)
+
+
+def _commutator_reference(G, H, L):
+    """Close the generator commutators, conjugate the closure by H's and
+    L's generators, and close again until nothing new appears."""
+    mul, inv = G.ops.mul, G.ops.inv
+    seed = {
+        mul(mul(h, l), mul(inv(h), inv(l))) for h in H.generators() for l in L.generators()
+    }
+    current = _generated(G.ops, seed)
+    conj_gens = H.generators() + L.generators()
+    while True:
+        new = {mul(mul(g, x), inv(g)) for g in conj_gens for x in current} - current
+        if not new:
+            return current
+        current = _generated(G.ops, current | new)
+
+
+def _element_order(ops, x):
+    n, cur = 1, x
+    while cur != ops.identity:
+        cur = ops.mul(cur, x)
+        n += 1
+    return n
+
+
+def _is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _fitting_reference(B):
+    """The join of the p-cores, each grown greedily from the classes of
+    p-power element order while the closure stays a p-group."""
+    classes = conjugacy_classes(B)
+    primes = [p for p in range(2, B.order + 1) if B.order % p == 0 and all(p % q for q in range(2, p))]
+    gens = set()
+    for p in primes or [2]:
+        candidates = [c for c in classes if _is_p_power(_element_order(B.ops, min(c)), p)]
+        core = frozenset({B.ops.identity})
+        changed = True
+        while changed:
+            changed = False
+            for cls in candidates:
+                if cls <= core:
+                    continue
+                grown = _generated(B.ops, core | cls)
+                if _is_p_power(len(grown), p):
+                    core, changed = grown, True
+        gens |= core
+    return _generated(B.ops, gens)
+
+
+def _normal_subgroups_reference(G):
+    """Close every element of a known normal subgroup with one more class."""
+    classes = conjugacy_classes(G)
+    trivial = frozenset({G.ops.identity})
+    found, worklist = {trivial}, [trivial]
+    while worklist:
+        base = worklist.pop()
+        for cls in classes:
+            if not cls <= base:
+                grown = _generated(G.ops, base | cls)
+                if grown not in found:
+                    found.add(grown)
+                    worklist.append(grown)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def _frob21():
+    A7 = affine_group(7)
+    return A7.subgroup(closure(A7.ops, [(1, 1), (0, 2)]))
+
+
+def _borel(n, p):
+    return upper_triangular_subgroup(special_linear_group(n, p))
+
+
+GROUPS = {
+    "affine-5": lambda: affine_group(5),
+    "affine-7": lambda: affine_group(7),
+    "sl-2-3": lambda: special_linear_group(2, 3),
+    "sl-2-5": lambda: special_linear_group(2, 5),
+    "psl-3-2": lambda: central_quotient(special_linear_group(3, 2)),
+    "frob21": _frob21,
+    "borel-3-2": lambda: _borel(3, 2),
+    "borel-3-3": lambda: _borel(3, 3),
+    "borel-4-2": lambda: _borel(4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_normal_closure_is_generated_by_all_conjugates(name):
+    G = GROUPS[name]()
+    mul, inv = G.ops.mul, G.ops.inv
+    for cls in conjugacy_classes(G):
+        x = min(cls)
+        conjugates = {mul(mul(g, x), inv(g)) for g in G.elements}
+        assert normal_closure(G, [x], G.generators()).elemset == _generated(G.ops, conjugates)
+    # Normalized only by the subgroup it generates: the plain closure.
+    seeds = G.generators()[:1]
+    assert normal_closure(G, seeds, seeds).elemset == _generated(G.ops, seeds)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_commutator_subgroup_matches_fixpoint(name):
+    G = GROUPS[name]()
+    D = commutator_subgroup(G, G, G)
+    assert D.elemset == _commutator_reference(G, G, G)
+    assert commutator_subgroup(G, G, D).elemset == _commutator_reference(G, G, D)
+    assert commutator_subgroup(G, D, D).elemset == _commutator_reference(G, D, D)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_fitting_subgroup_matches_p_cores(name):
+    G = GROUPS[name]()
+    assert fitting_subgroup(G).elemset == _fitting_reference(G)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_normal_subgroups_match_whole_element_lattice(name):
+    G = GROUPS[name]()
+    assert [H.elemset for H in normal_subgroups(G)] == _normal_subgroups_reference(G)
+
+
+def _is_2transitive_reference(action):
+    """Transitive, and the stabilizer of the first point transitive on
+    the rest, each by applying every group element."""
+    G, pts, apply = action.group, action.points, action.apply
+    if len(pts) < 2:
+        return False
+    x = pts[0]
+    if {apply(g, x) for g in G.elements} != set(pts):
+        return False
+    stab = [g for g in G.elements if apply(g, x) == x]
+    y = pts[1]
+    return {apply(g, y) for g in stab} == set(pts) - {x}
+
+
+def _c4_regular():
+    ops = GroupOps(
+        mul=lambda a, b: (a + b) % 4, inv=lambda a: (-a) % 4, identity=0, fmt=str, label="C4"
+    )
+    return GroupAction(FiniteGroup(ops, range(4)), tuple(range(4)), lambda g, y: (g + y) % 4)
+
+
+def _c4_on_one_point():
+    action = _c4_regular()
+    return GroupAction(action.group, (0,), lambda g, y: y)
+
+
+def _coset_action_of(system):
+    c = system()
+    return coset_action(c.G, c.B)
+
+
+ACTIONS = {
+    "projective-1-2": lambda: projective_space_action(1, 2),
+    "projective-1-3": lambda: projective_space_action(1, 3),
+    "projective-1-7": lambda: projective_space_action(1, 7),
+    "projective-2-2": lambda: projective_space_action(2, 2),
+    "affine-line-3": lambda: affine_line_action(3),
+    "affine-line-5": lambda: affine_line_action(5),
+    "affine-line-7": lambda: affine_line_action(7),
+    "regular-c4": _c4_regular,
+    "c4-one-point": _c4_on_one_point,
+    "sl-3-2-on-flags": lambda: coset_action(special_linear_group(3, 2), _borel(3, 2)),
+    "projective-3-2-cosets": lambda: _coset_action_of(lambda: projective_rank1_system(3, 2)),
+    "psl3f2-nonstandard-cosets": lambda: _coset_action_of(lambda: psl3_f2_nonstandard_system()[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_is_2transitive_matches_stabilizer_test(name):
+    action = ACTIONS[name]()
+    assert is_2transitive(action) == _is_2transitive_reference(action)
+
+
+def _all_elements_reference(rs):
+    """Root permutations by frontier search, each with its BFS depth."""
+    ident = tuple(range(len(rs.roots)))
+    lengths = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in rs.simple_refl_perms:
+                q = tuple(g[p[r]] for r in ident)
+                if q not in lengths:
+                    lengths[q] = lengths[p] + 1
+                    nxt.append(q)
+        frontier = nxt
+    return lengths
+
+
+def _naive_count_reference(choice, elements):
+    """Double cosets by exhausting ``elements`` with two-sided closures."""
+    core = choice.core
+    sub = [core.simple_refl_perms[n - 1] for n in range(1, core.rank + 1) if n != choice.removed]
+    n_idx = range(len(core.roots))
+    remaining = set(elements)
+    count = 0
+    while remaining:
+        frontier = [remaining.pop()]
+        count += 1
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for g in sub:
+                    for q in (tuple(g[p[r]] for r in n_idx), tuple(p[g[r]] for r in n_idx)):
+                        if q in remaining:
+                            remaining.remove(q)
+                            nxt.append(q)
+            frontier = nxt
+    return count
+
+
+def _weyl_order(family, rank):
+    fact = 1
+    for k in range(2, rank + 1):
+        fact *= k
+    if family == "A":
+        return fact * (rank + 1)
+    if family in ("B", "BC", "C"):
+        return 2**rank * fact
+    if family == "D":
+        return 2 ** (rank - 1) * fact
+    return {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840}.get((family, rank), 10**9)
+
+
+SMALL_TYPES = [("A", 1), ("B", 1), ("BC", 1), ("C", 1)] + [
+    t for t in sweep_cases(12) if _weyl_order(*t) <= 10**4
+]
+
+
+@pytest.mark.parametrize("fam,rank", SMALL_TYPES, ids=[f"{f}{r}" for f, r in SMALL_TYPES])
+def test_weyl_enumeration_and_naive_count_match_frontier_search(fam, rank):
+    rs = build_root_system((fam, rank))
+    core = ParabolicChoice(rs, 1).core
+    reference = _all_elements_reference(core)
+    assert len(reference) == _weyl_order(fam, rank)
+    assert all_elements(core) == reference
+    for node in range(1, rank + 1):
+        choice = ParabolicChoice(rs, node)
+        assert double_coset_count_naive(choice) == _naive_count_reference(choice, reference)
