@@ -404,8 +404,8 @@ def bn_cases(spec, max_group):
 def coxeter_order_cases(max_group=titssys.DEFAULT_MAX_GROUP):
     return [
         (f"coxeter-order/sl-{n}-{p}", partial(coxeter_order_case, n, p))
-        for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
-        if fingrp.sl_order(n, p) <= min(max_group, 10**5)
+        for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+        if fingrp.sl_order(n, p) <= max_group
     ]
 
 

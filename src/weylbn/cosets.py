@@ -16,10 +16,6 @@ integer arithmetic on weight coordinates.
 
 Non-reduced (BC) input is handled by computing on the reduced core of
 nondivisible roots while reports keep the original BC label.
-
-Sweep cases touch only immutable shared root-system data, so they are
-independent and may run in parallel; results merge deterministically in
-(family, rank, node) order.
 """
 
 from __future__ import annotations
@@ -33,6 +29,7 @@ from .rootsys import branch_node, build_root_system, dynkin_path, is_end_node, r
 from .weyl import (
     act_on_weight,
     compose,
+    descend,
     element_of,
     fundamental_weight,
     invert,
@@ -40,7 +37,6 @@ from .weyl import (
     length,
     longest_element,
     reduced_words,
-    reflect_weight,
 )
 
 NAIVE_WEYL_CAP = 10**5
@@ -156,18 +152,6 @@ def _walk(rs, start, nodes, a0=None, out=None):
                 if j == a0 and min(w[j + 1 :], default=0) >= 0:
                     count += 1
     return size, count
-
-
-def _j_dominant(rs, coords, nodes):
-    """The weight of the orbit of ``coords`` under the reflections at
-    ``nodes`` that is dominant at ``nodes``: reflect at any such node with
-    a negative coordinate until none is left (each step raises the weight,
-    so this ends)."""
-    while True:
-        j = next((node for node in nodes if coords[node - 1] < 0), None)
-        if j is None:
-            return coords
-        coords = reflect_weight(rs, j, coords)
 
 
 def parabolic_orbit(choice):
@@ -330,8 +314,8 @@ def third_coset_witness(choice):
     img = act_on_weight(core, word, omega)
     r_a_img = act_on_weight(core, (a,), omega)
     others = [n for n in range(1, core.rank + 1) if n != a]
-    coset_distinct = img != omega and _j_dominant(core, img, others) != _j_dominant(
-        core, r_a_img, others
+    coset_distinct = (
+        img != omega and descend(core, img, others)[1] != descend(core, r_a_img, others)[1]
     )
     return WitnessReport(
         word=word,

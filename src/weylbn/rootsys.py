@@ -320,6 +320,7 @@ def reflect(rs, a, v):
     return reflect_vector(rs.roots[a], tuple(v))
 
 
+@lru_cache(maxsize=None)
 def coxeter_matrix(rs):
     """Orders m(a, b) of products of pairs of simple reflections.
 

@@ -23,8 +23,8 @@ group every nilpotent normal subgroup U of B lies inside Fit(B); so if
 B = HU for some such U then B = H·Fit(B), and conversely Fit(B) itself
 is a nilpotent normal witness.
 
-Candidates are immutable once built (derived data is cached per
-candidate), so distinct candidates can be checked in parallel.
+Candidates are immutable once built, and their derived data is cached
+on them.
 """
 
 from __future__ import annotations
@@ -167,7 +167,8 @@ def _inverse_perm(perm):
 
 
 class _Derived:
-    """Everything the checks share: Weyl quotient, S, lengths, cells.
+    """Everything the checks share: Weyl quotient, S, lengths, cells, and
+    the conjugates of B by the Weyl representatives.
 
     Group elements are handled by their root index in G (see fingrp):
     left and right multiplication by the generators of B and by S are
@@ -178,6 +179,7 @@ class _Derived:
         G, B = c.G, c.B
         root = G.root
         self.mul, self.els, self.index = G.ops.mul, root.elements, root.index
+        self.B, self.inverse = B, G.inverse
         self.H, self.rep_of = _weyl_quotient(c)
         rep_idx = sorted(set(self.rep_of.values()))
         self.reps = tuple(self.els[r] for r in rep_idx)
@@ -235,6 +237,25 @@ class _Derived:
             if w != e
             and all(cell_of[index[mul(w, els[i])]] in (e, w) for i in self.right_coset(w))
         )
+
+    @cached_property
+    def b_conjugates(self):
+        """w·B·w^-1 as a set, for each Weyl representative w."""
+        mul, belems = self.mul, self.B.elements
+        out = {}
+        for w in self.reps:
+            wi = self.inverse(w)
+            out[w] = {mul(mul(w, b), wi) for b in belems}
+        return out
+
+    @cached_property
+    def b_conjugates_meet(self):
+        """The intersection of B with every wBw^-1, w a Weyl representative.
+
+        This is also the intersection of all N-conjugates of B: each n in N
+        is w·h with h in H ⊆ B, and then nBn^-1 = wBw^-1.
+        """
+        return set(self.B.elemset).intersection(*self.b_conjugates.values())
 
     def _word_bfs(self):
         """Lengths and lexicographically least words over S for each class.
@@ -416,27 +437,9 @@ def intersection_identity_check(c):
     if len(longest) != 1:
         return False
     w0 = longest[0]
-    first = _weyl_conjugates_meet(c, d) == d.H.elemset
-    second = (c.B.elemset & _conjugate_b(c, w0)) == d.H.elemset
+    first = d.b_conjugates_meet == d.H.elemset
+    second = (c.B.elemset & d.b_conjugates[w0]) == d.H.elemset
     return first and second
-
-
-def _conjugate_b(c, n):
-    """n B n^-1, as a set."""
-    mul, ni = c.G.ops.mul, c.G.inverse(n)
-    return {mul(mul(n, b), ni) for b in c.B.elements}
-
-
-def _weyl_conjugates_meet(c, d):
-    """The intersection of B with every wBw^-1, w a Weyl representative.
-
-    This is also the intersection of all N-conjugates of B: each n in N
-    is w·h with h in H ⊆ B, and then nBn^-1 = wBw^-1.
-    """
-    total = set(c.B.elemset)
-    for w in d.reps:
-        total &= _conjugate_b(c, w)
-    return total
 
 
 def classify(c):
@@ -449,7 +452,7 @@ def classify(c):
     d = _derived(c)
     mul = c.G.ops.mul
     hset = d.H.elemset
-    saturated = _weyl_conjugates_meet(c, d) == hset
+    saturated = d.b_conjugates_meet == hset
 
     fit = fitting_subgroup(c.B)
     product = {mul(h, u) for h in d.H.elements for u in fit.elements}

@@ -7,8 +7,14 @@ word (i1, i2, ..., ik) spells the product r_{i1} r_{i2} ... r_{ik}, which
 acts on a vector by applying r_{ik} first.  Words parse and print as
 whitespace-separated node numbers, e.g. "2 1 3 2".
 
-Elements are immutable and every operation is re-entrant, so work over
-independent elements parallelizes freely.
+Words and descents are read off weights, not root permutations.  With rho
+the sum of the fundamental weights, the left descents of u are the nodes
+where u·rho has a negative coordinate, and r_s·u sends rho to r_s(u·rho)
+(Humphreys, *Reflection Groups and Coxeter Groups*, §1.6–1.7).  So one
+walk, :func:`descend`, gives the least reduced word of w (from w·rho) and
+the longest element (from w0·rho = -rho), and the reduced words are paths
+from w·rho up to rho, memoized on the weights.  :func:`length` keeps an
+independent inversion count on the root permutation.
 """
 
 from __future__ import annotations
@@ -102,41 +108,16 @@ def length(w):
     return w._length
 
 
-def _left_descents(w):
-    """Nodes s with l(r_s w) < l(w), i.e. w^{-1}(a_s) negative."""
-    rs = w.rs
-    pos = rs.positive_set
-    inv = w.inverse().perm
-    return [
-        i + 1
-        for i, si in enumerate(rs.simple_indices)
-        if inv[si] not in pos
-    ]
-
-
 @lru_cache(maxsize=None)
 def longest_element(rs):
-    """The unique maximal-length element, found by greedy ascent.
+    """The unique maximal-length element, descended from w0·rho = -rho.
 
-    Starting from the identity, left-multiply by any simple reflection
-    that increases length until none does; the result is checked to have
-    length the number of positive nondivisible roots and to be an
-    involution.
+    The result is checked to have length the number of positive
+    nondivisible roots and to be an involution.
     """
-    pos = rs.positive_set
-    simples = rs.simple_indices
-    w = identity_element(rs)
-    inv = w.perm
-    while True:
-        for i, si in enumerate(simples):
-            if inv[si] in pos:
-                w = simple_reflection(rs, i + 1) * w
-                inv = w.inverse().perm
-                break
-        else:
-            break
+    w = element_of(rs, descend(rs, (-1,) * rs.rank, range(1, rs.rank + 1))[0])
     if length(w) != len(_nondivisible_positive(rs)):
-        raise AssertionError("greedy ascent did not reach the longest element")
+        raise AssertionError("descent from -rho did not reach the longest element")
     if not (w * w).is_identity():
         raise AssertionError("longest element is not an involution")
     return w
@@ -148,26 +129,38 @@ def is_minus_one(w):
     return all(w.perm[si] == rs.neg_index[si] for si in rs.simple_indices)
 
 
+def descend(rs, coords, nodes):
+    """Reflect ``coords`` at the least node of ``nodes`` with a negative
+    coordinate until none is left; return the nodes used, in order, and
+    the weight reached.
+
+    Each step adds a positive multiple of a simple root, so the walk ends,
+    at the one weight of the orbit of ``coords`` under the reflections at
+    ``nodes`` that is dominant at ``nodes``.  From w·rho over all nodes
+    each step takes the least left descent, so the nodes used spell the
+    lexicographically least reduced word for w.
+    """
+    nodes = sorted(nodes)
+    used = []
+    while True:
+        j = next((node for node in nodes if coords[node - 1] < 0), None)
+        if j is None:
+            return tuple(used), coords
+        used.append(j)
+        coords = reflect_weight(rs, j, coords)
+
+
 def canonical_reduced_word(w):
     """The lexicographically smallest reduced word for ``w``."""
-    out = []
-    cur = w
-    while not cur.is_identity():
-        s = min(_left_descents(cur))
-        out.append(s)
-        cur = simple_reflection(cur.rs, s) * cur
-    return tuple(out)
+    rs = w.rs
+    return descend(rs, _rho_image(w), range(1, rs.rank + 1))[0]
 
 
 def reduced_word_count(w):
-    """The number of reduced words for ``w``, without listing any.
-
-    With rho the sum of the fundamental weights, the left descents of u
-    are the nodes where u·rho has a negative coordinate, and r_s·u sends
-    rho to r_s(u·rho); so the count is the number of paths from w·rho up
-    to rho that reflect at a negative coordinate each step, memoized on
-    the weights (one integer per weight, keyed by a tuple of rank small
-    integers rather than a root permutation).
+    """The number of reduced words for ``w``, without listing any: the
+    paths from w·rho up to rho that reflect at a negative coordinate each
+    step, memoized on the weights (one integer per weight, keyed by a
+    tuple of rank small integers rather than a root permutation).
     """
     rs = w.rs
     memo = {(1,) * rs.rank: 1}
@@ -192,7 +185,7 @@ def _rho_image(w):
     sum_i c_i (a_i, a_i) / (b, b), an exact integer quotient.
     """
     rs = w.rs
-    inv = w.inverse().perm
+    inv = invert(w.perm)
     norms = [dot(rs.roots[i], rs.roots[i]) for i in rs.simple_indices]
     return tuple(
         dot(rs.coeffs[b], norms) // dot(rs.roots[b], rs.roots[b])
@@ -205,10 +198,11 @@ def reduced_words(w, cap=DEFAULT_WORD_CAP):
 
     Counts them first (:func:`reduced_word_count`) and raises
     EnumerationCapExceeded, with the exact count, past ``cap`` before any
-    word is built, so the cap bounds memory.  Then enumerates by descent
-    recursion and re-derives the same set by closing one word under braid
-    moves; the count and the two routes must agree, which also certifies
-    that the braid-move graph on the result is connected.
+    word is built, so the cap bounds memory.  Then lists them by the same
+    paths from w·rho up to rho, memoized on the weights, and re-derives
+    the same set by closing one word under braid moves; the count and the
+    two routes must agree, which also certifies that the braid-move graph
+    on the result is connected.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -218,25 +212,21 @@ def reduced_words(w, cap=DEFAULT_WORD_CAP):
             f"{total} reduced words, more than the cap {cap}", total
         )
     rs = w.rs
-    memo = {}
+    memo = {(1,) * rs.rank: frozenset({()})}
 
-    def rec(u):
-        key = u.perm
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if u.is_identity():
-            result = frozenset({()})
-        else:
-            result = frozenset(
-                (s,) + tail
-                for s in _left_descents(u)
-                for tail in rec(simple_reflection(rs, s) * u)
+    def rec(mu):
+        got = memo.get(mu)
+        if got is None:
+            got = frozenset(
+                (s + 1,) + tail
+                for s, x in enumerate(mu)
+                if x < 0
+                for tail in rec(reflect_weight(rs, s + 1, mu))
             )
-        memo[key] = result
-        return result
+            memo[mu] = got
+        return got
 
-    words = rec(w)
+    words = rec(_rho_image(w))
     if len(words) != total:
         raise AssertionError("descent recursion disagrees with the reduced-word count")
     seed = min(words)
@@ -248,7 +238,7 @@ def reduced_words(w, cap=DEFAULT_WORD_CAP):
 
 def braid_moves(rs, word):
     """All words obtained from ``word`` by one braid substitution."""
-    cox = _coxeter_of(rs)
+    cox = coxeter_matrix(rs)
     out = []
     k = len(word)
     for pos in range(k - 1):
@@ -263,11 +253,6 @@ def braid_moves(rs, word):
             swapped = tuple(b if t % 2 == 0 else a for t in range(m))
             out.append(word[:pos] + swapped + word[pos + m :])
     return out
-
-
-@lru_cache(maxsize=None)
-def _coxeter_of(rs):
-    return coxeter_matrix(rs)
 
 
 def _braid_closure(rs, seed):

@@ -171,6 +171,25 @@ def test_report_cap_applies_to_every_bn_suite(capsys, monkeypatch):
         assert not any(bad in case_id for case_id in ids)
 
 
+@pytest.mark.parametrize("cap", [100, 400, 21000])
+def test_every_dropped_coxeter_order_case_has_a_skip_note(capsys, monkeypatch, cap):
+    # The cases coxeter_order_cases can list are those it lists when every
+    # group is tiny; each one the cap drops must leave a skip note in
+    # bn-standard, like every other group over the cap.
+    from weylbn import cli, fingrp
+
+    with monkeypatch.context() as m:
+        m.setattr(fingrp, "sl_order", lambda n, p: 1)
+        every = {case_id for case_id, _ in cli.coxeter_order_cases(1)}
+    dropped = every - {case_id for case_id, _ in cli.coxeter_order_cases(cap)}
+    monkeypatch.setenv("WEYL_BN_MAX_GROUP", str(cap))
+    code, out, _ = run(capsys, ["report", "--all", "--max-rank", "2"])
+    assert code == 0
+    std = next(s for s in json.loads(out)["suites"] if s["suite"] == "bn-standard")
+    noted = {note.split(":")[0] for note in std.get("skipped", ())}
+    assert {case_id.split("/")[1] for case_id in dropped} <= noted
+
+
 def test_bn_example_honours_the_cap(capsys, monkeypatch):
     monkeypatch.setenv("WEYL_BN_MAX_GROUP", "100")
     code, out, err = run(capsys, ["bn", "--example", "psl3f2-nonstandard"])

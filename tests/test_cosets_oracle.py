@@ -11,7 +11,6 @@ import pytest
 
 from weylbn.cosets import (
     ParabolicChoice,
-    _j_dominant,
     _walk,
     double_coset_count,
     double_coset_orbit_sizes,
@@ -21,7 +20,7 @@ from weylbn.cosets import (
 )
 from weylbn.errors import WitnessNotApplicable
 from weylbn.rootsys import build_root_system
-from weylbn.weyl import act_on_weight, fundamental_weight
+from weylbn.weyl import act_on_weight, descend, fundamental_weight
 
 
 def _sparse_cartan_rows(rs):
@@ -119,7 +118,7 @@ def test_orbit_sizes_and_representatives_match_bfs(fam, rank, node):
         parts.append(part)
     assert double_coset_orbit_sizes(ch) == sorted(len(p) for p in parts)
     # Two weights share a W'-orbit iff they have the same J-dominant weight.
-    rep_of = {v: _j_dominant(core, v, others) for v in orbit}
+    rep_of = {v: descend(core, v, others)[1] for v in orbit}
     for part in parts:
         assert len({rep_of[v] for v in part}) == 1
     assert len(set(rep_of.values())) == len(parts)

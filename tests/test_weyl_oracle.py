@@ -1,0 +1,93 @@
+"""The weight descent walk of weyl against the root-permutation descents
+it replaced: the same reduced words, least reduced words and longest
+elements.
+
+``_left_descents`` and the helpers after it are that code.  The left
+descents of w are the nodes s with w^-1(a_s) negative, read off the
+inverted root permutation; the reduced words are a descent recursion
+memoized on root permutations; the least word takes the least descent at
+each step; and the longest element is a greedy ascent from the identity.
+"""
+
+import pytest
+
+from weylbn.cosets import sweep_cases
+from weylbn.rootsys import build_root_system
+from weylbn.weyl import (
+    WeylElement,
+    all_elements,
+    canonical_reduced_word,
+    identity_element,
+    longest_element,
+    reduced_words,
+    simple_reflection,
+)
+
+SMALL = [("A", 3), ("B", 3), ("BC", 3), ("C", 3), ("D", 4), ("G", 2)]
+
+
+def _left_descents(w):
+    """Nodes s with l(r_s w) < l(w), i.e. w^-1(a_s) negative."""
+    rs = w.rs
+    inv = w.inverse().perm
+    return [i + 1 for i, si in enumerate(rs.simple_indices) if inv[si] not in rs.positive_set]
+
+
+def _reduced_words(w, memo):
+    """Reduced words by descent recursion, memoized on root permutations."""
+    got = memo.get(w.perm)
+    if got is None:
+        if w.is_identity():
+            got = frozenset({()})
+        else:
+            got = frozenset(
+                (s,) + tail
+                for s in _left_descents(w)
+                for tail in _reduced_words(simple_reflection(w.rs, s) * w, memo)
+            )
+        memo[w.perm] = got
+    return got
+
+
+def _canonical_word(w):
+    """Strip the least left descent until the identity is left."""
+    out = []
+    while not w.is_identity():
+        s = min(_left_descents(w))
+        out.append(s)
+        w = simple_reflection(w.rs, s) * w
+    return tuple(out)
+
+
+def _greedy_longest(rs):
+    """Left-multiply by the first simple reflection that raises the length
+    until none does."""
+    w = identity_element(rs)
+    while True:
+        inv = w.inverse().perm
+        s = next(
+            (i + 1 for i, si in enumerate(rs.simple_indices) if inv[si] in rs.positive_set),
+            None,
+        )
+        if s is None:
+            return w
+        w = simple_reflection(rs, s) * w
+
+
+@pytest.mark.parametrize("fam,rank", SMALL)
+def test_words_match_permutation_descents_on_every_element(fam, rank):
+    rs = build_root_system((fam, rank))
+    memo = {}
+    for perm in all_elements(rs):
+        w = WeylElement(rs, perm)
+        words = _reduced_words(w, memo)
+        assert reduced_words(w) == words
+        assert canonical_reduced_word(w) == _canonical_word(w) == min(words)
+
+
+@pytest.mark.parametrize("fam,rank", sorted(set(SMALL) | set(sweep_cases(8))))
+def test_longest_element_matches_greedy_ascent(fam, rank):
+    rs = build_root_system((fam, rank))
+    w0 = longest_element(rs)
+    assert w0 == _greedy_longest(rs)
+    assert canonical_reduced_word(w0) == _canonical_word(w0)
