@@ -251,23 +251,6 @@ def double_coset_sweep(max_rank, families=None):
     return reports
 
 
-def reports_table(reports):
-    """Aligned text table for a list of double-coset reports."""
-    header = ("family", "rank", "node", "index", "count", "expected_two", "pass")
-    rows = [header]
-    for r in reports:
-        rows.append(
-            (r.family, str(r.rank), str(r.node), str(r.quotient_size), str(r.count),
-             str(r.expected_two), str(r.passed))
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
-    return "\n".join(lines)
-
-
 def third_coset_witness(choice):
     """A length-2i+2 element with exactly two reduced words, witnessing a
     third double coset besides W' and W' r_a W'.

@@ -33,7 +33,7 @@ lattice are all built from it.
 SL_n(F_p) is enumerated by that breadth-first search with its
 generators, the transvections I + E_{i,i+-1}, acting as row operations
 (row_i += row_j mod p) instead of matrix products.  The shaped subgroups
-(upper-triangular, monomial, diagonal, unipotent) are built from their
+(upper-triangular, monomial, unipotent) are built from their
 candidate matrices, kept when they are members, not by scanning G.
 """
 
@@ -404,10 +404,10 @@ def commutator_subgroup(G, H, L):
     return normal_closure(G, seeds, hgens + lgens)
 
 
-def is_nilpotent(H, cap=NILPOTENCY_CAP):
+def is_nilpotent(H):
     """Lower central series reaches the trivial subgroup."""
-    if H.order > cap:
-        raise GroupTooLarge(f"nilpotency check capped at {cap}")
+    if H.order > NILPOTENCY_CAP:
+        raise GroupTooLarge(f"nilpotency check capped at {NILPOTENCY_CAP}")
     current = H
     while current.order > 1:
         nxt = commutator_subgroup(H, H, current)
@@ -427,30 +427,23 @@ def _is_prime_power(n):
     return n == 1
 
 
-def fitting_subgroup(B, cap=NILPOTENCY_CAP):
+def fitting_subgroup(B):
     """Largest nilpotent normal subgroup: the join of the p-cores O_p(B).
 
     An element lies in O_p(B) exactly when its normal closure is a
     p-group, so Fit(B) is the normal closure of the least member of each
     conjugacy class whose own normal closure has prime-power order.
     """
-    if B.order > cap:
-        raise GroupTooLarge(f"Fitting computation capped at {cap}")
+    if B.order > NILPOTENCY_CAP:
+        raise GroupTooLarge(f"Fitting computation capped at {NILPOTENCY_CAP}")
     gens = B.generators()
     reps = [min(cls) for cls in conjugacy_classes(B)]
     fit = normal_closure(
         B, [x for x in reps if _is_prime_power(normal_closure(B, [x], gens).order)], gens
     )
-    if not is_nilpotent(fit, cap=cap) or not is_normal(fit, B):
+    if not is_nilpotent(fit) or not is_normal(fit, B):
         raise AssertionError("Fitting subgroup candidate fails its definition")
     return fit
-
-
-def center(G):
-    gens = G.generators()
-    mul = G.ops.mul
-    members = [z for z in G.elements if all(mul(z, g) == mul(g, z) for g in gens)]
-    return G.subgroup(members)
 
 
 # ---------------------------------------------------------------------------
@@ -549,26 +542,6 @@ def mat_inv(a, p):
     return tuple(tuple(row[n:]) for row in m)
 
 
-def mat_det(a, p):
-    n = len(a)
-    m = [list(row) for row in a]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        f = pow(m[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                g = m[i][c] * f % p
-                m[i] = [(x - g * y) % p for x, y in zip(m[i], m[c])]
-    return det % p
-
-
 def mat_fmt(a):
     """Rows of mod-p digits, semicolon-separated: ((1,0),(0,1)) -> "10;01"."""
     return ";".join("".join(str(x) for x in row) for row in a)
@@ -646,7 +619,7 @@ def special_linear_group(n, p, cap=SL_ENUM_CAP):
 _sl_cache = {}
 
 
-def _shaped_subgroup(G, shapes):
+def _shaped_members(G, shapes):
     """The members of the matrix group G that have one of ``shapes``.
 
     A shape maps positions (i, j) to the values allowed there, every other
@@ -667,7 +640,7 @@ def _shaped_subgroup(G, shapes):
             m = tuple(map(tuple, m))
             if m in elemset:
                 members.append(m)
-    return G.subgroup(members)
+    return members
 
 
 def _triangular_shape(n, p, diagonal):
@@ -680,27 +653,21 @@ def _triangular_shape(n, p, diagonal):
 def upper_triangular_subgroup(G):
     """Upper-triangular members of a matrix group."""
     _, n, p = G.ops.meta
-    return _shaped_subgroup(G, [_triangular_shape(n, p, range(1, p))])
+    return G.subgroup(_shaped_members(G, [_triangular_shape(n, p, range(1, p))]))
 
 
 def strictly_upper_unipotent_subgroup(G):
     """Unipotent upper-triangular members (1 on the diagonal)."""
     _, n, p = G.ops.meta
-    return _shaped_subgroup(G, [_triangular_shape(n, p, (1,))])
+    return G.subgroup(_shaped_members(G, [_triangular_shape(n, p, (1,))]))
 
 
 def monomial_subgroup(G):
     """Members with exactly one nonzero entry in each row and column."""
     _, n, p = G.ops.meta
     units = range(1, p)
-    return _shaped_subgroup(
-        G, [{(i, s[i]): units for i in range(n)} for s in permutations(range(n))]
-    )
-
-
-def diagonal_subgroup(G):
-    _, n, p = G.ops.meta
-    return _shaped_subgroup(G, [{(i, i): range(1, p) for i in range(n)}])
+    shapes = [{(i, s[i]): units for i in range(n)} for s in permutations(range(n))]
+    return G.subgroup(_shaped_members(G, shapes))
 
 
 def _scalar_canonical(m, p):
@@ -810,15 +777,3 @@ def affine_line_action(p):
 def _primitive_root(p):
     """The least g whose powers are all of F_p^* (1 when p = 2)."""
     return next((g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), 1)
-
-
-def export_multiplication_csv(G, fh):
-    """Write the full multiplication table as CSV (small groups only)."""
-    import csv
-
-    fmt = G.ops.fmt
-    mul = G.ops.mul
-    writer = csv.writer(fh)
-    writer.writerow(["*"] + [fmt(g) for g in G.elements])
-    for a in G.elements:
-        writer.writerow([fmt(a)] + [fmt(mul(a, b)) for b in G.elements])

@@ -11,12 +11,14 @@ coordinates (the E family and F4) carry a global ``scale`` factor of 2 so
 that every stored coordinate is an exact integer; all pairings are ratios
 of dot products, so the scale cancels.  Simple roots and node numbers
 follow the Bourbaki plates and are 1-based throughout the public API
-(see the numbering table in the README).
+(see the numbering table in the README).  The Coxeter matrix is read
+from the Cartan products a_ij·a_ji, see :func:`coxeter_matrix`.
 
 The non-reduced family BC has the Cartan matrix of B and adds twice each
 shortest root, so it stores both a root and its double; every
 Weyl-group computation on a BC system goes through its reduced core of
-nondivisible roots (type B), see :func:`nondivisible_core`.
+nondivisible roots, which by that construction is type B, see
+:func:`nondivisible_core`.
 """
 
 from __future__ import annotations
@@ -223,13 +225,6 @@ class RootSystem:
                 out.add(i)
         return tuple(sorted(out))
 
-    def is_reduced(self):
-        half = set()
-        for v in self.roots:
-            if all(x % 2 == 0 for x in v) and tuple(x // 2 for x in v) in self.root_index:
-                half.add(v)
-        return not half
-
     def to_json(self):
         """Canonical JSON document; byte-stable (roots sorted, keys sorted)."""
         doc = {
@@ -322,63 +317,33 @@ def reflect(rs, a, v):
 
 @lru_cache(maxsize=None)
 def coxeter_matrix(rs):
-    """Orders m(a, b) of products of pairs of simple reflections.
+    """Orders m(i, j) of products of pairs of simple reflections.
 
-    Each entry is found by iterating the product permutation on the root
-    set until it is the identity, then cross-checked against the Cartan
-    product table {0:2, 1:3, 2:4, 3:6}.
+    m(i, j) depends only on the Cartan product a_ij·a_ji, read through
+    ``PRODUCT_ORDER_TABLE`` (Bourbaki, ch. VI; Humphreys 1990).
     """
-    n = rs.rank
-    idx = range(len(rs.roots))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(1)
-                continue
-            pi, pj = rs.simple_refl_perms[i], rs.simple_refl_perms[j]
-            prod = tuple(pi[pj[r]] for r in idx)
-            order = 1
-            cur = prod
-            while any(cur[r] != r for r in idx):
-                cur = tuple(prod[cur[r]] for r in idx)
-                order += 1
-            table = PRODUCT_ORDER_TABLE[rs.cartan[i][j] * rs.cartan[j][i]]
-            if order != table:
-                raise NonCrystallographicInput(
-                    f"reflection-product order {order} disagrees with Cartan table {table}"
-                )
-            row.append(order)
-        out.append(tuple(row))
-    return tuple(out)
+    c = rs.cartan
+    return tuple(
+        tuple(1 if i == j else PRODUCT_ORDER_TABLE[c[i][j] * c[j][i]] for j in range(rs.rank))
+        for i in range(rs.rank)
+    )
 
 
 def nondivisible_core(rs):
     """The reduced sub-root-system of roots whose half is not a root.
 
-    Only defined for the non-reduced BC family; the result is the type-B
-    system on the same simple roots (asserted by Cartan-matrix equality).
+    Only defined for the non-reduced BC family, built as B plus twice each
+    shortest root, so the core is the type-B system on the same simple
+    roots.
     """
-    if rs.is_reduced():
+    if rs.family != "BC":
         raise NotNonReduced(f"{rs.spec.label()} is already reduced")
-    kept = set()
-    for v in rs.roots:
-        if any(x % 2 for x in v) or tuple(x // 2 for x in v) not in rs.root_index:
-            kept.add(v)
-    core = build_root_system(RootSystemSpec("B", rs.rank))
-    if set(core.roots) != kept:
-        raise InvalidSpec("nondivisible roots do not form the expected B system")
-    if core.cartan != _cartan_matrix([rs.simple_root(i + 1) for i in range(rs.rank)]):
-        raise InvalidSpec("core Cartan matrix mismatch")
-    return core
+    return build_root_system(("B", rs.rank))
 
 
-@lru_cache(maxsize=None)
 def reduced_form(rs):
-    """``rs`` itself if reduced, else its nondivisible core (cached; root
-    systems are themselves cached and immutable)."""
-    return rs if rs.is_reduced() else nondivisible_core(rs)
+    """``rs`` itself if reduced, else its nondivisible core."""
+    return nondivisible_core(rs) if rs.family == "BC" else rs
 
 
 def is_end_node(rs, node):

@@ -43,6 +43,7 @@ from .errors import (
 from . import fingrp
 from .fingrp import (
     FiniteGroup,
+    _shaped_members,
     central_quotient,
     closure,
     coset_action,
@@ -498,12 +499,12 @@ def weakly_split_bruteforce(c):
 # Constructors for the example systems
 
 
-def standard_sl_system(n, p, cap=fingrp.SL_ENUM_CAP):
+def standard_sl_system(n, p):
     """(SL_n(F_p), upper-triangular B, monomial N).  Cached per (n, p)."""
     got = _standard_cache.get((n, p))
     if got is not None:
         return got
-    G = special_linear_group(n, p, cap=cap)
+    G = special_linear_group(n, p)
     B = upper_triangular_subgroup(G)
     N = monomial_subgroup(G)
     c = TitsSystemCandidate(G, B, N, label=f"sl-{n}-{p}")
@@ -547,25 +548,22 @@ def sl_rank1_column_system(n, p):
     """Rank-1 system of SL_n(F_p) from the two column stabilizers.
 
     B fixes the line through the first basis vector (first column zero
-    below the top), B' the line through the last; N = H ∪ gH for a found
-    g swapping the two lines, which conjugates B onto B'.
+    below the top), B' the line through the last; N = H ∪ gH for g the
+    least element swapping the two lines, which conjugates B onto B'.
+    All three are read off their shapes, not found by scanning G.
     """
     G = special_linear_group(n, p)
-    B_members = [m for m in G.elements if all(m[i][0] == 0 for i in range(1, n))]
-    Bp_members = [m for m in G.elements if all(m[i][n - 1] == 0 for i in range(n - 1))]
-    B = G.subgroup(B_members)
-    Bp = G.subgroup(Bp_members)
+    units, free = range(1, p), range(p)
+
+    def columns(lo, hi):
+        return {(i, j): free for i in range(n) for j in range(lo, hi)}
+
+    B = G.subgroup(_shaped_members(G, [{(0, 0): units, **columns(1, n)}]))
+    Bp = G.subgroup(_shaped_members(G, [{(n - 1, n - 1): units, **columns(0, n - 1)}]))
     H = G.subgroup(B.elemset & Bp.elemset)
     mul = G.ops.mul
-    g = next(
-        (
-            m
-            for m in G.elements
-            if all(m[i][0] == 0 for i in range(n - 1))
-            and all(m[i][n - 1] == 0 for i in range(1, n))
-        ),
-        None,
-    )
+    swaps = _shaped_members(G, [{(n - 1, 0): units, (0, n - 1): units, **columns(1, n - 1)}])
+    g = min(swaps, default=None)
     if g is None:
         raise NoConjugatorFound("no element swaps the two coordinate lines")
     gi = G.inverse(g)
@@ -579,9 +577,9 @@ def sl_rank1_column_system(n, p):
 def psl3_f2_nonstandard_system():
     """A rank-1 system in PSL_3(F_2) on 8 points whose B has order 21.
 
-    Searches for an order-21 subgroup (the normalizer of a Sylow
-    7-subgroup), takes the coset action on its 8 cosets, checks
-    2-transitivity, builds the rank-1 system, and classifies it.
+    B is the normalizer of a Sylow 7-subgroup (its order 21 is checked).
+    Takes the coset action on its 8 cosets, checks 2-transitivity, builds
+    the rank-1 system, and classifies it.
     """
     G = central_quotient(special_linear_group(3, 2))
     seed7 = next(
@@ -591,18 +589,9 @@ def psl3_f2_nonstandard_system():
         raise SubgroupNotFound("no element of order 7")
     mul = G.ops.mul
     p7 = set(closure(G.ops, [seed7]))
-    K = None
-    for y in G.elements:
-        if element_order(G.ops, y) != 3:
-            continue
-        yi = G.inverse(y)
-        if {mul(mul(y, x), yi) for x in p7} == p7:
-            cand = closure(G.ops, [seed7, y])
-            if len(cand) == 21:
-                K = G.subgroup(cand)
-                break
-    if K is None:
-        raise SubgroupNotFound("no order-21 subgroup found")
+    K = G.subgroup([g for g in G.elements if mul(mul(g, seed7), G.inverse(g)) in p7])
+    if K.order != 21:
+        raise SubgroupNotFound(f"the normalizer of <seed7> has order {K.order}, not 21")
     action = coset_action(G, K)
     if len(action.points) != 8:
         raise SubgroupNotFound("coset action is not on 8 points")

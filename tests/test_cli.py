@@ -320,6 +320,20 @@ def test_report_all_golden(capsys, monkeypatch):
         assert len(ids) == len(set(ids)), suite["suite"]
 
 
+def test_lemma2_r12_json_golden(capsys):
+    # The digest of the second contract command, as in perfbench's
+    # "sweep" workload; the only command with E8, the rank-8 to rank-12
+    # classical types and the BC cores past rank 7.
+    import hashlib
+
+    code, out, _ = run(capsys, ["lemma2", "--max-rank", "12", "--format", "json"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "115aaacd030fdfd235170a2516e35bdd7e1c231694d01f9dfd50fbcd2475f132"
+    )
+
+
 def test_roots_golden(capsys):
     # One digest over the text and JSON `roots` stdout of 63 types, taken
     # at the per-family root tables and the integer adjugate solve.

@@ -167,15 +167,9 @@ def test_w0_negation_map():
 
 
 def test_reports_serialize():
-    from weylbn.cosets import reports_table
-
     reports = double_coset_sweep(2)
     rec = reports[0].to_record()
     assert set(rec) == {"family", "rank", "node", "index", "count", "expected_two", "pass"}
-    table = reports_table(reports)
-    lines = table.splitlines()
-    assert len(lines) == len(reports) + 1
-    assert lines[0].split() == ["family", "rank", "node", "index", "count", "expected_two", "pass"]
 
 
 def test_bc_routes_through_core():

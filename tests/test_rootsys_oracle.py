@@ -5,6 +5,11 @@ the ambient coordinates, then solves each root's coefficients with
 ``_coefficients_fraction``: pivot rows found by rank tests over Q, the
 pivot square inverted by Gauss-Jordan over Q, and every ambient
 coordinate and the integrality of each root checked.
+
+The Coxeter matrix and the BC core, which rootsys reads off the Cartan
+construction, are checked against the root set itself: each m(i, j) as
+the order of the permutation s_i·s_j of the roots, and the core as the
+roots whose half is not a root.
 """
 
 from fractions import Fraction
@@ -12,11 +17,15 @@ from fractions import Fraction
 import pytest
 
 from weylbn.cosets import sweep_cases
-from weylbn.errors import InvalidSpec, NonCrystallographicInput
+from weylbn.errors import InvalidSpec, NonCrystallographicInput, NotNonReduced
 from weylbn.rootsys import (
     RootSystemSpec,
+    _cartan_matrix,
     _simple_root_data,
     build_root_system,
+    coxeter_matrix,
+    nondivisible_core,
+    reduced_form,
     reflect_vector,
 )
 
@@ -118,6 +127,52 @@ def test_integer_coefficients_match_fractions(fam, rank):
     assert rs.simple_refl_perms == perms
     assert rs.cartan == cartan
     assert rs.positive_set == {i for i, v in enumerate(roots) if min(coeffs[v]) >= 0}
+
+
+def _coxeter_by_iteration(rs):
+    """m(i, j): the order of the permutation s_i·s_j of the roots, found by
+    iterating the product until it is the identity."""
+    idx = range(len(rs.roots))
+    out = []
+    for pi in rs.simple_refl_perms:
+        row = []
+        for pj in rs.simple_refl_perms:
+            prod = tuple(pi[pj[r]] for r in idx)
+            cur, order = prod, 1
+            while any(cur[r] != r for r in idx):
+                cur = tuple(prod[cur[r]] for r in idx)
+                order += 1
+            row.append(order)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _divisible(rs):
+    """The roots whose half is also a root."""
+    halves = {v: tuple(x // 2 for x in v) for v in rs.roots if all(x % 2 == 0 for x in v)}
+    return {v for v, h in halves.items() if h in rs.root_index}
+
+
+@pytest.mark.parametrize("fam,rank", TYPES)
+def test_coxeter_matrix_matches_reflection_orders(fam, rank):
+    rs = build_root_system((fam, rank))
+    assert coxeter_matrix(rs) == _coxeter_by_iteration(rs)
+
+
+@pytest.mark.parametrize("fam,rank", TYPES)
+def test_reduced_form_matches_halving_scan(fam, rank):
+    rs = build_root_system((fam, rank))
+    divisible = _divisible(rs)
+    assert bool(divisible) == (fam == "BC")
+    if not divisible:
+        assert reduced_form(rs) is rs
+        with pytest.raises(NotNonReduced):
+            nondivisible_core(rs)
+        return
+    core = nondivisible_core(rs)
+    assert reduced_form(rs) is core
+    assert set(core.roots) == set(rs.roots) - divisible
+    assert core.cartan == _cartan_matrix([rs.simple_root(i + 1) for i in range(rank)])
 
 
 SOLVERS = [_coefficients_fraction]
