@@ -24,11 +24,12 @@ runs once per generator (and on a sample, as a check).  Cosets, double
 cosets and generated subgroups are then orbits of a few such tables,
 found by ``orbits``.
 
-Subgroups given by seeds rather than by a shape are one ``_closure``
-each: ``normal_closure(G, seeds, conj_gens)`` closes the identity under
-left multiplication by the seeds and conjugation by ``conj_gens``, and
-commutator subgroups, the Fitting subgroup and the normal-subgroup
-lattice are all built from it.
+Conjugation is one helper, ``conjugate(G, g, xs)``: g x g^-1 is
+I(r(I(r(x)))) with r = R_{g^-1}.  Subgroup questions run on ``G.own``, the
+group as a root on its own elements (tables of |G| entries): normality,
+conjugacy classes and ``normal_closure`` (the orbit of the identity under
+right multiplication by seeds and conjugation), which builds commutator
+subgroups, the Fitting subgroup and the normal-subgroup lattice.
 
 SL_n(F_p) is enumerated by that breadth-first search with its
 generators, the transvections I + E_{i,i+-1}, acting as row operations
@@ -230,6 +231,14 @@ class FiniteGroup:
     def subgroup(self, elements, gens=None):
         return FiniteGroup(self.ops, elements, gens=gens, check=False, root=self.root)
 
+    @cached_property
+    def own(self):
+        """This group on its own index: itself if a root, else a root on
+        its elements and ``generators()``, with tables of |self| entries."""
+        if self.root is self:
+            return self
+        return FiniteGroup(self.ops, self.elements, gens=self.generators(), check=False)
+
     def is_subgroup_of(self, other):
         return self.ops is other.ops and self.elemset <= other.elemset
 
@@ -319,51 +328,52 @@ def element_order(ops, x):
     return n
 
 
+def conjugate(G, g, xs):
+    """Root indices of g x g^-1 for the root indices ``xs``.  With
+    r = R_{g^-1} and I the inverse table, I(r(x)) = g x^-1, so
+    I(r(I(r(x)))) = g x g^-1: one pass over the BFS tree, then lookups."""
+    inv = G.root.inv_table
+    r = G.right_table(G.inverse(g))
+    return [inv[r[inv[r[x]]]] for x in xs]
+
+
 def is_normal(H, G):
-    """g H g^-1 ⊆ H for each of G's generators g.  H is finite, so that
-    inclusion is equality, and then it holds for every product of them."""
-    mul = G.ops.mul
-    hset = H.elemset
-    hgens = H.generators()
-    for g in G.generators():
-        gi = G.inverse(g)
-        for h in hgens:
-            if mul(mul(g, h), gi) not in hset:
-                return False
-    return True
+    """H ⊆ G, and g H g^-1 ⊆ H for each of G's generators g.  H is finite,
+    so that inclusion is equality, and then it holds for every product of
+    them."""
+    if not H.is_subgroup_of(G):
+        return False
+    own = G.own
+    hgens = [own.index[h] for h in H.generators()]
+    return all(own.elements[i] in H for g in own.generators() for i in conjugate(own, g, hgens))
 
 
 def conjugacy_classes(G):
-    """Conjugacy classes, each a frozenset, in a deterministic order."""
-    mul = G.ops.mul
-    els = G.elements
-    at = {x: i for i, x in enumerate(els)}
-    perms = []
-    for g in G.generators():
-        gi = G.inverse(g)
-        perms.append([at[mul(mul(g, y), gi)] for y in els])
-    return [frozenset(els[i] for i in orb) for orb in orbits(perms, len(els))]
+    """Conjugacy classes, each a frozenset, in a deterministic order: the
+    orbits of the conjugation tables of G's generators on G's own index."""
+    own = G.own
+    perms = [conjugate(own, g, own.indices) for g in own.generators()]
+    return [frozenset(own.elements[i] for i in orb) for orb in orbits(perms, own.order)]
 
 
 def normal_closure(G, seeds, conj_gens):
     """The least subgroup of G that contains ``seeds`` and is normalized by
-    ``conj_gens``: one ``_closure`` from the identity whose actions are left
+    ``conj_gens``: on G's own index, the orbit of the identity under right
     multiplication by each seed and conjugation by each of ``conj_gens``.
 
-    The set K it reaches is that subgroup.  K is finite and closed under
+    The orbit K is that subgroup.  K is finite and closed under
     conjugation by g, so conjugation by g permutes K, and K is closed under
     conjugation by g^-1 too, hence by the group C the ``conj_gens``
     generate.  Then for c in C, a seed s and x in K,
-    (c s c^-1) x = c (s (c^-1 x c)) c^-1 lies in K: K is closed under left
+    x (c s c^-1) = c ((c^-1 x c) s) c^-1 lies in K: K is closed under right
     multiplication by every conjugate of a seed, so it holds the subgroup
     they generate, which is the least one wanted and contains K.
     """
-    mul, e = G.ops.mul, G.ops.identity
-    acts = [partial(mul, s) for s in dict.fromkeys(seeds) if s != e]
-    for g in dict.fromkeys(conj_gens):
-        gi = G.inverse(g)
-        acts.append(lambda x, g=g, gi=gi: mul(mul(g, x), gi))
-    return G.subgroup(_closure(e, acts)[0])
+    own = G.own
+    perms = [own.right_table(s) for s in dict.fromkeys(seeds)]
+    perms += [conjugate(own, g, own.indices) for g in dict.fromkeys(conj_gens)]
+    orb = orbits(perms, own.order, [own.index[own.identity]])[0]
+    return G.subgroup([own.elements[i] for i in orb])
 
 
 def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
@@ -397,10 +407,13 @@ def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
 
 def commutator_subgroup(G, H, L):
     """[H, L] inside G: the normal closure of the commutators of H's and
-    L's generators under conjugation by both generating sets."""
-    mul, inv = G.ops.mul, G.inverse
+    L's generators under conjugation by both generating sets.  On G's own
+    index, [h, l] = (h l h^-1) l^-1 is a conjugate looked up in R_{l^-1}."""
+    own = G.own
     hgens, lgens = H.generators(), L.generators()
-    seeds = [mul(mul(h, l), mul(inv(h), inv(l))) for h in hgens for l in lgens]
+    ls = [own.index[l] for l in lgens]
+    right = [own.right_table(own.inverse(l)) for l in lgens]
+    seeds = [own.elements[r[c]] for h in hgens for r, c in zip(right, conjugate(own, h, ls))]
     return normal_closure(G, seeds, hgens + lgens)
 
 
@@ -468,8 +481,7 @@ def action_orbits(action):
 
 
 def stabilizer(action, x):
-    members = [g for g in action.group.elements if action.apply(g, x) == x]
-    return action.group.subgroup(members)
+    return setwise_stabilizer(action, (x,))
 
 
 def setwise_stabilizer(action, pair):

@@ -46,6 +46,7 @@ from .fingrp import (
     _shaped_members,
     central_quotient,
     closure,
+    conjugate,
     coset_action,
     element_order,
     fitting_subgroup,
@@ -140,24 +141,14 @@ class ClassificationFlags:
         }
 
 
-def _weyl_quotient(c):
-    """H = B ∩ N, and the root index of each element of N mapped to the
-    root index of the least element of its coset nH."""
-    H = c.G.subgroup(c.B.elemset & c.N.elemset)
-    if not is_normal(H, c.N):
-        raise HNotNormal("B ∩ N is not normal in N")
-    return H, left_coset_reps(c.G, H, c.N.indices)
-
-
 def derive_weyl(c):
     """H = B ∩ N and one canonical representative per coset of H in N.
 
     H must be normal in N (raises HNotNormal otherwise); representatives
     are the least element of each coset, sorted.
     """
-    H, rep_of = _weyl_quotient(c)
-    els = c.G.root.elements
-    return H, tuple(els[r] for r in sorted(set(rep_of.values())))
+    d = _derived(c)
+    return d.H, d.reps
 
 
 def _inverse_perm(perm):
@@ -179,9 +170,13 @@ class _Derived:
     def __init__(self, c):
         G, B = c.G, c.B
         root = G.root
+        self.G, self.B = G, B
         self.mul, self.els, self.index = G.ops.mul, root.elements, root.index
-        self.B, self.inverse = B, G.inverse
-        self.H, self.rep_of = _weyl_quotient(c)
+        # H = B ∩ N; rep_of: the root index of n in N -> that of min(nH).
+        self.H = G.subgroup(B.elemset & c.N.elemset)
+        if not is_normal(self.H, c.N):
+            raise HNotNormal("B ∩ N is not normal in N")
+        self.rep_of = left_coset_reps(G, self.H, c.N.indices)
         rep_idx = sorted(set(self.rep_of.values()))
         self.reps = tuple(self.els[r] for r in rep_idx)
         self.identity_rep = self.wrep(G.ops.identity)
@@ -241,22 +236,18 @@ class _Derived:
 
     @cached_property
     def b_conjugates(self):
-        """w·B·w^-1 as a set, for each Weyl representative w."""
-        mul, belems = self.mul, self.B.elements
-        out = {}
-        for w in self.reps:
-            wi = self.inverse(w)
-            out[w] = {mul(mul(w, b), wi) for b in belems}
-        return out
+        """w·B·w^-1 as a set of root indices, for each Weyl representative w."""
+        return {w: set(conjugate(self.G, w, self.B.indices)) for w in self.reps}
 
     @cached_property
     def b_conjugates_meet(self):
-        """The intersection of B with every wBw^-1, w a Weyl representative.
+        """The intersection of B with every wBw^-1, w a Weyl representative,
+        as root indices.
 
         This is also the intersection of all N-conjugates of B: each n in N
         is w·h with h in H ⊆ B, and then nBn^-1 = wBw^-1.
         """
-        return set(self.B.elemset).intersection(*self.b_conjugates.values())
+        return set(self.B.indices).intersection(*self.b_conjugates.values())
 
     def _word_bfs(self):
         """Lengths and lexicographically least words over S for each class.
@@ -438,9 +429,7 @@ def intersection_identity_check(c):
     if len(longest) != 1:
         return False
     w0 = longest[0]
-    first = d.b_conjugates_meet == d.H.elemset
-    second = (c.B.elemset & d.b_conjugates[w0]) == d.H.elemset
-    return first and second
+    return d.b_conjugates_meet == set(d.H.indices) == set(c.B.indices) & d.b_conjugates[w0]
 
 
 def classify(c):
@@ -453,7 +442,7 @@ def classify(c):
     d = _derived(c)
     mul = c.G.ops.mul
     hset = d.H.elemset
-    saturated = d.b_conjugates_meet == hset
+    saturated = d.b_conjugates_meet == set(d.H.indices)
 
     fit = fitting_subgroup(c.B)
     product = {mul(h, u) for h in d.H.elements for u in fit.elements}
@@ -561,16 +550,13 @@ def sl_rank1_column_system(n, p):
     B = G.subgroup(_shaped_members(G, [{(0, 0): units, **columns(1, n)}]))
     Bp = G.subgroup(_shaped_members(G, [{(n - 1, n - 1): units, **columns(0, n - 1)}]))
     H = G.subgroup(B.elemset & Bp.elemset)
-    mul = G.ops.mul
     swaps = _shaped_members(G, [{(n - 1, 0): units, (0, n - 1): units, **columns(1, n - 1)}])
     g = min(swaps, default=None)
     if g is None:
         raise NoConjugatorFound("no element swaps the two coordinate lines")
-    gi = G.inverse(g)
-    conj = {mul(mul(g, b), gi) for b in B.elements}
-    if conj != Bp.elemset:
+    if set(conjugate(G, g, B.indices)) != set(Bp.indices):
         raise NoConjugatorFound("swap candidate does not conjugate B onto B'")
-    N = G.subgroup(sorted(H.elemset | {mul(g, h) for h in H.elements}))
+    N = G.subgroup(sorted(H.elemset | {G.ops.mul(g, h) for h in H.elements}))
     return TitsSystemCandidate(G, B, N, label=f"sl-rank1-{n}-{p}")
 
 
@@ -587,9 +573,9 @@ def psl3_f2_nonstandard_system():
     )
     if seed7 is None:
         raise SubgroupNotFound("no element of order 7")
-    mul = G.ops.mul
-    p7 = set(closure(G.ops, [seed7]))
-    K = G.subgroup([g for g in G.elements if mul(mul(g, seed7), G.inverse(g)) in p7])
+    p7 = {G.index[x] for x in closure(G.ops, [seed7])}
+    x7 = [G.index[seed7]]
+    K = G.subgroup([g for g in G.elements if conjugate(G, g, x7)[0] in p7])
     if K.order != 21:
         raise SubgroupNotFound(f"the normalizer of <seed7> has order {K.order}, not 21")
     action = coset_action(G, K)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from weylbn.fingrp import (
     central_quotient,
     closure,
     conjugacy_classes,
+    conjugate,
     coset_action,
     element_order,
     fitting_subgroup,
@@ -29,6 +31,7 @@ from weylbn.fingrp import (
     mat_mul,
     matrix_ops,
     monomial_subgroup,
+    normal_closure,
     normal_subgroups,
     orbits,
     projective_space_action,
@@ -201,6 +204,78 @@ def test_conjugacy_classes_partition():
     classes = conjugacy_classes(G)
     assert sum(len(c) for c in classes) == G.order
     assert frozenset({G.ops.identity}) in classes
+
+
+def test_is_normal_is_false_for_a_group_outside_the_other():
+    G = special_linear_group(3, 2)
+    B = upper_triangular_subgroup(G)
+    assert not is_normal(G, B)
+    A = affine_group(5)
+    T = A.subgroup(closure(A.ops, [(1, 1)]))
+    assert not is_normal(A, T) and is_normal(T, A)
+
+
+def _conjugate_by_products(G, g, xs):
+    mul, gi = G.ops.mul, G.ops.inv(g)
+    return [mul(mul(g, x), gi) for x in xs]
+
+
+@pytest.mark.parametrize(
+    "make,sampled",
+    [
+        (lambda: special_linear_group(2, 3), False),
+        (lambda: central_quotient(special_linear_group(3, 2)), False),
+        (lambda: affine_group(7), False),
+        (lambda: special_linear_group(3, 3), True),
+    ],
+    ids=["sl-2-3", "psl-3-2", "affine-7", "sl-3-3"],
+)
+def test_conjugate_matches_products(make, sampled):
+    G = make()
+    els = G.elements
+    gs = els
+    if sampled:
+        rng = random.Random(11)
+        gs = G.generators() + tuple(els[rng.randrange(len(els))] for _ in range(20))
+    for g in gs:
+        got = conjugate(G, g, range(G.order))
+        assert [els[i] for i in got] == _conjugate_by_products(G, g, els)
+
+
+def test_own_index_of_a_root_and_of_the_sl33_borel():
+    for G in (affine_group(5), central_quotient(special_linear_group(3, 2))):
+        assert G.own is G
+    G = special_linear_group(3, 3)
+    B = upper_triangular_subgroup(G)
+    own = B.own
+    assert G.own is G and own.root is own and B.root is G
+    assert own.elements == B.elements and own.generators() == B.generators()
+    assert len(own.inv_table) == B.order
+    classes = conjugacy_classes(B)
+    assert conjugacy_classes(own) == classes
+    by_products = zip(*(_conjugate_by_products(B, g, B.elements) for g in B.elements))
+    assert set(classes) == {frozenset(cls) for cls in by_products}
+
+
+def test_subgroup_questions_make_no_products_once_tables_exist():
+    G = special_linear_group(3, 2)
+    calls = [0]
+
+    def mul(a, b):
+        calls[0] += 1
+        return G.ops.mul(a, b)
+
+    R = FiniteGroup(dataclasses.replace(G.ops, mul=mul), G.elements, gens=G.generators())
+    B = R.subgroup(upper_triangular_subgroup(G).elements)
+    B.generators()
+    R.inv_table
+    calls[0] = 0
+    classes = conjugacy_classes(R)
+    closed = normal_closure(R, [B.generators()[0]], R.generators())
+    normal = is_normal(B, R), is_normal(R, R)
+    assert calls[0] == 0
+    assert classes == conjugacy_classes(G)
+    assert closed.elemset == G.elemset and normal == (False, True)
 
 
 def test_projective_actions():
