@@ -1,18 +1,16 @@
 """Parabolic quotients, double-coset counting, and the verification suites
 built on them.
 
-A maximal parabolic choice is a root system together with one removed
-simple node a.  The quotient W/W' (W' generated by the reflections of the
-remaining nodes) is realized as the W-orbit of the fundamental weight at
-a, whose stabilizer is exactly W'; double cosets W'\\W/W' then correspond
-to W'-orbits on that weight orbit, each of which holds exactly one
-J-dominant weight (J the kept nodes: no negative coordinate except at
-a).  One depth-first walk of Stembridge's canonical-parent tree on the
-orbit (Stembridge, MSJ Mem. 11, 2001; Casselman, Invent. Math. 116,
-1994) counts them and the orbit with no set of seen weights.  The
-hash-set breadth-first search it replaced is kept in the tests as an
-oracle, next to :func:`double_coset_count_naive`.  Everything is exact
-integer arithmetic on weight coordinates.
+A maximal parabolic choice is a root system with one removed simple node
+a.  W', generated by the reflections of the other nodes J, is the
+stabilizer of the fundamental weight ω_a, so W/W' is the orbit W·ω_a and
+each double coset in W'\\W/W' holds exactly one J-dominant weight of it
+(no negative coordinate except at a).  Those weights alone are listed, as
+a tree (Stembridge, MSJ Mem. 11, 2001), and the index [W : W'] is
+|W| / |W'|, each order the product of the degrees (Kostant, Amer. J.
+Math. 81, 1959); no orbit is walked.  The orbit walks this replaced are
+oracles in the tests, next to :func:`double_coset_count_naive`.
+Everything is exact integer arithmetic.
 
 Non-reduced (BC) input is handled by computing on the reduced core of
 nondivisible roots while reports keep the original BC label.
@@ -21,11 +19,13 @@ nondivisible roots while reports keep the original BC label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial, reduce
+from itertools import product
+from operator import add, mul
 
 from .errors import RankTooSmall, WitnessNotApplicable
 from .fingrp import FiniteGroup, GroupOps, _closure, orbits
-from .rootsys import branch_node, build_root_system, dynkin_path, is_end_node, reduced_form
+from .rootsys import branch_node, build_root_system, degrees, dynkin_path, is_end_node, reduced_form
 from .weyl import (
     act_on_weight,
     compose,
@@ -37,6 +37,7 @@ from .weyl import (
     length,
     longest_element,
     reduced_words,
+    reflect_weight,
 )
 
 NAIVE_WEYL_CAP = 10**5
@@ -109,72 +110,98 @@ class WitnessReport:
         return not self.failed_checks
 
 
-def _walk(rs, start, nodes, a0=None, out=None):
-    """Walk the orbit of ``start`` under the reflections at ``nodes`` along
-    Stembridge's tree, with no set of seen weights; return (size, count).
+@lru_cache(maxsize=1)
+def _memo(cartan):
+    """The memo of :func:`_dominant` for one Cartan matrix; suites run a type's nodes together."""
+    return {}
 
-    ``start`` must be dominant at ``nodes`` (no negative coordinate there).
-    The canonical parent of any other weight v in the orbit is its
-    reflection at the least node j in ``nodes`` with v[j] < 0, which adds a
-    positive multiple of a simple root.  So v's children are the s_j v with
-    v[j] > 0 and no negative ``nodes`` coordinate before j; and as s_j
-    raises only the neighbours of j, a child at j past v's least negative
-    node fn needs j adjacent to fn.  With ``nodes`` all the nodes,
-    ``count`` is the number of weights whose only negative coordinate, if
-    any, is at the 0-based node ``a0``: ``start`` and the children at a0
-    with nothing negative after a0.
-    Each weight, a list not to be changed, is appended to ``out`` if given.
+
+@lru_cache(maxsize=None)
+def _split(cartan, C, c):
+    """The components of C∖c, each as (nodes, contact node)."""
+    got = []
+    for d in C:
+        if d != c and cartan[c][d]:
+            comp = [d]
+            for u in comp:
+                comp += [v for v in C if v != c and v not in comp and cartan[u][v]]
+            got.append((tuple(sorted(comp)), d))
+    return got
+
+
+def _dominant(cartan, C, c, lam):
+    """D(C, c, lam): for a connected tuple C of 0-based nodes, c in C and
+    lam dominant at C, the changes from lam to the weights of W_C·lam with
+    no negative coordinate in C but at c; memoized on (C, c, lam at C).
+
+    They form a tree with root lam (Stembridge, MSJ Mem. 11, 2001): any
+    other mu has mu_c < 0, and its parent is the (C∖c)-dominant weight of
+    W_{C∖c}·s_c·mu.  So the children of nu are the s_c·x, x in W_{C∖c}·nu
+    with x_c > 0, that are dominant at C∖c.  The diagram is a tree, so each
+    component P of C∖c meets c at one contact node d, and s_c moves only
+    the contact nodes of C∖c: x adds the changes of one member of
+    D(P, d, nu) per P, and s_c·x is kept when it is nonnegative at every d.
     """
-    n = rs.rank
-    cartan = rs.cartan
-    js = sorted(node - 1 for node in nodes)
-    raise_by = [
-        tuple((k, -c) for k, c in enumerate(row) if c and k != j) for j, row in enumerate(cartan)
-    ]
-    before = {j: [i for i in js if i < j] for j in js}
-    stack = [(list(start), n)]
-    size = count = 1
-    while stack:
-        v, fn = stack.pop()
-        if out is not None:
-            out.append(v)
-        for j in js:
-            c = v[j]
-            if c <= 0 or (j > fn and not cartan[j][fn]):
-                continue
-            w = v.copy()
-            w[j] = -c
-            for k, e in raise_by[j]:
-                w[k] += c * e
-            if j < fn or all(w[i] >= 0 for i in before[j]):
-                stack.append((w, j))
-                size += 1
-                if j == a0 and min(w[j + 1 :], default=0) >= 0:
-                    count += 1
-    return size, count
+    memo, key = _memo(cartan), (C, c, tuple(map(lam.__getitem__, C)))
+    got = memo.get(key)
+    if got is None:
+        comps, row = _split(cartan, C, c), cartan[c]
+        got = []
+
+        def grow(delta):
+            got.append(delta)
+            nu = tuple(map(add, lam, delta))
+            for combo in product(*[_dominant(cartan, P, d, nu) for P, d in comps]):
+                xc = nu[c]
+                for y in combo:
+                    xc += y[c]
+                if xc <= 0:
+                    continue
+                for y, (_, d) in zip(combo, comps):
+                    if nu[d] + y[d] < row[d] * xc:
+                        break
+                else:
+                    change = delta
+                    for y in combo:
+                        change = map(add, change, y)
+                    grow(tuple(e - xc * r for e, r in zip(change, row)))
+
+        grow((0,) * len(lam))
+        del grow  # grow refers to itself; deleting it frees the memo by reference counting
+        memo[key] = got  # only once complete, so an interrupted walk leaves no partial entry
+    return got
+
+
+def _j_dominant(choice):
+    """The J-dominant weights of W·ω_a, J the nodes other than a."""
+    core = choice.core
+    start = fundamental_weight(core, choice.removed)
+    changes = _dominant(core.cartan, tuple(range(core.rank)), choice.removed - 1, start)
+    return [tuple(map(add, start, delta)) for delta in changes]
+
+
+def _order(core, nodes):
+    """The order of the parabolic subgroup at ``nodes``, from its degrees."""
+    return reduce(mul, degrees(core, tuple(nodes)), 1)
 
 
 def parabolic_orbit(choice):
-    """The W-orbit of the fundamental weight at the removed node.
-
-    Its size is the index [W : W'], because the stabilizer of a dominant
-    fundamental weight is the parabolic subgroup of the other nodes.
-    """
+    """The W-orbit of the fundamental weight at the removed node; its size
+    is the index [W : W'], W' being the stabilizer of that weight."""
     core = choice.core
-    start = fundamental_weight(core, choice.removed)
-    points = []
-    _walk(core, start, range(1, core.rank + 1), out=points)
-    return frozenset(map(tuple, points))
+    acts = [partial(reflect_weight, core, n) for n in range(1, core.rank + 1)]
+    return frozenset(_closure(fundamental_weight(core, choice.removed), acts)[0])
 
 
 def double_coset_count(choice):
-    """Count W'\\W/W' as the J-dominant weights in W·ω_a; the same walk
-    gives the orbit size, the index [W : W']."""
+    """Count W'\\W/W' as the J-dominant weights in W·ω_a; the index
+    [W : W'] is read off the group orders."""
     core = choice.core
     if core.rank < 2:
         raise RankTooSmall("double-coset counting needs rank >= 2")
-    start = fundamental_weight(core, choice.removed)
-    size, count = _walk(core, start, range(1, core.rank + 1), choice.removed - 1)
+    count = len(_j_dominant(choice))
+    nodes = range(1, core.rank + 1)
+    size = _order(core, nodes) // _order(core, (n for n in nodes if n != choice.removed))
     expected_two = choice.family == "A" and is_end_node(choice.rs, choice.removed)
     passed = (count == 2) == expected_two and count >= 2
     return DoubleCosetReport(
@@ -189,15 +216,13 @@ def double_coset_count(choice):
 
 
 def double_coset_orbit_sizes(choice):
-    """Sorted sizes of the W'-orbits on the weight orbit (they partition it),
-    each walked from its J-dominant weight under the kept nodes."""
+    """Sorted sizes of the W'-orbits on the weight orbit (they partition
+    it): |W'| / |W'_mu| for each J-dominant mu, whose stabilizer is the
+    parabolic subgroup of the kept nodes where mu is zero."""
     core = choice.core
     others = [n for n in range(1, core.rank + 1) if n != choice.removed]
-    return sorted(
-        _walk(core, v, others)[0]
-        for v in parabolic_orbit(choice)
-        if all(v[n - 1] >= 0 for n in others)
-    )
+    zeros = [[n for n in others if mu[n - 1] == 0] for mu in _j_dominant(choice)]
+    return sorted(_order(core, others) // _order(core, z) for z in zeros)
 
 
 def double_coset_count_naive(choice, cap=NAIVE_WEYL_CAP):

@@ -3,16 +3,15 @@
 Every family is built the same way.  The Cartan matrix of the Bourbaki
 simple roots generates the positive roots as integer coefficient vectors
 in the simple-root basis (Bourbaki, *Lie Groups and Lie Algebras*,
-ch. VI; Humphreys, *Reflection Groups and Coxeter Groups*, ch. 3), and
-each root's ambient vector is the sum of the simple roots weighted by
-its coefficients.  Ambient vectors use the standard coordinates of the
-Bourbaki plates.  Families whose Bourbaki realization has half-integer
-coordinates (the E family and F4) carry a global ``scale`` factor of 2 so
-that every stored coordinate is an exact integer; all pairings are ratios
-of dot products, so the scale cancels.  Simple roots and node numbers
-follow the Bourbaki plates and are 1-based throughout the public API
-(see the numbering table in the README).  The Coxeter matrix is read
-from the Cartan products a_ij·a_ji, see :func:`coxeter_matrix`.
+ch. VI; Humphreys, *Reflection Groups and Coxeter Groups*, ch. 3); each
+step carries the root's pairings with the simple coroots and its ambient
+vector, from which the simple reflections and the sorted roots are read.
+Ambient vectors use the coordinates of the Bourbaki plates; the E family
+and F4, which have half-integer coordinates there, carry a ``scale`` of 2
+so that every coordinate is an integer.  Nodes follow the Bourbaki plates
+and are 1-based throughout the public API (see the README).  The Coxeter
+matrix is read from the Cartan products a_ij·a_ji (:func:`coxeter_matrix`)
+and the degrees of a parabolic subgroup from its roots' heights.
 
 The non-reduced family BC has the Cartan matrix of B and adds twice each
 shortest root, so it stores both a root and its double; every
@@ -24,8 +23,10 @@ nondivisible roots, which by that construction is type B, see
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul, neg, sub
 
 from .errors import InvalidSpec, NonCrystallographicInput, NotNonReduced
 
@@ -45,7 +46,7 @@ class RootSystemSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
             raise InvalidSpec(f"rank must be a positive integer, got {self.rank!r}")
         fam, n = self.family, self.rank
         if fam == "E" and n not in (6, 7, 8):
@@ -62,7 +63,7 @@ class RootSystemSpec:
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _e(i, dim):
@@ -70,73 +71,56 @@ def _e(i, dim):
 
 
 def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def _neg(v):
-    return tuple(-a for a in v)
+    return tuple(map(neg, v))
 
 
 def _scale_vec(c, v):
-    return tuple(c * a for a in v)
+    return tuple(map(c.__mul__, v))
 
 
 def _simple_root_data(spec):
     """Ambient dimension, scale factor, and the Bourbaki simple roots."""
     fam, n = spec.family, spec.rank
-    if fam == "A":
-        dim = n + 1
-        simples = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n)]
-        return dim, 1, simples
-    if fam in ("B", "BC"):
-        dim = n
-        simples = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)]
-        simples.append(_e(n - 1, dim))
-        return dim, 1, simples
-    if fam == "C":
-        dim = n
-        simples = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)]
-        simples.append(_scale_vec(2, _e(n - 1, dim)))
-        return dim, 1, simples
-    if fam == "D":
-        dim = n
-        simples = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n - 1)]
-        simples.append(_add(_e(n - 2, dim), _e(n - 1, dim)))
-        return dim, 1, simples
     if fam == "G":
         return 3, 1, [(1, -1, 0), (-2, 1, 1)]
     if fam == "F":
         # Scaled by 2: a4 = (e1 - e2 - e3 - e4)/2.
         return 4, 2, [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
     if fam == "E":
-        # Scaled by 2, ambient R^8 for every E rank.
-        simples = [
-            (1, -1, -1, -1, -1, -1, -1, 1),
-            (2, 2, 0, 0, 0, 0, 0, 0),
-            (-2, 2, 0, 0, 0, 0, 0, 0),
-            (0, -2, 2, 0, 0, 0, 0, 0),
-            (0, 0, -2, 2, 0, 0, 0, 0),
-            (0, 0, 0, -2, 2, 0, 0, 0),
-            (0, 0, 0, 0, -2, 2, 0, 0),
-            (0, 0, 0, 0, 0, -2, 2, 0),
-        ]
+        # Scaled by 2 in R^8: a1 = (e1 - ... - e7 + e8)/2, a2 = e1 + e2, a_k = e_{k-2} - e_{k-3}.
+        simples = [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)]
+        simples += [_scale_vec(2, _sub(_e(k - 2, 8), _e(k - 3, 8))) for k in range(3, 9)]
         return 8, 2, simples[:n]
-    raise InvalidSpec(f"unknown family {fam!r}")
+    dim = n + 1 if fam == "A" else n
+    simples = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(dim - 1)]
+    if fam in ("B", "BC"):
+        simples.append(_e(n - 1, n))
+    elif fam == "C":
+        simples.append(_scale_vec(2, _e(n - 1, n)))
+    elif fam == "D":
+        simples.append(_add(_e(n - 2, n), _e(n - 1, n)))
+    return dim, 1, simples
+
+
+def _pairing(v, a):
+    """The integer 2(v, a)/(a, a); NonCrystallographicInput if it is not one."""
+    num, den = 2 * dot(v, a), dot(a, a)
+    if num % den:
+        raise NonCrystallographicInput(f"2<{v},{a}>/<{a},{a}> = {num}/{den} is not an integer")
+    return num // den
 
 
 def reflect_vector(a, v):
     """Reflect the integer vector ``v`` in the root vector ``a``."""
-    num = 2 * dot(v, a)
-    den = dot(a, a)
-    if num % den:
-        raise NonCrystallographicInput(
-            f"pairing 2<{v},{a}>/<{a},{a}> = {num}/{den} is not an integer"
-        )
-    c = num // den
+    c = _pairing(v, a)
     return tuple(x - c * y for x, y in zip(v, a))
 
 
@@ -162,29 +146,31 @@ class RootSystem:
         "simple_refl_perms",
     )
 
-    def __init__(self, spec, ambient_dim, scale, simples, cartan, positive):
-        """``positive`` lists the positive roots' simple-root coefficients."""
+    def __init__(self, spec, ambient_dim, scale, cartan, positive):
+        """``positive`` lists (coefficients, pairings, ambient vector) of each positive root."""
         self.spec = spec
         self.ambient_dim = ambient_dim
         self.scale = scale
-        vector = {c: _combine(c, simples) for c in positive}
-        vector.update({_neg(c): _neg(v) for c, v in vector.items()})
-        self.coeffs = tuple(sorted(vector, key=vector.__getitem__))
-        self.roots = tuple(vector[c] for c in self.coeffs)
+        data = {v: (c, pair) for c, pair, v in positive}
+        data.update({_neg(v): (_neg(c), _neg(pair)) for v, (c, pair) in data.items()})
+        self.roots = tuple(sorted(data))
+        self.coeffs = tuple(data[v][0] for v in self.roots)
         self.root_index = {v: i for i, v in enumerate(self.roots)}
         index = {c: i for i, c in enumerate(self.coeffs)}
         n = len(cartan)
         self.simple_indices = tuple(index[_e(i, n)] for i in range(n))
-        self.positive_set = frozenset(index[c] for c in positive)
-        self.neg_index = tuple(index[_neg(c)] for c in self.coeffs)
+        self.positive_set = frozenset(index[c] for c, _, _ in positive)
+        # Negation reverses the lexicographic order of the roots.
+        self.neg_index = tuple(range(len(self.roots) - 1, -1, -1))
         self.cartan = cartan
         self.dynkin_edges = tuple(
             (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if cartan[i][j] != 0
         )
-        # s_i: c -> c - <c, a_i^v>·e_i, where <c, a_i^v> = sum_j c_j·cartan[j][i].
+        # s_i: c -> c - <c, a_i^v>·e_i, which fixes c when the pairing is 0.
+        rows = list(enumerate(map(data.get, self.roots)))
         self.simple_refl_perms = tuple(
-            tuple(index[c[:i] + (c[i] - dot(c, col),) + c[i + 1 :]] for c in self.coeffs)
-            for i, col in enumerate(zip(*cartan))
+            tuple(index[c[:i] + (c[i] - p[i],) + c[i + 1 :]] if p[i] else r for r, (c, p) in rows)
+            for i in range(n)
         )
         self._check()
 
@@ -214,16 +200,10 @@ class RootSystem:
         return self.roots[self.simple_indices[node - 1]]
 
     def node_degree(self, node):
-        return sum(1 for e in self.dynkin_edges if node in e)
+        return len(self.neighbors(node))
 
     def neighbors(self, node):
-        out = set()
-        for i, j in self.dynkin_edges:
-            if i == node:
-                out.add(j)
-            elif j == node:
-                out.add(i)
-        return tuple(sorted(out))
+        return tuple(sorted({k for e in self.dynkin_edges if node in e for k in e} - {node}))
 
     def to_json(self):
         """Canonical JSON document; byte-stable (roots sorted, keys sorted)."""
@@ -245,45 +225,31 @@ def _cartan_matrix(simples):
     Entry [i][j] is 2(a_i, a_j)/(a_j, a_j), so the reflection in node i
     acts on fundamental-weight coordinates by v -> v - v[i] * row_i.
     """
-    n = len(simples)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            num = 2 * dot(simples[i], simples[j])
-            den = dot(simples[j], simples[j])
-            if num % den:
-                raise NonCrystallographicInput("non-integral Cartan entry")
-            row.append(num // den)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(_pairing(a, b) for b in simples) for a in simples)
 
 
-def _positive_coefficients(cartan):
-    """The positive roots in simple-root coordinates, from the Cartan matrix.
+def _positive_roots(cartan, simples):
+    """The positive roots from the Cartan matrix, as (coefficients,
+    pairings, ambient vector) triples.
 
-    Starting from the unit vectors, c -> c + k·e_i whenever
-    k = -<c, a_i^v> = -sum_j c_j·cartan[j][i] is positive: that is s_i·c,
-    a root of greater height, and every positive root is reached this way
-    from a simple one (Humphreys 1990, ch. 3).
+    Starting from the simple roots, c -> c + k·e_i whenever the pairing
+    k = -<c, a_i^v> is positive: that is s_i·c, a root of greater height,
+    and every positive root is reached this way (Humphreys 1990, ch. 3).
+    The step adds k·cartan[i] to the pairings and k·simples[i] to the
+    ambient vector, so neither is computed again.
     """
     n = len(cartan)
-    found = [_e(i, n) for i in range(n)]
-    seen = set(found)
-    for c in found:  # found grows as the loop runs: a breadth-first walk
-        for i, col in enumerate(zip(*cartan)):
-            k = -dot(c, col)
-            if k > 0:
-                up = c[:i] + (c[i] + k,) + c[i + 1 :]
+    found = [(_e(i, n), cartan[i], simples[i]) for i in range(n)]
+    seen = {c for c, _, _ in found}
+    for c, pair, vec in found:  # found grows as the loop runs: a breadth-first walk
+        for i, p in enumerate(pair):
+            if p < 0:
+                up = c[:i] + (c[i] - p,) + c[i + 1 :]
                 if up not in seen:
                     seen.add(up)
-                    found.append(up)
+                    step = _scale_vec(-p, cartan[i]), _scale_vec(-p, simples[i])
+                    found.append((up, _add(pair, step[0]), _add(vec, step[1])))
     return found
-
-
-def _combine(c, simples):
-    """The ambient vector sum_j c_j·simples[j]."""
-    return tuple(dot(c, row) for row in zip(*simples))
 
 
 @lru_cache(maxsize=None)
@@ -291,13 +257,12 @@ def _build_cached(family, rank):
     spec = RootSystemSpec(family, rank)
     dim, scale, simples = _simple_root_data(spec)
     cartan = _cartan_matrix(simples)
-    positive = _positive_coefficients(cartan)
+    positive = _positive_roots(cartan, simples)
     if family == "BC":
         # BC has the Cartan matrix of B; it adds twice each shortest root.
-        norms = [dot(v, v) for v in (_combine(c, simples) for c in positive)]
-        least = min(norms)
-        positive += [_scale_vec(2, c) for c, m in zip(positive, norms) if m == least]
-    return RootSystem(spec, dim, scale, simples, cartan, positive)
+        least = min(dot(v, v) for _, _, v in positive)
+        positive += [[_scale_vec(2, x) for x in r] for r in positive if dot(r[2], r[2]) == least]
+    return RootSystem(spec, dim, scale, cartan, positive)
 
 
 def build_root_system(spec):
@@ -327,6 +292,23 @@ def coxeter_matrix(rs):
         tuple(1 if i == j else PRODUCT_ORDER_TABLE[c[i][j] * c[j][i]] for j in range(rs.rank))
         for i in range(rs.rank)
     )
+
+
+@lru_cache(maxsize=None)
+def degrees(rs, nodes):
+    """The degrees of the parabolic subgroup of W(rs) at ``nodes`` (a tuple
+    of 1-based nodes), largest first; their product is its order.
+
+    The exponents d - 1 are the partition dual to the numbers of positive
+    roots at each height (Kostant, Amer. J. Math. 81, 1959), here of the
+    roots supported on ``nodes``; as the dual of a sum of partitions is
+    the union of their duals, the subgroup may be reducible.
+    """
+    rs = reduced_form(rs)
+    outside = [i for i in range(rs.rank) if i + 1 not in nodes]
+    coeffs = map(rs.coeffs.__getitem__, rs.positive_set)
+    per_height = Counter(sum(c) for c in coeffs if not any(map(c.__getitem__, outside)))
+    return tuple(1 + sum(k >= j for k in per_height.values()) for j in range(1, per_height[1] + 1))
 
 
 def nondivisible_core(rs):

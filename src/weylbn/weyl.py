@@ -19,11 +19,10 @@ independent inversion count on the root permutation.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import EnumerationCapExceeded
-from .fingrp import _closure
-from .rootsys import coxeter_matrix, dot, reduced_form
+from .rootsys import coxeter_matrix, degrees, dot, reduced_form
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -304,16 +303,10 @@ def format_word(word):
     return " ".join(str(x) for x in word)
 
 
-def all_elements(rs, cap=None):
-    """Every element of the Weyl group, by closure of the simple reflections.
-
-    Returns a dict mapping each permutation tuple to its length, its depth
-    in the breadth-first closure.  Intended for small groups; ``cap``
-    bounds the enumeration (GroupTooLarge past it) when given.
-    """
-    acts = [partial(compose, g) for g in rs.simple_refl_perms]
-    order, _, via = _closure(tuple(range(len(rs.roots))), acts, cap=cap)
-    depth = [0]
-    for _, s in via:
-        depth.append(depth[s] + 1)
-    return dict(zip(order, depth))
+def poincare_polynomial(rs):
+    """The length census of W, entry l the number of elements of length l:
+    the product of the 1 + q + ... + q^(d-1) over the degrees d (Humphreys 1990, §3.15)."""
+    poly = [1]
+    for d in degrees(rs, tuple(range(1, rs.rank + 1))):
+        poly = [sum(poly[max(0, k - d + 1) : k + 1]) for k in range(len(poly) + d - 1)]
+    return poly

@@ -1,17 +1,19 @@
-"""The J-dominant orbit walk of cosets against the hash-set breadth-first
-search it replaced: the same orbits, orbit sizes, double-coset counts and
-coset-distinctness verdicts.
+"""The J-dominant tree of cosets against the orbit walks it replaced: the
+same indices, double-coset counts, W'-orbit sizes and coset-distinctness
+verdicts.
 
-``_orbit`` and ``_orbit_partition_count`` are that search: the closure of
-a weight under simple reflections with a set of seen weights, and the
-number of orbits of a set of weights, found by exhausting it.
+``_walk`` walks the whole orbit W·ω_a along Stembridge's canonical-parent
+tree and counts its J-dominant weights on the way.  ``_orbit`` and
+``_orbit_partition_count`` are the hash-set breadth-first search that
+walk replaced: the closure of a weight under simple reflections with a set
+of seen weights, and the number of orbits of a set of weights, found by
+exhausting it.
 """
 
 import pytest
 
 from weylbn.cosets import (
     ParabolicChoice,
-    _walk,
     double_coset_count,
     double_coset_orbit_sizes,
     parabolic_orbit,
@@ -21,6 +23,51 @@ from weylbn.cosets import (
 from weylbn.errors import WitnessNotApplicable
 from weylbn.rootsys import build_root_system
 from weylbn.weyl import act_on_weight, descend, fundamental_weight
+
+
+def _walk(rs, start, nodes, a0=None, out=None):
+    """Walk the orbit of ``start`` under the reflections at ``nodes`` along
+    Stembridge's tree, with no set of seen weights; return (size, count).
+
+    ``start`` must be dominant at ``nodes`` (no negative coordinate there).
+    The canonical parent of any other weight v in the orbit is its
+    reflection at the least node j in ``nodes`` with v[j] < 0, which adds a
+    positive multiple of a simple root.  So v's children are the s_j v with
+    v[j] > 0 and no negative ``nodes`` coordinate before j; and as s_j
+    raises only the neighbours of j, a child at j past v's least negative
+    node fn needs j adjacent to fn.  With ``nodes`` all the nodes,
+    ``count`` is the number of weights whose only negative coordinate, if
+    any, is at the 0-based node ``a0``: ``start`` and the children at a0
+    with nothing negative after a0.
+    Each weight, a list not to be changed, is appended to ``out`` if given.
+    """
+    n = rs.rank
+    cartan = rs.cartan
+    js = sorted(node - 1 for node in nodes)
+    raise_by = [
+        tuple((k, -c) for k, c in enumerate(row) if c and k != j) for j, row in enumerate(cartan)
+    ]
+    before = {j: [i for i in js if i < j] for j in js}
+    stack = [(list(start), n)]
+    size = count = 1
+    while stack:
+        v, fn = stack.pop()
+        if out is not None:
+            out.append(v)
+        for j in js:
+            c = v[j]
+            if c <= 0 or (j > fn and not cartan[j][fn]):
+                continue
+            w = v.copy()
+            w[j] = -c
+            for k, e in raise_by[j]:
+                w[k] += c * e
+            if j < fn or all(w[i] >= 0 for i in before[j]):
+                stack.append((w, j))
+                size += 1
+                if j == a0 and min(w[j + 1 :], default=0) >= 0:
+                    count += 1
+    return size, count
 
 
 def _sparse_cartan_rows(rs):
@@ -104,6 +151,16 @@ def test_walk_matches_bfs(fam, rank, node):
     rep = double_coset_count(ch)
     assert (rep.quotient_size, rep.count) == (len(orbit), count)
     assert parabolic_orbit(ch) == orbit
+
+
+@pytest.mark.parametrize(
+    "fam,rank,node", [(f, r, n) for f, r in sweep_cases(8) for n in range(1, r + 1)]
+)
+def test_tree_matches_walk(fam, rank, node):
+    ch, core, nodes, _ = _setup(fam, rank, node)
+    rep = double_coset_count(ch)
+    walked = _walk(core, fundamental_weight(core, node), nodes, node - 1)
+    assert (rep.quotient_size, rep.count) == walked
 
 
 @pytest.mark.parametrize("fam,rank,node", [c for c in CHOICES if c[1] <= 4])

@@ -12,6 +12,7 @@ permutations, and double cosets by a two-sided closure.
 
 import pytest
 
+from test_weyl_oracle import all_elements, weyl_order
 from weylbn.cosets import ParabolicChoice, double_coset_count_naive, sweep_cases
 from weylbn.fingrp import (
     FiniteGroup,
@@ -34,7 +35,6 @@ from weylbn.fingrp import (
 )
 from weylbn.rootsys import build_root_system
 from weylbn.titssys import projective_rank1_system, psl3_f2_nonstandard_system
-from weylbn.weyl import all_elements
 
 
 def _generated(ops, gens):
@@ -271,21 +271,8 @@ def _naive_count_reference(choice, elements):
     return count
 
 
-def _weyl_order(family, rank):
-    fact = 1
-    for k in range(2, rank + 1):
-        fact *= k
-    if family == "A":
-        return fact * (rank + 1)
-    if family in ("B", "BC", "C"):
-        return 2**rank * fact
-    if family == "D":
-        return 2 ** (rank - 1) * fact
-    return {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840}.get((family, rank), 10**9)
-
-
 SMALL_TYPES = [("A", 1), ("B", 1), ("BC", 1), ("C", 1)] + [
-    t for t in sweep_cases(12) if _weyl_order(*t) <= 10**4
+    t for t in sweep_cases(12) if weyl_order(*t) <= 10**4
 ]
 
 
@@ -294,7 +281,7 @@ def test_weyl_enumeration_and_naive_count_match_frontier_search(fam, rank):
     rs = build_root_system((fam, rank))
     core = ParabolicChoice(rs, 1).core
     reference = _all_elements_reference(core)
-    assert len(reference) == _weyl_order(fam, rank)
+    assert len(reference) == weyl_order(fam, rank)
     assert all_elements(core) == reference
     for node in range(1, rank + 1):
         choice = ParabolicChoice(rs, node)

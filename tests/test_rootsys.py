@@ -76,6 +76,16 @@ def test_inadmissible_specs(bad):
         build_root_system(bad)
 
 
+def test_bool_rank_rejected():
+    # True == 1 and hash(True) == hash(1): a bool rank would share the cache
+    # entry of rank 1 and label it "ATrue".
+    with pytest.raises(InvalidSpec):
+        build_root_system(("A", True))
+    with pytest.raises(InvalidSpec):
+        RootSystemSpec("B", False)
+    assert build_root_system(("A", 1)).spec.label() == "A1"
+
+
 @pytest.mark.parametrize("fam,rank", ALL_TYPES)
 def test_negation_and_reflection_closure(fam, rank):
     rs = build_root_system((fam, rank))

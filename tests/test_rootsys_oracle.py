@@ -9,10 +9,13 @@ coordinate and the integrality of each root checked.
 The Coxeter matrix and the BC core, which rootsys reads off the Cartan
 construction, are checked against the root set itself: each m(i, j) as
 the order of the permutation s_i·s_j of the roots, and the core as the
-roots whose half is not a root.
+roots whose half is not a root.  The pairings and ambient vectors that the
+height-raising closure carries are checked against dot products, and the
+reflection permutations read from them against ambient reflections.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -21,9 +24,12 @@ from weylbn.errors import InvalidSpec, NonCrystallographicInput, NotNonReduced
 from weylbn.rootsys import (
     RootSystemSpec,
     _cartan_matrix,
+    _positive_roots,
     _simple_root_data,
     build_root_system,
     coxeter_matrix,
+    degrees,
+    dot,
     nondivisible_core,
     reduced_form,
     reflect_vector,
@@ -127,6 +133,26 @@ def test_integer_coefficients_match_fractions(fam, rank):
     assert rs.simple_refl_perms == perms
     assert rs.cartan == cartan
     assert rs.positive_set == {i for i, v in enumerate(roots) if min(coeffs[v]) >= 0}
+
+
+@pytest.mark.parametrize("fam,rank", TYPES)
+def test_carried_pairings_and_vectors_match_dot_products(fam, rank):
+    _, _, simples = _simple_root_data(RootSystemSpec(fam, rank))
+    cartan = _cartan_matrix(simples)
+    for c, pair, vec in _positive_roots(cartan, simples):
+        assert pair == tuple(dot(c, col) for col in zip(*cartan))
+        assert vec == tuple(dot(c, row) for row in zip(*simples))
+    rs = build_root_system((fam, rank))
+    assert rs.simple_refl_perms == tuple(
+        tuple(rs.root_index[reflect_vector(rs.simple_root(i), v)] for v in rs.roots)
+        for i in range(1, rank + 1)
+    )
+
+
+def test_orders_from_degrees():
+    for fam, rank, order in [("E", 8, 696_729_600), ("F", 4, 1_152)]:
+        rs = build_root_system((fam, rank))
+        assert prod(degrees(rs, tuple(range(1, rank + 1)))) == order
 
 
 def _coxeter_by_iteration(rs):

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from test_weyl_oracle import all_elements
 from weylbn.errors import EnumerationCapExceeded
 from weylbn.rootsys import build_root_system, coxeter_matrix
 from weylbn.weyl import (
     act_on_weight,
-    all_elements,
     canonical_reduced_word,
     element_of,
     format_word,

@@ -1,6 +1,7 @@
 """The weight descent walk of weyl against the root-permutation descents
 it replaced: the same reduced words, least reduced words and longest
-elements.
+elements.  And the length census that weyl reads off the degrees against
+the whole group, enumerated.
 
 ``_left_descents`` and the helpers after it are that code.  The left
 descents of w are the nodes s with w^-1(a_s) negative, read off the
@@ -9,21 +10,54 @@ memoized on root permutations; the least word takes the least descent at
 each step; and the longest element is a greedy ascent from the identity.
 """
 
+from collections import Counter
+from functools import partial
+from math import factorial, prod
+
 import pytest
 
 from weylbn.cosets import sweep_cases
-from weylbn.rootsys import build_root_system
+from weylbn.fingrp import _closure
+from weylbn.rootsys import build_root_system, degrees
 from weylbn.weyl import (
     WeylElement,
-    all_elements,
     canonical_reduced_word,
+    compose,
     identity_element,
     longest_element,
+    poincare_polynomial,
     reduced_words,
     simple_reflection,
 )
 
 SMALL = [("A", 3), ("B", 3), ("BC", 3), ("C", 3), ("D", 4), ("G", 2)]
+
+
+def all_elements(rs, cap=None):
+    """Every element of the Weyl group, by closure of the simple reflections.
+
+    Returns a dict mapping each permutation tuple to its length, its depth
+    in the breadth-first closure.  ``cap`` bounds the enumeration
+    (GroupTooLarge past it) when given.
+    """
+    acts = [partial(compose, g) for g in rs.simple_refl_perms]
+    order, _, via = _closure(tuple(range(len(rs.roots))), acts, cap=cap)
+    depth = [0]
+    for _, s in via:
+        depth.append(depth[s] + 1)
+    return dict(zip(order, depth))
+
+
+def weyl_order(family, rank):
+    """|W| by the classical formulas (10**9 stands for E7 and E8)."""
+    fact = factorial(rank)
+    if family == "A":
+        return fact * (rank + 1)
+    if family in ("B", "BC", "C"):
+        return 2**rank * fact
+    if family == "D":
+        return 2 ** (rank - 1) * fact
+    return {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840}.get((family, rank), 10**9)
 
 
 def _left_descents(w):
@@ -91,3 +125,19 @@ def test_longest_element_matches_greedy_ascent(fam, rank):
     w0 = longest_element(rs)
     assert w0 == _greedy_longest(rs)
     assert canonical_reduced_word(w0) == _canonical_word(w0)
+
+
+CENSUS_TYPES = [
+    t
+    for t in sorted(sweep_cases(12) + [("A", 1), ("B", 1), ("BC", 1), ("C", 1)])
+    if weyl_order(*t) <= 10**5
+]
+
+
+@pytest.mark.parametrize("fam,rank", CENSUS_TYPES, ids=[f"{f}{r}" for f, r in CENSUS_TYPES])
+def test_poincare_polynomial_matches_enumerated_census(fam, rank):
+    rs = build_root_system((fam, rank))
+    elements = all_elements(rs)
+    assert prod(degrees(rs, tuple(range(1, rank + 1)))) == len(elements) == weyl_order(fam, rank)
+    census = Counter(elements.values())
+    assert poincare_polynomial(rs) == [census[k] for k in range(max(census) + 1)]
