@@ -187,8 +187,8 @@ class RootSystem:
         if 2 * len(self.positive_set) != n_roots:
             raise InvalidSpec("positive roots are not half of all roots")
         for i in range(n_roots):
-            if self.neg_index[self.neg_index[i]] != i:
-                raise InvalidSpec("negation is not an involution on roots")
+            if self.roots[self.neg_index[i]] != _neg(self.roots[i]):
+                raise InvalidSpec("neg_index does not map a root to its negative")
             if (i in self.positive_set) == (self.neg_index[i] in self.positive_set):
                 raise InvalidSpec("a root and its negative have the same sign")
         for k, row in enumerate(self.cartan):
