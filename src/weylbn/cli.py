@@ -11,8 +11,10 @@ parse error.  Formats: text (default), json, csv.  The JSON format is
 byte-stable across runs (sorted keys, canonical case order, no
 timings); wall time is shown in the text format only.  All numbers are
 exact integers.  The environment variable WEYL_BN_MAX_GROUP, a
-positive integer, overrides the group-size cap of every bn system and
-suite: a system over it is refused, and ``report`` skips it with a note.
+positive integer at most ``fingrp.SL_ENUM_CAP`` (100000, the largest
+group the enumeration builds), overrides the group-size cap of every bn
+system and suite: a system over it is refused, and ``report`` skips it
+with a note.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ def _max_group():
         return titssys.DEFAULT_MAX_GROUP
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise UsageError(f"{MAX_GROUP_ENV} must be a positive integer, got {raw!r}")
+    if int(raw) > fingrp.SL_ENUM_CAP:
+        raise UsageError(f"{MAX_GROUP_ENV} must be at most {fingrp.SL_ENUM_CAP}, got {raw!r}")
     return int(raw)
 
 
@@ -280,7 +284,8 @@ def affine_case(q):
 
 
 def nonstandard_case():
-    c, flags = titssys.psl3_f2_nonstandard_system()
+    c = titssys.psl3_f2_nonstandard_system()
+    flags = titssys.classify(c)
     rep = titssys.check_axioms(c)
     fit = fingrp.fitting_subgroup(c.B)
     std = titssys.standard_sl_system(3, 2)
@@ -382,8 +387,7 @@ def _system_for(spec, max_group):
     if kind == "affine":
         return titssys.affine_rank1_system(spec[1])
     if kind == "psl3f2-nonstandard":
-        c, _ = titssys.psl3_f2_nonstandard_system()
-        return c
+        return titssys.psl3_f2_nonstandard_system()
     raise UsageError(f"unknown system spec {spec!r}")
 
 

@@ -18,7 +18,8 @@ tables of its generators, as the enumeration formed them, and the
 breadth-first tree that reached each element x_i = g_j * x_p from the
 identity; any right table follows that tree in one pass, since
 x_i * x = g_j * (x_p * x), and L_x = I o R_{x^-1} o I with I the inverse
-table.  The inverse table is read off the same tree: x_i = g_j * x_p
+table.  Greedy ``generators()`` keep their last closure as that tree.
+The inverse table is read off the same tree: x_i = g_j * x_p
 gives x_i^-1 = x_p^-1 * g_j^-1, one lookup in R_{g_j^-1}, so ``ops.inv``
 runs once per generator (and on a sample, as a check).  Cosets, double
 cosets and generated subgroups are then orbits of a few such tables,
@@ -26,10 +27,11 @@ found by ``orbits``.
 
 Conjugation is one helper, ``conjugate(G, g, xs)``: g x g^-1 is
 I(r(I(r(x)))) with r = R_{g^-1}.  Subgroup questions run on ``G.own``, the
-group as a root on its own elements (tables of |G| entries): normality,
-conjugacy classes and ``normal_closure`` (the orbit of the identity under
-right multiplication by seeds and conjugation), which builds commutator
-subgroups, the Fitting subgroup and the normal-subgroup lattice.
+group as a root on its own elements (tables of |G| entries, and the
+subgroup's generators): normality, conjugacy classes and
+``normal_closure`` (the orbit of the identity under right multiplication
+by seeds and conjugation), which builds commutator subgroups, the
+Fitting subgroup and the normal-subgroup lattice.
 
 SL_n(F_p) is enumerated by that breadth-first search with its
 generators, the transvections I + E_{i,i+-1}, acting as row operations
@@ -150,18 +152,13 @@ class FiniteGroup:
         set, which is how an element list that is not a group shows.
         """
         n = len(self.elements)
+        gens = self.generators()
         bfs, self._bfs = self._bfs, None
-        msg = f"{self.ops.label}: the generators' closure is not the element set"
-        try:
-            order, tables, via = bfs or _closure(
-                self.ops.identity, [partial(self.ops.mul, g) for g in self.generators()], cap=n
-            )
-        except GroupTooLarge:
-            raise ValueError(msg) from None
+        order, tables, via = bfs or self._close(gens)
         index = self.index
         pos = [index.get(x) for x in order]
         if len(pos) != n or None in pos:
-            raise ValueError(msg)
+            raise _not_closed(self.ops)
         left = []
         for tab in tables:
             perm = [0] * n
@@ -214,30 +211,41 @@ class FiniteGroup:
         if mul(e, self.elements[0]) != self.elements[0]:
             raise ValueError(f"{self.ops.label}: identity law fails")
 
+    def _close(self, gens):
+        """``_closure`` of ``gens``, refused (ValueError) as soon as it
+        outgrows the element list."""
+        acts = [partial(self.ops.mul, g) for g in gens]
+        try:
+            return _closure(self.ops.identity, acts, cap=len(self.elements))
+        except GroupTooLarge:
+            raise _not_closed(self.ops) from None
+
     def generators(self):
-        """A small generating set (greedy; cached)."""
-        if self._gens is None:
-            gens = []
-            current = {self.ops.identity}
+        """A small generating set (cached): a subgroup's are those of its
+        ``own``.  A root takes, in sorted order, each element its closure
+        has not reached yet, and keeps the last closure as its BFS tree."""
+        if self._gens is None and self.root is not self:
+            self._gens = self.own.generators()
+        elif self._gens is None:
+            gens, reached = [], {self.ops.identity}
             for x in self.elements:
-                if x not in current:
+                if x not in reached:
                     gens.append(x)
-                    current = set(closure(self.ops, gens))
-                    if len(current) == self.order:
-                        break
+                    self._bfs = self._close(gens)
+                    reached = set(self._bfs[0])
             self._gens = tuple(gens)
         return self._gens
 
-    def subgroup(self, elements, gens=None):
-        return FiniteGroup(self.ops, elements, gens=gens, check=False, root=self.root)
+    def subgroup(self, elements):
+        return FiniteGroup(self.ops, elements, check=False, root=self.root)
 
     @cached_property
     def own(self):
         """This group on its own index: itself if a root, else a root on
-        its elements and ``generators()``, with tables of |self| entries."""
+        its elements, with tables of |self| entries."""
         if self.root is self:
             return self
-        return FiniteGroup(self.ops, self.elements, gens=self.generators(), check=False)
+        return FiniteGroup(self.ops, self.elements, check=False)
 
     def is_subgroup_of(self, other):
         return self.ops is other.ops and self.elemset <= other.elemset
@@ -283,6 +291,10 @@ def left_coset_reps(G, K, seeds=None):
         for i in orb:
             rep_of[i] = r
     return rep_of
+
+
+def _not_closed(ops):
+    return ValueError(f"{ops.label}: the generators' closure is not the element set")
 
 
 def _closure(identity, acts, cap=None):

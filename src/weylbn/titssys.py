@@ -21,7 +21,10 @@ some normal U inside Fit(B).
 The weakly-split test uses only the Fitting subgroup because in a finite
 group every nilpotent normal subgroup U of B lies inside Fit(B); so if
 B = HU for some such U then B = H·Fit(B), and conversely Fit(B) itself
-is a nilpotent normal witness.
+is a nilpotent normal witness.  Both flags are read off group orders:
+for U normal in B, H·U is a subgroup of order |H|·|U| / |H ∩ U|, so
+B = H·U exactly when |H|·|U| = |B|·|H ∩ U|.  Only the oracle
+``weakly_split_bruteforce`` forms the products.
 
 Candidates are immutable once built, and their derived data is cached
 on them.
@@ -62,6 +65,7 @@ from .fingrp import (
     stabilizer,
     upper_triangular_subgroup,
 )
+from .weyl import invert
 
 DEFAULT_MAX_GROUP = 21000
 
@@ -150,13 +154,6 @@ def derive_weyl(c):
     """
     d = _derived(c)
     return d.H, d.reps
-
-
-def _inverse_perm(perm):
-    back = [0] * len(perm)
-    for i, j in enumerate(perm):
-        back[j] = i
-    return back
 
 
 class _Derived:
@@ -260,7 +257,7 @@ class _Derived:
         """
         at = {w: i for i, w in enumerate(self.reps)}
         perms = [[at[self.wmul(s, w)] for w in self.reps] for s in self.s_reps]
-        back = [_inverse_perm(p) for p in perms]
+        back = [invert(p) for p in perms]
         e = at[self.identity_rep]
         lengths = {e: 0}
         words = {e: ()}
@@ -343,12 +340,6 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
         1 for coset in orbits(d.b_right, size, c.G.indices) if len({right[i] for i in coset}) == 1
     ) == 1
 
-    cells = {}
-    if bruhat and s_generates:  # every class has a word to name its cell
-        for w in d.reps:
-            key = " ".join(str(x) for x in d.words[w])
-            cells[key] = d.cell_size[w]
-
     return TitsReport(
         t1_generates=t1,
         t2_holds=t2,
@@ -359,7 +350,7 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
         normalizer_is_b=normalizer,
         weyl_order=len(d.reps),
         s_set=tuple(c.G.ops.fmt(s) for s in d.s_reps),
-        cells=cells,
+        cells=bruhat_cells(c) if bruhat and s_generates else {},
     )
 
 
@@ -433,6 +424,13 @@ def intersection_identity_check(c):
     return d.b_conjugates_meet == set(d.H.indices) == set(c.B.indices) & d.b_conjugates[w0]
 
 
+def _meet_if_hu_is_b(H, U, B):
+    """|H ∩ U| if H·U = B, else 0, for H ≤ B and U normal in B: read off
+    the orders, as the module docstring says, with no product formed."""
+    meet = len(H.elemset & U.elemset)
+    return meet if H.order * U.order == B.order * meet else 0
+
+
 def classify(c):
     """Saturated / weakly-split / split flags with a splitting witness.
 
@@ -441,34 +439,16 @@ def classify(c):
     nilpotent, so each candidate that complements H is a valid witness.
     """
     d = _derived(c)
-    mul = c.G.ops.mul
-    hset = d.H.elemset
     saturated = d.b_conjugates_meet == set(d.H.indices)
-
     fit = fitting_subgroup(c.B)
-    product = {mul(h, u) for h in d.H.elements for u in fit.elements}
-    weakly = product == c.B.elemset
-
-    split = False
-    witness = None
-    if saturated and weakly:
-        if len(hset & fit.elemset) == 1:
-            split = True
-            witness = fit
-        else:
-            for U in sorted(
-                normal_subgroups(c.B), key=lambda u: -u.order
-            ):
-                if not U.elemset <= fit.elemset:
-                    continue
-                if len(hset & U.elemset) != 1:
-                    continue
-                prod = {mul(h, u) for h in d.H.elements for u in U.elements}
-                if prod == c.B.elemset:
-                    split = True
-                    witness = U
-                    break
-    return ClassificationFlags(saturated=saturated, weakly_split=weakly, split=split, witness_u=witness)
+    meet = _meet_if_hu_is_b(d.H, fit, c.B)
+    witness = fit if saturated and meet == 1 else None
+    if saturated and meet > 1:
+        lattice = sorted(normal_subgroups(c.B), key=lambda u: -u.order)
+        below = [U for U in lattice if U.elemset <= fit.elemset]
+        witness = next((U for U in below if _meet_if_hu_is_b(d.H, U, c.B) == 1), None)
+    weakly, split = meet > 0, witness is not None
+    return ClassificationFlags(saturated, weakly, split, witness)
 
 
 def weakly_split_bruteforce(c):
@@ -565,8 +545,8 @@ def psl3_f2_nonstandard_system():
     """A rank-1 system in PSL_3(F_2) on 8 points whose B has order 21.
 
     B is the normalizer of a Sylow 7-subgroup (its order 21 is checked).
-    Takes the coset action on its 8 cosets, checks 2-transitivity, builds
-    the rank-1 system, and classifies it.
+    Takes the coset action on its 8 cosets, checks 2-transitivity, and
+    builds the rank-1 system.
     """
     G = central_quotient(special_linear_group(3, 2))
     seed7 = next(
@@ -586,8 +566,7 @@ def psl3_f2_nonstandard_system():
     xp = next(pt for pt in action.points if pt != x)
     c = rank1_from_2transitive(action, x, xp)
     c.label = "psl3f2-nonstandard"
-    flags = classify(c)
-    return c, flags
+    return c
 
 
 def cell_size_formula_check(n, p):

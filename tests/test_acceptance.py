@@ -274,7 +274,8 @@ def test_criterion_10_rank1_constructions():
 
 
 def test_criterion_11_nonstandard_counterexample():
-    c, flags = psl3_f2_nonstandard_system()
+    c = psl3_f2_nonstandard_system()
+    flags = classify(c)
     rep = check_axioms(c)
     fit = fitting_subgroup(c.B)
     std = standard_sl_system(3, 2)
@@ -305,7 +306,7 @@ def test_criterion_12_classifier_sanity():
     ok = True
     systems = [standard_sl_system(n, p) for n, p in STANDARD_SYSTEMS]
     systems += [affine_rank1_system(q) for q in (3, 5, 7)]
-    systems += [projective_rank1_system(3, 2), psl3_f2_nonstandard_system()[0]]
+    systems += [projective_rank1_system(3, 2), psl3_f2_nonstandard_system()]
     for c in systems:
         flags = classify(c)
         if flags.split:

@@ -156,6 +156,17 @@ def test_cap_must_be_a_positive_integer(capsys, monkeypatch, value, argv):
     assert err == f"error: WEYL_BN_MAX_GROUP must be a positive integer, got {value!r}\n"
 
 
+def test_cap_is_at_most_the_enumeration_bound(capsys, monkeypatch):
+    # No group over 100000 is ever enumerated, so a larger cap is refused
+    # rather than silently lowered.
+    monkeypatch.setenv("WEYL_BN_MAX_GROUP", "100001")
+    code, out, err = run(capsys, ["bn", "--sl", "2", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: WEYL_BN_MAX_GROUP must be at most 100000, got '100001'\n"
+    monkeypatch.setenv("WEYL_BN_MAX_GROUP", "100000")
+    assert run(capsys, ["bn", "--sl", "2", "2"])[0] == 0
+
+
 def test_report_cap_applies_to_every_bn_suite(capsys, monkeypatch):
     monkeypatch.setenv("WEYL_BN_MAX_GROUP", "100")
     code, out, _ = run(capsys, ["report", "--all", "--max-rank", "2"])
@@ -206,6 +217,18 @@ def test_bn_sl33_json_golden(capsys):
     assert (
         hashlib.sha256(out.encode()).hexdigest()
         == "f545bbdd8891f1d72dcf4dd45c2a801bcc967e3c429468ac81dbb6c959f4d7ab"
+    )
+
+
+def test_bn_sl42_json_golden(capsys):
+    # SL4(F2), order 20160: the largest group of the golden outputs.
+    import hashlib
+
+    code, out, _ = run(capsys, ["bn", "--sl", "4", "2", "--format", "json"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "4f3be832eec1ba88223c7eeb268f3ad2d337d6d5264dc36a0375c82a95707bbd"
     )
 
 

@@ -278,6 +278,27 @@ def test_subgroup_questions_make_no_products_once_tables_exist():
     assert closed.elemset == G.elemset and normal == (False, True)
 
 
+def test_own_makes_no_products_once_generators_ran(monkeypatch):
+    # The greedy generators of a subgroup close its own root once, and that
+    # closure is the BFS tree its tables are read from.
+    import weylbn.fingrp as fingrp
+
+    G = special_linear_group(3, 3)
+    B = G.subgroup(upper_triangular_subgroup(G).elements)
+    gens = B.generators()
+    calls = [0]
+
+    def counted(a, b, p):
+        calls[0] += 1
+        return mat_mul(a, b, p)
+
+    monkeypatch.setattr(fingrp, "mat_mul", counted)
+    own = B.own
+    tables = own.inv_table, [own.right_table(g) for g in gens], conjugacy_classes(B)
+    assert calls[0] == 0
+    assert own.generators() == gens and len(tables[0]) == B.order
+
+
 def test_projective_actions():
     act = projective_space_action(2, 2)
     assert len(act.points) == 7
@@ -444,6 +465,23 @@ def test_generators_reaching_part_of_the_elements_raise_value_error():
     G = special_linear_group(2, 3)
     with pytest.raises(ValueError, match="closure is not the element set"):
         FiniteGroup(G.ops, G.elements, gens=[G.generators()[0]])
+
+
+def test_non_closed_element_list_is_refused_before_it_is_enumerated():
+    # The identity and the four generating transvections of SL3(F3): their
+    # closure is the whole group, but the greedy stops once it has more
+    # elements than the list.
+    calls = [0]
+    ops = matrix_ops(3, 3)
+
+    def mul(a, b):
+        calls[0] += 1
+        return ops.mul(a, b)
+
+    gens = _sl_generators(3, 3)[0]
+    with pytest.raises(ValueError, match="closure is not the element set"):
+        FiniteGroup(dataclasses.replace(ops, mul=mul), [ops.identity] + gens)
+    assert calls[0] < 100
 
 
 def test_spot_check_compares_inverses_with_ops_inv():

@@ -222,7 +222,7 @@ ACTIONS = {
     "c4-one-point": _c4_on_one_point,
     "sl-3-2-on-flags": lambda: coset_action(special_linear_group(3, 2), _borel(3, 2)),
     "projective-3-2-cosets": lambda: _coset_action_of(lambda: projective_rank1_system(3, 2)),
-    "psl3f2-nonstandard-cosets": lambda: _coset_action_of(lambda: psl3_f2_nonstandard_system()[0]),
+    "psl3f2-nonstandard-cosets": lambda: _coset_action_of(psl3_f2_nonstandard_system),
 }
 
 

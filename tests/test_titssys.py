@@ -184,7 +184,8 @@ def test_rank1_round_trip_same_cells():
 
 
 def test_psl3f2_nonstandard():
-    c, flags = psl3_f2_nonstandard_system()
+    c = psl3_f2_nonstandard_system()
+    flags = classify(c)
     assert c.B.order == 21
     assert c.G.order == 168 and c.G.order // c.B.order == 8
     rep = check_axioms(c)

@@ -4,10 +4,16 @@ replaced: the same cells, T1, normalizer check, S, lengths and words.
 ``Reference`` multiplies group elements as tuples, element by element:
 cosets by sorting nH, double cosets as {b·w·b'}, T1 as a breadth-first
 closure, the normalizer by conjugating B's generators with every g.
+``classify``, which reads its flags off group orders, is checked against
+``weakly_split_bruteforce`` and the product set of its witness.
 """
+
+from functools import partial
 
 import pytest
 
+import weylbn.fingrp as fingrp
+import weylbn.titssys as titssys
 from weylbn.fingrp import (
     monomial_subgroup,
     special_linear_group,
@@ -19,12 +25,15 @@ from weylbn.titssys import (
     _derived,
     affine_rank1_system,
     check_axioms,
+    classify,
     derive_weyl,
     find_S,
     projective_rank1_system,
     psl3_f2_nonstandard_system,
+    sl_rank1_column_system,
     standard_sl_system,
     star_property_check,
+    weakly_split_bruteforce,
 )
 
 
@@ -153,7 +162,7 @@ SYSTEMS = {
     "sl-3-3": lambda: standard_sl_system(3, 3),
     "affine-5": lambda: affine_rank1_system(5),
     "projective-3-2": lambda: projective_rank1_system(3, 2),
-    "psl3f2-nonstandard": lambda: psl3_f2_nonstandard_system()[0],
+    "psl3f2-nonstandard": psl3_f2_nonstandard_system,
     "sl-2-3-unipotent": _unipotent_monomial_sl23,
     "sl-3-2-bb": _b_b_sl32,
 }
@@ -187,3 +196,54 @@ def test_index_core_matches_tuple_reference(name):
         assert not rep.t2_holds
     else:
         assert star_property_check(c) == ref.star
+
+
+# Every system the tests build that classify runs on.
+CLASSIFIED = {
+    **{
+        f"sl-{n}-{p}": partial(standard_sl_system, n, p)
+        for n, p in [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]
+    },
+    **{f"column-{n}-{p}": partial(sl_rank1_column_system, n, p) for n, p in [(2, 2), (2, 3), (3, 2)]},
+    **{
+        f"projective-{n}-{p}": partial(projective_rank1_system, n, p)
+        for n, p in [(2, 3), (2, 5), (2, 7), (3, 2)]
+    },
+    **{f"affine-{q}": partial(affine_rank1_system, q) for q in (3, 5, 7)},
+    "psl3f2-nonstandard": psl3_f2_nonstandard_system,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+def test_classify_orders_match_products(name):
+    c = CLASSIFIED[name]()
+    flags = classify(c)
+    assert flags.weakly_split == weakly_split_bruteforce(c)
+    assert flags.split == (flags.witness_u is not None)
+    if flags.split:
+        H, U, mul = _derived(c).H, flags.witness_u, c.G.ops.mul
+        assert H.elemset & U.elemset == {c.G.identity}
+        assert {mul(h, u) for h in H.elements for u in U.elements} == c.B.elemset
+
+
+@pytest.mark.parametrize("name", ["sl-3-3", "sl-2-5"])
+def test_classify_multiplies_no_group_elements(name, monkeypatch):
+    # Given Fit(B), whose nilpotency check closes new subgroups, classify
+    # reads orders and intersections only: on SL3(F3) Fit(B) is the witness,
+    # on SL2(F5) the normal-subgroup lattice is searched.  The brute-force
+    # oracle forms the products H·U.
+    c = CLASSIFIED[name]()
+    fit = fingrp.fitting_subgroup(c.B)
+    monkeypatch.setattr(titssys, "fitting_subgroup", lambda B: fit)
+    classify(c)
+    calls = [0]
+    mat_mul = fingrp.mat_mul
+
+    def counted(a, b, p):
+        calls[0] += 1
+        return mat_mul(a, b, p)
+
+    monkeypatch.setattr(fingrp, "mat_mul", counted)
+    assert classify(c).split
+    assert calls[0] == 0
+    assert weakly_split_bruteforce(c) and calls[0] > 0
