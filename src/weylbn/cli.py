@@ -478,7 +478,8 @@ def cmd_lemma2(args):
     families = set(args.family) if args.family else None
     cases = lemma2_cases(args.max_rank, families)
     if not cases:
-        raise UsageError("no families selected")
+        chosen = " or ".join(sorted(families))
+        raise UsageError(f"no type of family {chosen} has rank <= {args.max_rank}")
     result = run_suite("lemma2", cases)
     emit_suite(result, args.format, sys.stdout)
     return _exit_code([result])

@@ -8,30 +8,28 @@ and inversion oracles; subgroups are FiniteGroups sharing the same
 oracles, so set operations on elements are meaningful across them.
 Groups are immutable after construction and safe to share.
 
-Integer index.  A group that is not a subgroup is its own *root*: its
-elements, sorted, are numbered 0..n-1, so the least element has the
-least index.  A subgroup keeps its root and is the set of its members'
-root indices.  Multiplication by a fixed element is then a permutation
-of range(n), stored as a list: the left table L_x (i -> index of x*x_i)
-and the right table R_x (i -> index of x_i*x).  The root keeps the left
-tables of its generators, as the enumeration formed them, and the
-breadth-first tree that reached each element x_i = g_j * x_p from the
-identity; any right table follows that tree in one pass, since
-x_i * x = g_j * (x_p * x), and L_x = I o R_{x^-1} o I with I the inverse
-table.  Greedy ``generators()`` keep their last closure as that tree.
-The inverse table is read off the same tree: x_i = g_j * x_p
-gives x_i^-1 = x_p^-1 * g_j^-1, one lookup in R_{g_j^-1}, so ``ops.inv``
-runs once per generator (and on a sample, as a check).  Cosets, double
-cosets and generated subgroups are then orbits of a few such tables,
-found by ``orbits``.
+Integer index.  Every group, subgroups included, numbers its own sorted
+elements 0..n-1, so the least element has the least index, and
+``G.indices(H)`` gives G's indices of the elements of a subgroup H.
+Multiplication by a fixed element is then a permutation of range(n),
+stored as a list: the left table L_x (i -> index of x*x_i) and the right
+table R_x (i -> index of x_i*x).  A group keeps the left tables of its
+generators, as the enumeration or the greedy ``generators()`` formed
+them, and the breadth-first tree that reached each element
+x_i = g_j * x_p from the identity; any right table follows that tree in
+one pass, since x_i * x = g_j * (x_p * x), and L_x = I o R_{x^-1} o I
+with I the inverse table.  The inverse table is read off the same tree:
+x_i = g_j * x_p gives x_i^-1 = x_p^-1 * g_j^-1, one lookup in
+R_{g_j^-1}, so ``ops.inv`` runs once per generator (and on a sample, as
+a check).  Cosets, double cosets and generated subgroups are then orbits
+of a few such tables, found by ``orbits``.
 
 Conjugation is one helper, ``conjugate(G, g, xs)``: g x g^-1 is
-I(r(I(r(x)))) with r = R_{g^-1}.  Subgroup questions run on ``G.own``, the
-group as a root on its own elements (tables of |G| entries, and the
-subgroup's generators): normality, conjugacy classes and
-``normal_closure`` (the orbit of the identity under right multiplication
-by seeds and conjugation), which builds commutator subgroups, the
-Fitting subgroup and the normal-subgroup lattice.
+I(r(I(r(x)))) with r = R_{g^-1}.  A question about a subgroup runs on
+that subgroup's own tables, of |H| entries: normality, conjugacy classes
+and ``normal_closure`` (the orbit of the identity under right
+multiplication by seeds and conjugation), which builds commutator
+subgroups, the Fitting subgroup and the normal-subgroup lattice.
 
 SL_n(F_p) is enumerated by that breadth-first search with its
 generators, the transvections I + E_{i,i+-1}, acting as row operations
@@ -68,19 +66,18 @@ class GroupOps:
 
 
 class FiniteGroup:
-    """An explicit finite group (or subgroup) over shared GroupOps.
+    """An explicit finite group over shared GroupOps, indexed by its own
+    sorted elements.
 
-    ``root`` is the group whose index this one uses (itself unless made
-    by ``subgroup``); ``bfs`` is an enumeration's ``_closure`` result over
-    ``gens``, kept so the root need not multiply again for its tables.
+    ``bfs`` is an enumeration's ``_closure`` result over ``gens``, kept so
+    the group need not multiply again for its tables.
     """
 
-    def __init__(self, ops, elements, gens=None, check=True, root=None, bfs=None):
+    def __init__(self, ops, elements, gens=None, check=True, bfs=None):
         self.ops = ops
         self.elements = tuple(sorted(elements))
         self.elemset = frozenset(self.elements)
         self._gens = tuple(dict.fromkeys(gens)) if gens is not None else None
-        self.root = self if root is None else root
         self._bfs = bfs
         if check:
             self._spot_check()
@@ -111,24 +108,19 @@ class FiniteGroup:
 
     @cached_property
     def index(self):
-        """Root index of every root element."""
-        if self.root is not self:
-            return self.root.index
+        """The index of every element."""
         return {x: i for i, x in enumerate(self.elements)}
 
-    @cached_property
-    def indices(self):
-        """Root indices of this group's elements, ascending."""
+    def indices(self, H):
+        """This group's indices of the elements of its subgroup H, ascending."""
         index = self.index
-        return tuple(index[x] for x in self.elements)
+        return [index[x] for x in H.elements]
 
     @cached_property
     def inv_table(self):
-        """Root index of each root element's inverse, read off the BFS tree:
+        """The index of each element's inverse, read off the BFS tree:
         x_i = g_j * x_p gives x_i^-1 = x_p^-1 * g_j^-1, a lookup in the
         right table of g_j^-1."""
-        if self.root is not self:
-            return self.root.inv_table
         steps = self._core[1]
         right = [self.right_table(self.ops.inv(g)) for g in self.generators()]
         table = [0] * len(self.elements)
@@ -139,14 +131,13 @@ class FiniteGroup:
         return table
 
     def inverse(self, x):
-        """x^-1, read from the root's inverse table."""
-        root = self.root
-        return root.elements[root.inv_table[root.index[x]]]
+        """x^-1, read from the inverse table."""
+        return self.elements[self.inv_table[self.index[x]]]
 
     @cached_property
     def _core(self):
-        """Root only: (left tables of the generators, BFS steps (i, j, p))
-        in root indices, each step meaning x_i = gens[j] * x_p.
+        """(left tables of the generators, BFS steps (i, j, p)), each step
+        meaning x_i = gens[j] * x_p.
 
         Raises ValueError unless the generators' closure is the element
         set, which is how an element list that is not a group shows.
@@ -169,18 +160,17 @@ class FiniteGroup:
         return left, steps
 
     def right_table(self, x):
-        """R_x over the root index: i -> index of x_i * x."""
-        root = self.root
-        left, steps = root._core
-        table = [0] * len(root.elements)
-        table[root.index[root.ops.identity]] = root.index[x]
+        """R_x: i -> index of x_i * x."""
+        left, steps = self._core
+        table = [0] * len(self.elements)
+        table[self.index[self.ops.identity]] = self.index[x]
         for i, j, p in steps:
             table[i] = left[j][table[p]]
         return table
 
     def left_table(self, x):
-        """L_x over the root index: i -> index of x * x_i."""
-        inv = self.root.inv_table
+        """L_x: i -> index of x * x_i."""
+        inv = self.inv_table
         r = self.right_table(self.inverse(x))
         return [inv[r[j]] for j in inv]
 
@@ -221,12 +211,10 @@ class FiniteGroup:
             raise _not_closed(self.ops) from None
 
     def generators(self):
-        """A small generating set (cached): a subgroup's are those of its
-        ``own``.  A root takes, in sorted order, each element its closure
-        has not reached yet, and keeps the last closure as its BFS tree."""
-        if self._gens is None and self.root is not self:
-            self._gens = self.own.generators()
-        elif self._gens is None:
+        """A small generating set (cached): in sorted order, each element
+        the closure of the earlier ones has not reached yet.  The last
+        closure is kept as the BFS tree."""
+        if self._gens is None:
             gens, reached = [], {self.ops.identity}
             for x in self.elements:
                 if x not in reached:
@@ -237,15 +225,7 @@ class FiniteGroup:
         return self._gens
 
     def subgroup(self, elements):
-        return FiniteGroup(self.ops, elements, check=False, root=self.root)
-
-    @cached_property
-    def own(self):
-        """This group on its own index: itself if a root, else a root on
-        its elements, with tables of |self| entries."""
-        if self.root is self:
-            return self
-        return FiniteGroup(self.ops, self.elements, check=False)
+        return FiniteGroup(self.ops, elements, check=False)
 
     def is_subgroup_of(self, other):
         return self.ops is other.ops and self.elemset <= other.elemset
@@ -280,13 +260,13 @@ def orbits(perms, size, seeds=None):
 def left_coset_reps(G, K, seeds=None):
     """Left cosets xK of the subgroup K, each named by its least member.
 
-    Maps the root index of every element of the cosets through ``seeds``
-    (root indices; default every element of G) to the root index of its
-    coset's least member.
+    Maps the index in G of every element of the cosets through ``seeds``
+    (indices in G; default every element of G) to the index of its coset's
+    least member.
     """
     perms = [G.right_table(k) for k in K.generators()]
     rep_of = {}
-    for orb in orbits(perms, len(G.root.elements), G.indices if seeds is None else seeds):
+    for orb in orbits(perms, G.order, seeds):
         r = min(orb)
         for i in orb:
             rep_of[i] = r
@@ -324,27 +304,11 @@ def _closure(identity, acts, cap=None):
     return order, tables, via
 
 
-def closure(ops, gens, cap=None):
-    """BFS closure of ``gens`` under multiplication; sorted element tuple."""
-    acts = [partial(ops.mul, g) for g in dict.fromkeys(gens)]
-    return tuple(sorted(_closure(ops.identity, acts, cap)[0]))
-
-
-def element_order(ops, x):
-    e = ops.identity
-    cur = x
-    n = 1
-    while cur != e:
-        cur = ops.mul(cur, x)
-        n += 1
-    return n
-
-
 def conjugate(G, g, xs):
-    """Root indices of g x g^-1 for the root indices ``xs``.  With
+    """The indices of g x g^-1 for the indices ``xs``, all in G.  With
     r = R_{g^-1} and I the inverse table, I(r(x)) = g x^-1, so
     I(r(I(r(x)))) = g x g^-1: one pass over the BFS tree, then lookups."""
-    inv = G.root.inv_table
+    inv = G.inv_table
     r = G.right_table(G.inverse(g))
     return [inv[r[inv[r[x]]]] for x in xs]
 
@@ -355,22 +319,20 @@ def is_normal(H, G):
     them."""
     if not H.is_subgroup_of(G):
         return False
-    own = G.own
-    hgens = [own.index[h] for h in H.generators()]
-    return all(own.elements[i] in H for g in own.generators() for i in conjugate(own, g, hgens))
+    hgens = [G.index[h] for h in H.generators()]
+    return all(G.elements[i] in H for g in G.generators() for i in conjugate(G, g, hgens))
 
 
 def conjugacy_classes(G):
     """Conjugacy classes, each a frozenset, in a deterministic order: the
-    orbits of the conjugation tables of G's generators on G's own index."""
-    own = G.own
-    perms = [conjugate(own, g, own.indices) for g in own.generators()]
-    return [frozenset(own.elements[i] for i in orb) for orb in orbits(perms, own.order)]
+    orbits of the conjugation tables of G's generators."""
+    perms = [conjugate(G, g, range(G.order)) for g in G.generators()]
+    return [frozenset(G.elements[i] for i in orb) for orb in orbits(perms, G.order)]
 
 
 def normal_closure(G, seeds, conj_gens):
     """The least subgroup of G that contains ``seeds`` and is normalized by
-    ``conj_gens``: on G's own index, the orbit of the identity under right
+    ``conj_gens``: on G's index, the orbit of the identity under right
     multiplication by each seed and conjugation by each of ``conj_gens``.
 
     The orbit K is that subgroup.  K is finite and closed under
@@ -381,11 +343,10 @@ def normal_closure(G, seeds, conj_gens):
     multiplication by every conjugate of a seed, so it holds the subgroup
     they generate, which is the least one wanted and contains K.
     """
-    own = G.own
-    perms = [own.right_table(s) for s in dict.fromkeys(seeds)]
-    perms += [conjugate(own, g, own.indices) for g in dict.fromkeys(conj_gens)]
-    orb = orbits(perms, own.order, [own.index[own.identity]])[0]
-    return G.subgroup([own.elements[i] for i in orb])
+    perms = [G.right_table(s) for s in dict.fromkeys(seeds)]
+    perms += [conjugate(G, g, range(G.order)) for g in dict.fromkeys(conj_gens)]
+    orb = orbits(perms, G.order, [G.index[G.identity]])[0]
+    return G.subgroup([G.elements[i] for i in orb])
 
 
 def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
@@ -419,13 +380,12 @@ def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
 
 def commutator_subgroup(G, H, L):
     """[H, L] inside G: the normal closure of the commutators of H's and
-    L's generators under conjugation by both generating sets.  On G's own
+    L's generators under conjugation by both generating sets.  On G's
     index, [h, l] = (h l h^-1) l^-1 is a conjugate looked up in R_{l^-1}."""
-    own = G.own
     hgens, lgens = H.generators(), L.generators()
-    ls = [own.index[l] for l in lgens]
-    right = [own.right_table(own.inverse(l)) for l in lgens]
-    seeds = [own.elements[r[c]] for h in hgens for r, c in zip(right, conjugate(own, h, ls))]
+    ls = [G.index[l] for l in lgens]
+    right = [G.right_table(G.inverse(l)) for l in lgens]
+    seeds = [G.elements[r[c]] for h in hgens for r, c in zip(right, conjugate(G, h, ls))]
     return normal_closure(G, seeds, hgens + lgens)
 
 
@@ -608,7 +568,7 @@ def _sl_generators(n, p):
     return [act(mat_identity(n)) for act in acts], acts
 
 
-def special_linear_group(n, p, cap=SL_ENUM_CAP):
+def special_linear_group(n, p):
     """SL_n(F_p), fully enumerated from the elementary transvections
     I + E_{i,i+1} and I + E_{i+1,i}.  They generate it: the other
     I + E_ij are commutators of these, and p is prime.
@@ -621,15 +581,15 @@ def special_linear_group(n, p, cap=SL_ENUM_CAP):
     Instances are cached per (n, p); they are immutable and shared.
     """
     got = _sl_cache.get((n, p))
-    if got is not None and sl_order(n, p) <= cap:
+    if got is not None:
         return got
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     expected = sl_order(n, p)
-    if expected > cap:
-        raise GroupTooLarge(f"|SL_{n}(F_{p})| = {expected} exceeds cap {cap}")
+    if expected > SL_ENUM_CAP:
+        raise GroupTooLarge(f"|SL_{n}(F_{p})| = {expected} exceeds cap {SL_ENUM_CAP}")
     gens, acts = _sl_generators(n, p)
-    bfs = _closure(mat_identity(n), acts, cap=cap + 1)
+    bfs = _closure(mat_identity(n), acts, cap=SL_ENUM_CAP + 1)
     elements = bfs[0]
     if len(elements) != expected:
         raise AssertionError(
@@ -759,7 +719,7 @@ def coset_action(G, B):
     Each coset is named by its least element.
     """
     mul = G.ops.mul
-    els = G.root.elements
+    els = G.elements
     rep_of = {els[i]: els[r] for i, r in left_coset_reps(G, B).items()}
 
     def apply(g, r):

@@ -49,15 +49,14 @@ from .fingrp import (
     FiniteGroup,
     _shaped_members,
     central_quotient,
-    closure,
     conjugate,
     coset_action,
-    element_order,
     fitting_subgroup,
     is_2transitive,
     is_normal,
     left_coset_reps,
     monomial_subgroup,
+    normal_closure,
     normal_subgroups,
     orbits,
     setwise_stabilizer,
@@ -160,21 +159,20 @@ class _Derived:
     """Everything the checks share: Weyl quotient, S, lengths, cells, and
     the conjugates of B by the Weyl representatives.
 
-    Group elements are handled by their root index in G (see fingrp):
+    Group elements are handled by their index in G (see fingrp):
     left and right multiplication by the generators of B and by S are
     index tables, cells and cosets are orbits of them.
     """
 
     def __init__(self, c):
         G, B = c.G, c.B
-        root = G.root
         self.G, self.B = G, B
-        self.mul, self.els, self.index = G.ops.mul, root.elements, root.index
-        # H = B ∩ N; rep_of: the root index of n in N -> that of min(nH).
+        self.mul, self.els, self.index = G.ops.mul, G.elements, G.index
+        # H = B ∩ N; rep_of: the index of n in N -> that of min(nH).
         self.H = G.subgroup(B.elemset & c.N.elemset)
         if not is_normal(self.H, c.N):
             raise HNotNormal("B ∩ N is not normal in N")
-        self.rep_of = left_coset_reps(G, self.H, c.N.indices)
+        self.rep_of = left_coset_reps(G, self.H, G.indices(c.N))
         rep_idx = sorted(set(self.rep_of.values()))
         self.reps = tuple(self.els[r] for r in rep_idx)
         self.identity_rep = self.wrep(G.ops.identity)
@@ -194,7 +192,7 @@ class _Derived:
         return self.wrep(self.mul(r1, r2))
 
     def right_coset(self, w):
-        """The right coset Bw, as root indices."""
+        """The right coset Bw, as indices in G."""
         return orbits(self.b_left, len(self.els), [self.index[w]])[0]
 
     def sbw_cells(self, k, w):
@@ -234,18 +232,18 @@ class _Derived:
 
     @cached_property
     def b_conjugates(self):
-        """w·B·w^-1 as a set of root indices, for each Weyl representative w."""
-        return {w: set(conjugate(self.G, w, self.B.indices)) for w in self.reps}
+        """w·B·w^-1 as a set of indices in G, for each Weyl representative w."""
+        return {w: set(conjugate(self.G, w, self.G.indices(self.B))) for w in self.reps}
 
     @cached_property
     def b_conjugates_meet(self):
         """The intersection of B with every wBw^-1, w a Weyl representative,
-        as root indices.
+        as indices in G.
 
         This is also the intersection of all N-conjugates of B: each n in N
         is w·h with h in H ⊆ B, and then nBn^-1 = wBw^-1.
         """
-        return set(self.B.indices).intersection(*self.b_conjugates.values())
+        return set(self.G.indices(self.B)).intersection(*self.b_conjugates.values())
 
     def _word_bfs(self):
         """Lengths and lexicographically least words over S for each class.
@@ -337,7 +335,7 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
         for i in orb:
             right[i] = label
     normalizer = sum(
-        1 for coset in orbits(d.b_right, size, c.G.indices) if len({right[i] for i in coset}) == 1
+        1 for coset in orbits(d.b_right, size) if len({right[i] for i in coset}) == 1
     ) == 1
 
     return TitsReport(
@@ -421,7 +419,8 @@ def intersection_identity_check(c):
     if len(longest) != 1:
         return False
     w0 = longest[0]
-    return d.b_conjugates_meet == set(d.H.indices) == set(c.B.indices) & d.b_conjugates[w0]
+    h = set(c.G.indices(d.H))
+    return d.b_conjugates_meet == h == set(c.G.indices(c.B)) & d.b_conjugates[w0]
 
 
 def _meet_if_hu_is_b(H, U, B):
@@ -439,7 +438,7 @@ def classify(c):
     nilpotent, so each candidate that complements H is a valid witness.
     """
     d = _derived(c)
-    saturated = d.b_conjugates_meet == set(d.H.indices)
+    saturated = d.b_conjugates_meet == set(c.G.indices(d.H))
     fit = fitting_subgroup(c.B)
     meet = _meet_if_hu_is_b(d.H, fit, c.B)
     witness = fit if saturated and meet == 1 else None
@@ -535,7 +534,7 @@ def sl_rank1_column_system(n, p):
     g = min(swaps, default=None)
     if g is None:
         raise NoConjugatorFound("no element swaps the two coordinate lines")
-    if set(conjugate(G, g, B.indices)) != set(Bp.indices):
+    if set(conjugate(G, g, G.indices(B))) != set(G.indices(Bp)):
         raise NoConjugatorFound("swap candidate does not conjugate B onto B'")
     N = G.subgroup(sorted(H.elemset | {G.ops.mul(g, h) for h in H.elements}))
     return TitsSystemCandidate(G, B, N, label=f"sl-rank1-{n}-{p}")
@@ -549,12 +548,13 @@ def psl3_f2_nonstandard_system():
     builds the rank-1 system.
     """
     G = central_quotient(special_linear_group(3, 2))
-    seed7 = next(
-        (x for x in G.elements if element_order(G.ops, x) == 7), None
-    )
-    if seed7 is None:
+    for seed7 in G.elements:
+        P7 = normal_closure(G, [seed7], ())
+        if P7.order == 7:
+            break
+    else:
         raise SubgroupNotFound("no element of order 7")
-    p7 = {G.index[x] for x in closure(G.ops, [seed7])}
+    p7 = set(G.indices(P7))
     x7 = [G.index[seed7]]
     K = G.subgroup([g for g in G.elements if conjugate(G, g, x7)[0] in p7])
     if K.order != 21:

@@ -232,6 +232,39 @@ def test_bn_sl42_json_golden(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "spec,digest",
+    [
+        (
+            ["--sl-rank1", "3", "3"],
+            "2302f245a7624fac9dea3f7aa0ef01d5296ac4af6cfda7e8fc9fe0507701324a",
+        ),
+        (
+            ["--projective", "3", "3"],
+            "5ec3ea757c2cb82501961921fafa420b327bad6206aa037a599a3ed5f628b88d",
+        ),
+        (
+            ["--affine", "7"],
+            "ffeb3c9a7b5c313cf4a1202a000d7ab4f97723b02b41eb725ffd2a8cbd142011",
+        ),
+        (
+            ["--example", "psl3f2-nonstandard"],
+            "24c79017c8229de48a35d0c7ea6eebf064d63b5bf7f6dca14d40fdf3fb9606bd",
+        ),
+    ],
+    ids=["sl-rank1-3-3", "projective-3-3", "affine-7", "psl3f2-nonstandard"],
+)
+def test_bn_rank1_json_golden(capsys, monkeypatch, spec, digest):
+    # The standalone rank-1 systems, whose B, N and H each index their
+    # own elements; no other golden runs them outside ``report --all``.
+    import hashlib
+
+    monkeypatch.delenv("WEYL_BN_MAX_GROUP", raising=False)
+    code, out, _ = run(capsys, ["bn", *spec, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bn_cap_checked_before_building(capsys, monkeypatch):
     import time
 
@@ -386,6 +419,8 @@ def test_roots_golden(capsys):
         (["bn", "--affine", "200"], "200 is not prime"),
         (["roots", "A", "13"], "rank must be at most 12, got 13"),
         (["reduced-words", "A", "13", "1"], "rank must be at most 12, got 13"),
+        (["lemma2", "--family", "D", "--max-rank", "3"], "no type of family D has rank <= 3"),
+        (["lemma2", "--family", "E", "--max-rank", "5"], "no type of family E has rank <= 5"),
     ],
 )
 def test_malformed_specs_are_usage_errors(capsys, argv, message):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from test_fingrp_oracle import _element_order, closure
 from weylbn.errors import GroupTooLarge
 from weylbn.fingrp import (
     FiniteGroup,
@@ -16,11 +17,9 @@ from weylbn.fingrp import (
     affine_group,
     affine_line_action,
     central_quotient,
-    closure,
     conjugacy_classes,
     conjugate,
     coset_action,
-    element_order,
     fitting_subgroup,
     is_2transitive,
     is_nilpotent,
@@ -114,7 +113,7 @@ def test_central_quotients():
 def test_closure_and_normality():
     G = special_linear_group(2, 2)  # shaped like the symmetric group on 3 letters
     assert closure(G.ops, [G.ops.identity]) == (G.ops.identity,)
-    invs = [g for g in G.elements if g != G.ops.identity and element_order(G.ops, g) == 2]
+    invs = [g for g in G.elements if g != G.ops.identity and _element_order(G.ops, g) == 2]
     two = closure(G.ops, invs[:2])
     assert len(two) == 6
     A = affine_group(5)
@@ -242,17 +241,15 @@ def test_conjugate_matches_products(make, sampled):
         assert [els[i] for i in got] == _conjugate_by_products(G, g, els)
 
 
-def test_own_index_of_a_root_and_of_the_sl33_borel():
-    for G in (affine_group(5), central_quotient(special_linear_group(3, 2))):
-        assert G.own is G
+def test_conjugacy_classes_of_the_sl33_borel():
+    # A subgroup is a group: checked and built on its own, the same
+    # elements give the same generators, inverse table and classes.
     G = special_linear_group(3, 3)
     B = upper_triangular_subgroup(G)
-    own = B.own
-    assert G.own is G and own.root is own and B.root is G
-    assert own.elements == B.elements and own.generators() == B.generators()
-    assert len(own.inv_table) == B.order
+    alone = FiniteGroup(B.ops, B.elements)
+    assert alone.generators() == B.generators() and alone.inv_table == B.inv_table
     classes = conjugacy_classes(B)
-    assert conjugacy_classes(own) == classes
+    assert conjugacy_classes(alone) == classes
     by_products = zip(*(_conjugate_by_products(B, g, B.elements) for g in B.elements))
     assert set(classes) == {frozenset(cls) for cls in by_products}
 
@@ -278,13 +275,13 @@ def test_subgroup_questions_make_no_products_once_tables_exist():
     assert closed.elemset == G.elemset and normal == (False, True)
 
 
-def test_own_makes_no_products_once_generators_ran(monkeypatch):
-    # The greedy generators of a subgroup close its own root once, and that
-    # closure is the BFS tree its tables are read from.
+def test_subgroup_tables_make_no_products_once_generators_ran(monkeypatch):
+    # The greedy generators of a subgroup close it once, and that closure
+    # is the BFS tree its tables are read from.
     import weylbn.fingrp as fingrp
 
     G = special_linear_group(3, 3)
-    B = G.subgroup(upper_triangular_subgroup(G).elements)
+    B = upper_triangular_subgroup(G)
     gens = B.generators()
     calls = [0]
 
@@ -293,10 +290,9 @@ def test_own_makes_no_products_once_generators_ran(monkeypatch):
         return mat_mul(a, b, p)
 
     monkeypatch.setattr(fingrp, "mat_mul", counted)
-    own = B.own
-    tables = own.inv_table, [own.right_table(g) for g in gens], conjugacy_classes(B)
+    tables = B.inv_table, [B.right_table(g) for g in gens], conjugacy_classes(B)
     assert calls[0] == 0
-    assert own.generators() == gens and len(tables[0]) == B.order
+    assert len(tables[0]) == B.order and all(len(t) == B.order for t in tables[1])
 
 
 def test_projective_actions():
@@ -411,14 +407,14 @@ def test_index_tables_match_multiplication(make):
         assert G.right_table(g) == [index[mul(x, g)] for x in els]
 
 
-def test_subgroup_shares_root_index():
-    G = special_linear_group(3, 2)
+def test_subgroup_indexes_its_own_elements():
+    G = special_linear_group(3, 3)
     B = upper_triangular_subgroup(G)
-    assert B.root is G and B.index is G.index
-    assert B.indices == tuple(sorted(G.index[b] for b in B.elements))
     b = B.generators()[-1]
-    assert B.right_table(b) == G.right_table(b)
+    assert len(B.inv_table) == len(B.right_table(b)) == B.order == 108
+    assert [B.elements[i] for i in B.right_table(b)] == [G.ops.mul(x, b) for x in B.elements]
     assert B.inverse(b) == G.ops.inv(b)
+    assert G.indices(B) == sorted(G.index[x] for x in B.elements)
 
 
 def test_orbits_helper():
@@ -601,4 +597,4 @@ def test_shaped_subgroups_match_scans(make):
         (monomial_subgroup, _monomial_scan),
     ]:
         H = build(G)
-        assert H.elemset == scan(G) and H.root is G.root
+        assert H.elemset == scan(G)

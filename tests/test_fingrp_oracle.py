@@ -7,8 +7,12 @@ stable, the Fitting subgroup as the join of p-cores grown one conjugacy
 class at a time, the normal-subgroup lattice by closing every element of
 a known subgroup together with one more class, 2-transitivity from a
 point stabilizer, the Weyl group by a frontier search over root
-permutations, and double cosets by a two-sided closure.
+permutations, and double cosets by a two-sided closure.  ``closure``,
+the sorted closure of generators under products, builds the small
+subgroups the tests name.
 """
+
+from functools import partial
 
 import pytest
 
@@ -20,8 +24,8 @@ from weylbn.fingrp import (
     GroupOps,
     affine_group,
     affine_line_action,
+    _closure,
     central_quotient,
-    closure,
     commutator_subgroup,
     conjugacy_classes,
     coset_action,
@@ -35,6 +39,12 @@ from weylbn.fingrp import (
 )
 from weylbn.rootsys import build_root_system
 from weylbn.titssys import projective_rank1_system, psl3_f2_nonstandard_system
+
+
+def closure(ops, gens):
+    """BFS closure of ``gens`` under multiplication; sorted element tuple."""
+    acts = [partial(ops.mul, g) for g in dict.fromkeys(gens)]
+    return tuple(sorted(_closure(ops.identity, acts)[0]))
 
 
 def _generated(ops, gens):
