@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import permutations
 
@@ -60,13 +60,8 @@ class UsageError(WeylBNError):
     pass
 
 
-@dataclass
-class CaseResult:
-    id: str
-    inputs: dict
-    expected: str
-    actual: str
-    passed: bool
+class CaseResult(namedtuple("CaseResult", "id inputs expected actual passed")):
+    __slots__ = ()
 
     def to_record(self):
         return {
@@ -78,12 +73,8 @@ class CaseResult:
         }
 
 
-@dataclass
-class SuiteResult:
-    suite_id: str
-    cases: list
-    wall_time_ms: int
-    skipped: tuple = ()
+class SuiteResult(namedtuple("SuiteResult", "suite_id cases wall_time_ms skipped", defaults=((),))):
+    __slots__ = ()
 
     @property
     def total(self):

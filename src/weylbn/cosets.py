@@ -18,7 +18,7 @@ nondivisible roots while reports keep the original BC label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import product
 from operator import add, mul
@@ -67,15 +67,10 @@ class ParabolicChoice:
         return f"ParabolicChoice({self.rs.spec.label()}, node={self.removed})"
 
 
-@dataclass(frozen=True)
-class DoubleCosetReport:
-    family: str
-    rank: int
-    node: int
-    quotient_size: int
-    count: int
-    expected_two: bool
-    passed: bool
+class DoubleCosetReport(
+    namedtuple("DoubleCosetReport", "family rank node quotient_size count expected_two passed")
+):
+    __slots__ = ()
 
     def to_record(self):
         return {
@@ -89,15 +84,10 @@ class DoubleCosetReport:
         }
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    word: tuple
-    i: int
-    length_ok: bool
-    two_reduced_words: bool
-    endpoints_r_a: bool
-    coset_distinct: bool
-
+class WitnessReport(
+    namedtuple("WitnessReport", "word i length_ok two_reduced_words endpoints_r_a coset_distinct")
+):
+    __slots__ = ()
     CHECKS = ("length_ok", "two_reduced_words", "endpoints_r_a", "coset_distinct")
 
     @property

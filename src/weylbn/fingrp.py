@@ -1,12 +1,19 @@
 """Explicit finite groups: matrix groups over prime fields, their central
 quotients, abstract subgroup machinery, and group actions.
 
-Elements are canonical hashable encodings: a matrix is a tuple of row
-tuples with entries reduced mod p, an affine-group element is a pair
-(t, x).  A FiniteGroup bundles an element list with its multiplication
-and inversion oracles; subgroups are FiniteGroups sharing the same
-oracles, so set operations on elements are meaningful across them.
-Groups are immutable after construction and safe to share.
+Elements are canonical hashable encodings.  An n x n matrix over F_p is
+packed as an integer: a row is an int in [0, q), q = p^n, with column 0
+its most significant base-p digit, and the matrix is the base-q number of
+its rows, row 0 most significant.  That is the base-p number of its
+entries read row by row, so integer order is the order of the tuples of
+row tuples.  A row sum and a scalar multiple of a row are lookups in two
+tables built once per (n, p) from digit sums (``packing``); products go
+through them, and only inverses, formats and the projective action
+decode.  An affine-group element is a pair (t, x).  A FiniteGroup
+bundles an element list with its multiplication and inversion oracles;
+subgroups are FiniteGroups sharing the same oracles, so set operations
+on elements are meaningful across them.  Groups are immutable after
+construction and safe to share.
 
 Integer index.  Every group, subgroups included, numbers its own sorted
 elements 0..n-1, so the least element has the least index, and
@@ -33,16 +40,17 @@ subgroups, the Fitting subgroup and the normal-subgroup lattice.
 
 SL_n(F_p) is enumerated by that breadth-first search with its
 generators, the transvections I + E_{i,i+-1}, acting as row operations
-(row_i += row_j mod p) instead of matrix products.  The shaped subgroups
-(upper-triangular, monomial, unipotent) are built from their
-candidate matrices, kept when they are members, not by scanning G.
+on the packed integer (row_i += row_j mod p, one lookup) instead of
+matrix products.  The shaped subgroups (upper-triangular, monomial,
+unipotent) are built from their packed candidate matrices, kept when
+they are members, not by scanning G.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from collections import namedtuple
+from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
 from operator import mul as _times
 
@@ -53,16 +61,10 @@ NILPOTENCY_CAP = 10**4
 NORMAL_SUBGROUP_CAP = 4096
 
 
-@dataclass(frozen=True)
-class GroupOps:
+class GroupOps(namedtuple("GroupOps", "mul inv identity fmt label meta", defaults=((),))):
     """Multiplication/inversion oracles plus metadata for one element kind."""
 
-    mul: callable
-    inv: callable
-    identity: object
-    fmt: callable
-    label: str
-    meta: tuple = ()
+    __slots__ = ()
 
 
 class FiniteGroup:
@@ -79,6 +81,7 @@ class FiniteGroup:
         self.elemset = frozenset(self.elements)
         self._gens = tuple(dict.fromkeys(gens)) if gens is not None else None
         self._bfs = bfs
+        self._conj = {}
         if check:
             self._spot_check()
 
@@ -174,6 +177,13 @@ class FiniteGroup:
         r = self.right_table(self.inverse(x))
         return [inv[r[j]] for j in inv]
 
+    def conjugation(self, g):
+        """i -> index of g x_i g^-1, built once per g."""
+        table = self._conj.get(g)
+        if table is None:
+            table = self._conj[g] = conjugate(self, g, range(len(self.elements)))
+        return table
+
     def _spot_check(self):
         """Membership of the identity, ``ops.inv`` on every generator (the
         inverse table follows from these), the generators' closure (built
@@ -201,26 +211,26 @@ class FiniteGroup:
         if mul(e, self.elements[0]) != self.elements[0]:
             raise ValueError(f"{self.ops.label}: identity law fails")
 
-    def _close(self, gens):
-        """``_closure`` of ``gens``, refused (ValueError) as soon as it
-        outgrows the element list."""
+    def _close(self, gens, grow=None):
+        """``_closure`` of ``gens`` (growing ``grow``), refused (ValueError)
+        as soon as it outgrows the element list."""
         acts = [partial(self.ops.mul, g) for g in gens]
         try:
-            return _closure(self.ops.identity, acts, cap=len(self.elements))
+            return _closure(self.ops.identity, acts, cap=len(self.elements), grow=grow)
         except GroupTooLarge:
             raise _not_closed(self.ops) from None
 
     def generators(self):
         """A small generating set (cached): in sorted order, each element
-        the closure of the earlier ones has not reached yet.  The last
-        closure is kept as the BFS tree."""
+        the closure of the earlier ones has not reached yet.  One closure
+        grows as they are added, and is kept as the BFS tree."""
         if self._gens is None:
             gens, reached = [], {self.ops.identity}
             for x in self.elements:
                 if x not in reached:
                     gens.append(x)
-                    self._bfs = self._close(gens)
-                    reached = set(self._bfs[0])
+                    self._bfs = self._close(gens, self._bfs)
+                    reached.update(self._bfs[0])
             self._gens = tuple(gens)
         return self._gens
 
@@ -277,21 +287,25 @@ def _not_closed(ops):
     return ValueError(f"{ops.label}: the generators' closure is not the element set")
 
 
-def _closure(identity, acts, cap=None):
+def _closure(identity, acts, cap=None, grow=None):
     """Breadth-first closure from the identity under left actions.
 
     ``acts[j]`` maps x to g_j * x for the j-th generator g_j.  Returns
     (order, tables, via) in discovery numbering: ``order`` lists the
     elements, ``tables[j][t]`` is the number of g_j * order[t], and
     ``via[t - 1] = (j, s)`` says order[t] was first reached as
-    g_j * order[s].
+    g_j * order[s].  ``grow``, such a result for the first acts only, is
+    extended in place: the new acts visit its elements, then the search
+    goes on with every act.
     """
-    order = [identity]
-    num = {identity: 0}
-    tables = [[] for _ in acts]
-    via = []
+    order, tables, via = grow or ([identity], [], [])
+    num = dict(zip(order, range(len(order))))
+    done, old = (len(order), len(tables)) if grow else (0, 0)
+    tables += [[] for _ in acts[old:]]
+    every = list(enumerate(zip(acts, tables)))
+    fresh = every[old:]
     for s, x in enumerate(order):
-        for j, (act, tab) in enumerate(zip(acts, tables)):
+        for j, (act, tab) in every if s >= done else fresh:
             c = act(x)
             t = num.get(c)
             if t is None:
@@ -326,14 +340,15 @@ def is_normal(H, G):
 def conjugacy_classes(G):
     """Conjugacy classes, each a frozenset, in a deterministic order: the
     orbits of the conjugation tables of G's generators."""
-    perms = [conjugate(G, g, range(G.order)) for g in G.generators()]
+    perms = [G.conjugation(g) for g in G.generators()]
     return [frozenset(G.elements[i] for i in orb) for orb in orbits(perms, G.order)]
 
 
 def normal_closure(G, seeds, conj_gens):
     """The least subgroup of G that contains ``seeds`` and is normalized by
     ``conj_gens``: on G's index, the orbit of the identity under right
-    multiplication by each seed and conjugation by each of ``conj_gens``.
+    multiplication by each seed and conjugation by each of ``conj_gens``
+    (G keeps each conjugation table it builds).
 
     The orbit K is that subgroup.  K is finite and closed under
     conjugation by g, so conjugation by g permutes K, and K is closed under
@@ -344,7 +359,7 @@ def normal_closure(G, seeds, conj_gens):
     they generate, which is the least one wanted and contains K.
     """
     perms = [G.right_table(s) for s in dict.fromkeys(seeds)]
-    perms += [conjugate(G, g, range(G.order)) for g in dict.fromkeys(conj_gens)]
+    perms += [G.conjugation(g) for g in dict.fromkeys(conj_gens)]
     orb = orbits(perms, G.order, [G.index[G.identity]])[0]
     return G.subgroup([G.elements[i] for i in orb])
 
@@ -435,13 +450,20 @@ def fitting_subgroup(B):
 # Group actions
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """A finite group acting on an indexed point set."""
+class GroupAction(namedtuple("GroupAction", "group points apply")):
+    """A finite group acting on an indexed point set; ``apply`` is left out
+    of equality and hashing."""
 
-    group: FiniteGroup
-    points: tuple
-    apply: callable = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, GroupAction) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
 def action_orbits(action):
@@ -489,31 +511,78 @@ def _is_prime(p):
     return True
 
 
-def mat_mul(a, b, p):
-    """a*b mod p.  A unit row e_k of a picks the row b[k] as it is; other
-    rows are dot products with b's columns.  Transvections and monomial
-    matrices are mostly unit rows."""
-    n = len(b)
-    cols = None
-    rows = []
-    for row in a:
-        if row.count(0) == n - 1 and 1 in row:
-            rows.append(b[row.index(1)])
-        else:
-            if cols is None:
-                cols = tuple(zip(*b))
-            rows.append(tuple(sum(map(_times, row, col)) % p for col in cols))
-    return tuple(rows)
+class _Packing:
+    """Tables for n x n matrices over F_p packed as integers (see the module
+    docstring): ``add[r][s]`` is the row r + s and ``scale[c][r]`` the row
+    c·r, digit by digit mod p, and ``weights[i]`` = q^(n-1-i) is the place
+    of row i."""
+
+    def __init__(self, n, p):
+        q = p**n
+        # ``ints`` gives the q*q entries of ``add`` one shared object per value.
+        ints, add, scale = list(range(q)), [[0]], [[0]] * p
+        for _ in range(n):  # one more, less significant, digit
+            m, f = range(len(add)), range(p)
+            add = [
+                [ints[add[rh][sh] * p + (rl + sl) % p] for sh in m for sl in f]
+                for rh in m
+                for rl in f
+            ]
+            scale = [[s[rh] * p + c * rl % p for rh in m for rl in f] for c, s in enumerate(scale)]
+        self.n, self.p, self.q, self.add, self.scale = n, p, q, add, scale
+        self.weights = [q ** (n - 1 - i) for i in range(n)]
+        self.digits = [tuple(r // p ** (n - 1 - j) % p for j in range(n)) for r in range(q)]
+        self.nonzero = [[(j, c) for j, c in enumerate(d) if c] for d in self.digits]
+        self.identity = self.encode([[int(i == j) for j in range(n)] for i in range(n)])
+
+    def rows(self, x):
+        return [x // w % self.q for w in self.weights]
+
+    def encode(self, m):
+        """The packed integer of a matrix given as rows of entries mod p."""
+        x = 0
+        for row in m:
+            for v in row:
+                x = x * self.p + v
+        return x
+
+    def decode(self, x):
+        return tuple(self.digits[r] for r in self.rows(x))
+
+    def fmt(self, x):
+        """Rows of mod-p digits, semicolon-separated: I_2 -> "10;01"."""
+        return ";".join("".join(map(str, row)) for row in self.decode(x))
+
+    def scaled(self, x, c):
+        """The packed c·x."""
+        return sum(self.scale[c][r] * w for r, w in zip(self.rows(x), self.weights))
 
 
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+@lru_cache(maxsize=None)
+def packing(n, p):
+    """The tables of n x n matrices over F_p, built once per (n, p)."""
+    return _Packing(n, p)
 
 
-def mat_inv(a, p):
-    """Inverse mod p by Gauss-Jordan elimination."""
-    n = len(a)
-    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+def mat_mul(a, b, k):
+    """a*b of packed matrices: row i of the product is the sum over j of
+    a_ij times row j of b, each term and sum one lookup in k's tables."""
+    q, add, scale, nonzero = k.q, k.add, k.scale, k.nonzero
+    rb = [b // w % q for w in k.weights]
+    out = 0
+    for w in k.weights:
+        acc = 0
+        for j, c in nonzero[a // w % q]:
+            acc = add[acc][scale[c][rb[j]]]
+        out = out * q + acc
+    return out
+
+
+def mat_inv(a, k):
+    """Inverse of a packed matrix mod p, by Gauss-Jordan elimination on
+    its decoded rows."""
+    n, p = k.n, k.p
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(k.decode(a))]
     for c in range(n):
         piv = next(i for i in range(c, n) if m[i][c] % p)
         m[c], m[piv] = m[piv], m[c]
@@ -523,20 +592,16 @@ def mat_inv(a, p):
             if i != c and m[i][c]:
                 g = m[i][c]
                 m[i] = [(x - g * y) % p for x, y in zip(m[i], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def mat_fmt(a):
-    """Rows of mod-p digits, semicolon-separated: ((1,0),(0,1)) -> "10;01"."""
-    return ";".join("".join(str(x) for x in row) for row in a)
+    return k.encode(row[n:] for row in m)
 
 
 def matrix_ops(n, p):
+    k = packing(n, p)
     return GroupOps(
-        mul=lambda a, b: mat_mul(a, b, p),
-        inv=lambda a: mat_inv(a, p),
-        identity=mat_identity(n),
-        fmt=mat_fmt,
+        mul=lambda a, b: mat_mul(a, b, k),
+        inv=lambda a: mat_inv(a, k),
+        identity=k.identity,
+        fmt=k.fmt,
         label=f"GL{n}(F{p})-kind",
         meta=("matrix", n, p),
     )
@@ -549,23 +614,24 @@ def sl_order(n, p):
     return order
 
 
-def _row_addition(i, j, c, p):
-    """Left multiplication by the transvection I + c*E_ij as a row
-    operation: row i of x plus c times row j, mod p."""
+def _add_row(k, i, j):
+    """Left multiplication by the transvection I + E_ij on a packed
+    matrix: row i plus row j, one lookup in ``k.add``."""
+    q, add, wi, wj = k.q, k.add, k.weights[i], k.weights[j]
 
     def act(x):
-        rows = list(x)
-        rows[i] = tuple([(a + c * b) % p for a, b in zip(x[i], x[j])])
-        return tuple(rows)
+        r = x // wi % q
+        return x + (add[r][x // wj % q] - r) * wi
 
     return act
 
 
 def _sl_generators(n, p):
-    """The transvections I + E_{i,i+-1}, and their left actions as row
-    operations, in the same order."""
-    acts = [_row_addition(i, j, 1, p) for i in range(n) for j in range(n) if abs(i - j) == 1]
-    return [act(mat_identity(n)) for act in acts], acts
+    """The packed transvections I + E_{i,i+-1}, and their left actions as
+    row operations, in the same order."""
+    k = packing(n, p)
+    acts = [_add_row(k, i, j) for i in range(n) for j in range(n) if abs(i - j) == 1]
+    return [act(k.identity) for act in acts], acts
 
 
 def special_linear_group(n, p):
@@ -574,9 +640,9 @@ def special_linear_group(n, p):
     I + E_ij are commutators of these, and p is prime.
 
     The breadth-first enumeration applies each generator as a row
-    operation (row_i += row_j mod p), not as a matrix product, and the
-    group keeps its tree, from which right tables and the inverse table
-    are read (see the module docstring).
+    operation on the packed matrix (row_i += row_j mod p), not as a matrix
+    product, and the group keeps its tree, from which right tables and the
+    inverse table are read (see the module docstring).
 
     Instances are cached per (n, p); they are immutable and shared.
     """
@@ -589,7 +655,7 @@ def special_linear_group(n, p):
     if expected > SL_ENUM_CAP:
         raise GroupTooLarge(f"|SL_{n}(F_{p})| = {expected} exceeds cap {SL_ENUM_CAP}")
     gens, acts = _sl_generators(n, p)
-    bfs = _closure(mat_identity(n), acts, cap=SL_ENUM_CAP + 1)
+    bfs = _closure(packing(n, p).identity, acts, cap=SL_ENUM_CAP + 1)
     elements = bfs[0]
     if len(elements) != expected:
         raise AssertionError(
@@ -607,21 +673,20 @@ def _shaped_members(G, shapes):
     """The members of the matrix group G that have one of ``shapes``.
 
     A shape maps positions (i, j) to the values allowed there, every other
-    entry being 0.  Its candidate matrices are enumerated and kept when
-    they are members of G, so the cost is the number of candidates, not
-    |G|.  On a central quotient, whose members are canonical scalar
-    multiples, this is still every member of the shape: a scalar multiple
-    of a matrix has the same shape.
+    entry being 0.  Its packed candidate matrices (entry (i, j) has the
+    place p^(n*n - 1 - n*i - j)) are enumerated and kept when they are
+    members of G, so the cost is the number of candidates, not |G|.  On a
+    central quotient, whose members are canonical scalar multiples, this
+    is still every member of the shape: a scalar multiple of a matrix has
+    the same shape.
     """
-    n = G.ops.meta[1]
+    _, n, p = G.ops.meta
     elemset = G.elemset
     members = []
     for shape in shapes:
+        places = [p ** (n * n - 1 - n * i - j) for i, j in shape]
         for values in product(*shape.values()):
-            m = [[0] * n for _ in range(n)]
-            for (i, j), v in zip(shape, values):
-                m[i][j] = v
-            m = tuple(map(tuple, m))
+            m = sum(map(_times, places, values))
             if m in elemset:
                 members.append(m)
     return members
@@ -654,40 +719,32 @@ def monomial_subgroup(G):
     return G.subgroup(_shaped_members(G, shapes))
 
 
-def _scalar_canonical(m, p):
-    return min(
-        tuple(tuple(x * lam % p for x in row) for row in m) for lam in range(1, p)
-    )
-
-
 def central_quotient(G):
     """Quotient by the scalar subgroup, on canonical representatives.
 
-    Each class is represented by the lexicographically least scalar
-    multiple of its matrices, so equality of representatives is equality
-    of classes and the quotient order times the scalar-subgroup order is
-    the group order (asserted).
+    Each class is represented by the least packed scalar multiple of its
+    matrices, which is the lexicographically least, so equality of
+    representatives is equality of classes and the quotient order times
+    the scalar-subgroup order is the group order (asserted).
     """
     kind, n, p = G.ops.meta
     if kind != "matrix":
         raise ValueError("central quotient requires a matrix group")
+    k = packing(n, p)
 
-    def canon(m):
-        return _scalar_canonical(m, p)
+    def canon(x):
+        return min(k.scaled(x, lam) for lam in range(1, p))
 
     ops = GroupOps(
-        mul=lambda a, b: canon(mat_mul(a, b, p)),
-        inv=lambda a: canon(mat_inv(a, p)),
-        identity=canon(mat_identity(n)),
-        fmt=mat_fmt,
+        mul=lambda a, b: canon(mat_mul(a, b, k)),
+        inv=lambda a: canon(mat_inv(a, k)),
+        identity=canon(k.identity),
+        fmt=k.fmt,
         label=f"P{G.ops.label}",
         meta=("pmatrix", n, p),
     )
     elements = sorted({canon(m) for m in G.elements})
-    scalars = sum(
-        tuple(tuple(lam if i == j else 0 for j in range(n)) for i in range(n)) in G.elemset
-        for lam in range(1, p)
-    )
+    scalars = sum(k.scaled(k.identity, lam) in G.elemset for lam in range(1, p))
     if len(elements) * scalars != G.order:
         raise AssertionError("quotient order times scalar count != group order")
     return FiniteGroup(ops, elements)
@@ -700,6 +757,7 @@ def projective_space_action(n, p):
     lexicographically least scalar multiple.
     """
     G = special_linear_group(n + 1, p)
+    k = packing(n + 1, p)
 
     def canon(v):
         return min(tuple(x * lam % p for x in v) for lam in range(1, p))
@@ -707,8 +765,7 @@ def projective_space_action(n, p):
     pts = sorted({canon(v) for v in product(range(p), repeat=n + 1) if any(v)})
 
     def apply(m, v):
-        w = tuple(sum(m[i][k] * v[k] for k in range(n + 1)) % p for i in range(n + 1))
-        return canon(w)
+        return canon(tuple(sum(map(_times, row, v)) % p for row in k.decode(m)))
 
     return GroupAction(G, tuple(pts), apply)
 

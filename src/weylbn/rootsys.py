@@ -23,8 +23,7 @@ nondivisible roots, which by that construction is type B, see
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import add, mul, neg, sub
 
@@ -36,19 +35,17 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 PRODUCT_ORDER_TABLE = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class RootSystemSpec(namedtuple("RootSystemSpec", "family rank")):
     """A family label and a rank, validated for admissibility."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidSpec(f"unknown family {self.family!r}")
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
-            raise InvalidSpec(f"rank must be a positive integer, got {self.rank!r}")
-        fam, n = self.family, self.rank
+    def __new__(cls, family, rank):
+        fam, n = family, rank
+        if fam not in FAMILIES:
+            raise InvalidSpec(f"unknown family {fam!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise InvalidSpec(f"rank must be a positive integer, got {n!r}")
         if fam == "E" and n not in (6, 7, 8):
             raise InvalidSpec(f"E requires rank in {{6,7,8}}, got {n}")
         if fam == "F" and n != 4:
@@ -57,6 +54,7 @@ class RootSystemSpec:
             raise InvalidSpec(f"G requires rank 2, got {n}")
         if fam == "D" and n < 3:
             raise InvalidSpec(f"D requires rank >= 3, got {n}")
+        return super().__new__(cls, fam, n)
 
     def label(self):
         return f"{self.family}{self.rank}"

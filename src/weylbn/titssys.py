@@ -32,8 +32,7 @@ on them.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 
 from .errors import (
@@ -69,17 +68,12 @@ from .weyl import invert
 DEFAULT_MAX_GROUP = 21000
 
 
-@dataclass(eq=False)
 class TitsSystemCandidate:
-    G: FiniteGroup
-    B: FiniteGroup
-    N: FiniteGroup
-    label: str = ""
-
-    def __post_init__(self):
-        for name, H in (("B", self.B), ("N", self.N)):
-            if not H.is_subgroup_of(self.G):
+    def __init__(self, G, B, N, label=""):
+        for name, H in (("B", B), ("N", N)):
+            if not H.is_subgroup_of(G):
                 raise ValueError(f"{name} is not a subgroup of G")
+        self.G, self.B, self.N, self.label = G, B, N, label
 
     @cached_property
     def derived(self):
@@ -88,53 +82,34 @@ class TitsSystemCandidate:
         return _Derived(self)
 
 
-@dataclass
-class TitsReport:
-    t1_generates: bool
-    t2_holds: bool
-    t3_holds: bool
-    t4_holds: bool
-    h_normal_in_n: bool
-    bruhat_bijective: bool
-    normalizer_is_b: bool
-    weyl_order: int
-    s_set: tuple
-    cells: dict
+class TitsReport(
+    namedtuple(
+        "TitsReport",
+        "t1_generates t2_holds t3_holds t4_holds h_normal_in_n bruhat_bijective"
+        " normalizer_is_b weyl_order s_set cells",
+    )
+):
+    __slots__ = ()
 
     @property
     def passed(self):
-        return (
-            self.t1_generates
-            and self.t2_holds
-            and self.t3_holds
-            and self.t4_holds
-            and self.h_normal_in_n
-            and self.bruhat_bijective
-            and self.normalizer_is_b
-        )
+        return all(self[:7])
 
     def to_record(self):
-        return {
-            "t1_generates": self.t1_generates,
-            "t2_holds": self.t2_holds,
-            "t3_holds": self.t3_holds,
-            "t4_holds": self.t4_holds,
-            "h_normal_in_n": self.h_normal_in_n,
-            "bruhat_bijective": self.bruhat_bijective,
-            "normalizer_is_b": self.normalizer_is_b,
-            "weyl_order": self.weyl_order,
-            "s_set": list(self.s_set),
-            "cells": {k: v for k, v in sorted(self.cells.items())},
-            "pass": self.passed,
-        }
+        rec = self._asdict()
+        rec.update(s_set=list(self.s_set), cells=dict(sorted(self.cells.items())))
+        rec["pass"] = self.passed
+        return rec
 
 
-@dataclass
-class ClassificationFlags:
-    saturated: bool
-    weakly_split: bool
-    split: bool
-    witness_u: FiniteGroup | None = field(default=None, compare=False)
+class ClassificationFlags(namedtuple("ClassificationFlags", "saturated weakly_split split")):
+    """The three flags; ``witness_u``, a splitting witness or None, is not
+    compared."""
+
+    def __new__(cls, saturated, weakly_split, split, witness_u=None):
+        self = super().__new__(cls, saturated, weakly_split, split)
+        self.witness_u = witness_u
+        return self
 
     def to_record(self):
         return {
@@ -290,7 +265,15 @@ def find_S(c):
 
 
 def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
-    """Exhaustive T1-T4 verification plus Bruhat and normalizer checks."""
+    """Exhaustive T1-T4 verification plus Bruhat and normalizer checks.
+
+    g normalizes B exactly when gB = Bg, that is when |BgB| = |B|; so
+    B = N_G(B) exactly when B's cell is the only (B, B) double coset of
+    size |B|.  When the cells of the Weyl representatives cover G, each
+    lies in <B, N>, so T1 holds and they are every double coset.
+    Otherwise the partition is finished, and T1 is the orbit of the
+    identity under right multiplication by the generators of B and N.
+    """
     if c.G.order > max_group:
         raise GroupTooLarge(
             f"|G| = {c.G.order} exceeds the exhaustive-check cap {max_group}"
@@ -306,16 +289,18 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
         )
     e = d.identity_rep
     size = len(d.els)
-
-    # T1: the orbit of the identity under right multiplication by the
-    # generators of B and N is the subgroup they generate.
-    n_right = [c.G.right_table(x) for x in c.N.generators()]
-    t1 = len(orbits(d.b_right + n_right, size, [d.index[c.G.ops.identity]])[0]) == c.G.order
+    sizes = list(d.cell_size.values())
+    t1 = covered = sum(sizes) == size
+    if not covered:
+        n_right = [c.G.right_table(x) for x in c.N.generators()]
+        t1 = len(orbits(d.b_right + n_right, size, [d.index[c.G.ops.identity]])[0]) == size
+        rest = [i for i, w in enumerate(d.cell_of) if w is None]
+        sizes += map(len, orbits(d.b_left + d.b_right, size, rest))
 
     s_generates = not d.unreached
     t2 = s_generates and all(d.wmul(s, s) == e for s in d.s_reps)
 
-    bruhat = len(d.cell_size) == len(d.reps) and sum(d.cell_size.values()) == c.G.order
+    bruhat = covered and len(d.cell_size) == len(d.reps)
 
     t3 = all(
         d.sbw_cells(k, w) <= {w, d.wmul(s, w)}
@@ -328,16 +313,6 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
         for s in d.s_reps
     )
 
-    # g normalizes B iff gB = Bg: the left coset gB lies in one right
-    # coset.  B itself is such a coset; it must be the only one.
-    right = [0] * size
-    for label, orb in enumerate(orbits(d.b_left, size)):
-        for i in orb:
-            right[i] = label
-    normalizer = sum(
-        1 for coset in orbits(d.b_right, size) if len({right[i] for i in coset}) == 1
-    ) == 1
-
     return TitsReport(
         t1_generates=t1,
         t2_holds=t2,
@@ -345,7 +320,7 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
         t4_holds=t4,
         h_normal_in_n=True,
         bruhat_bijective=bruhat,
-        normalizer_is_b=normalizer,
+        normalizer_is_b=sizes.count(c.B.order) == 1,
         weyl_order=len(d.reps),
         s_set=tuple(c.G.ops.fmt(s) for s in d.s_reps),
         cells=bruhat_cells(c) if bruhat and s_generates else {},

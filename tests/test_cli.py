@@ -426,3 +426,23 @@ def test_roots_golden(capsys):
 def test_malformed_specs_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # perfbench/tracer.py reads sys.modules["weylbn.<mod>"] for these six
+    # modules right after `import weylbn.cli`, to wrap their functions.  A
+    # lazy import of any of them makes the traced benchmark fail with a
+    # KeyError, so the CLI imports them eagerly.
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, weylbn.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    for mod in ("rootsys", "weyl", "cosets", "fingrp", "titssys", "cli"):
+        assert f"weylbn.{mod}" in loaded

@@ -1,17 +1,22 @@
-import dataclasses
 import random
 
 import pytest
 
-from test_fingrp_oracle import _element_order, closure
+from test_fingrp_oracle import (
+    _element_order,
+    closure,
+    tuple_identity,
+    tuple_mat_mul,
+    tuple_row_addition,
+)
 from weylbn.errors import GroupTooLarge
 from weylbn.fingrp import (
     FiniteGroup,
     GroupAction,
     GroupOps,
     _closure,
+    _add_row,
     _primitive_root,
-    _row_addition,
     _sl_generators,
     action_orbits,
     affine_group,
@@ -25,7 +30,6 @@ from weylbn.fingrp import (
     is_nilpotent,
     is_normal,
     left_coset_reps,
-    mat_identity,
     mat_inv,
     mat_mul,
     matrix_ops,
@@ -33,6 +37,7 @@ from weylbn.fingrp import (
     normal_closure,
     normal_subgroups,
     orbits,
+    packing,
     projective_space_action,
     setwise_stabilizer,
     sl_order,
@@ -85,8 +90,9 @@ def test_group_laws_exhaustive_small():
 def test_matrix_helpers():
     p = 5
     a = ((1, 2), (3, 4))
-    ai = mat_inv(a, p)
-    assert mat_mul(a, ai, p) == mat_identity(2)
+    k = packing(2, p)
+    ai = k.decode(mat_inv(k.encode(a), k))
+    assert tuple_mat_mul(a, ai, p) == tuple_identity(2)
 
 
 def center(G):
@@ -145,7 +151,7 @@ def test_is_normal_rejects_a_non_normal_subgroup_of_sl23():
     for x in G.elements:
         C = G.subgroup(closure(G.ops, [x]))
         assert is_normal(C, G) == _normal_by_definition(C, G)
-    C3 = G.subgroup(closure(G.ops, [((1, 1), (0, 1))]))
+    C3 = G.subgroup(closure(G.ops, [packing(2, 3).encode(((1, 1), (0, 1)))]))
     assert C3.order == 3 and not is_normal(C3, G)
 
 
@@ -262,7 +268,7 @@ def test_subgroup_questions_make_no_products_once_tables_exist():
         calls[0] += 1
         return G.ops.mul(a, b)
 
-    R = FiniteGroup(dataclasses.replace(G.ops, mul=mul), G.elements, gens=G.generators())
+    R = FiniteGroup(G.ops._replace(mul=mul), G.elements, gens=G.generators())
     B = R.subgroup(upper_triangular_subgroup(G).elements)
     B.generators()
     R.inv_table
@@ -285,9 +291,9 @@ def test_subgroup_tables_make_no_products_once_generators_ran(monkeypatch):
     gens = B.generators()
     calls = [0]
 
-    def counted(a, b, p):
+    def counted(a, b, k):
         calls[0] += 1
-        return mat_mul(a, b, p)
+        return mat_mul(a, b, k)
 
     monkeypatch.setattr(fingrp, "mat_mul", counted)
     tables = B.inv_table, [B.right_table(g) for g in gens], conjugacy_classes(B)
@@ -362,7 +368,8 @@ def test_element_formatting():
 
 
 def _mat_mul_reference(a, b, p):
-    """The plain triple-sum product, kept as the oracle for ``mat_mul``."""
+    """The plain triple-sum product, kept as the oracle for the tuple and
+    packed products."""
     n = len(a)
     rng = range(n)
     return tuple(
@@ -373,14 +380,17 @@ def _mat_mul_reference(a, b, p):
 @pytest.mark.parametrize("n,p", [(3, 3), (4, 2)])
 def test_mat_mul_against_triple_sum(n, p):
     G = special_linear_group(n, p)
-    els = G.elements
+    k = packing(n, p)
+    els = [k.decode(x) for x in G.elements]
     rng = random.Random(7)
     pairs = [(els[rng.randrange(len(els))], els[rng.randrange(len(els))]) for _ in range(500)]
-    pairs += [(g, els[rng.randrange(len(els))]) for g in G.generators() for _ in range(20)]
+    gens = [k.decode(g) for g in G.generators()]
+    pairs += [(g, els[rng.randrange(len(els))]) for g in gens for _ in range(20)]
     for a, b in pairs:
-        assert mat_mul(a, b, p) == _mat_mul_reference(a, b, p)
+        assert tuple_mat_mul(a, b, p) == _mat_mul_reference(a, b, p)
+        assert k.decode(mat_mul(k.encode(a), k.encode(b), k)) == _mat_mul_reference(a, b, p)
     # Unreduced and non-invertible factors take the dense path.
-    assert mat_mul(((1, 2), (2, 4)), ((3, 1), (1, 3)), 5) == _mat_mul_reference(
+    assert tuple_mat_mul(((1, 2), (2, 4)), ((3, 1), (1, 3)), 5) == _mat_mul_reference(
         ((1, 2), (2, 4)), ((3, 1), (1, 3)), 5
     )
 
@@ -476,7 +486,7 @@ def test_non_closed_element_list_is_refused_before_it_is_enumerated():
 
     gens = _sl_generators(3, 3)[0]
     with pytest.raises(ValueError, match="closure is not the element set"):
-        FiniteGroup(dataclasses.replace(ops, mul=mul), [ops.identity] + gens)
+        FiniteGroup(ops._replace(mul=mul), [ops.identity] + gens)
     assert calls[0] < 100
 
 
@@ -494,19 +504,23 @@ def test_spot_check_compares_inverses_with_ops_inv():
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_row_addition_is_left_multiplication_by_a_transvection(n, p):
+    # The tuple row operation for every c, the packed one for c = 1.
     rng = random.Random(n * 10 + p)
     mats = [tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)) for _ in range(20)]
+    k = packing(n, p)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             for c in range(1, p):
-                t = [list(row) for row in mat_identity(n)]
+                t = [list(row) for row in tuple_identity(n)]
                 t[i][j] = c
                 t = tuple(map(tuple, t))
-                act = _row_addition(i, j, c, p)
+                act = tuple_row_addition(i, j, c, p)
                 for x in mats:
-                    assert act(x) == mat_mul(t, x, p)
+                    assert act(x) == tuple_mat_mul(t, x, p)
+                    if c == 1:
+                        assert k.decode(_add_row(k, i, j)(k.encode(x))) == act(x)
 
 
 def _closure_by_products(ops, gens):
@@ -533,7 +547,7 @@ def _closure_by_products(ops, gens):
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3), (4, 2)])
 def test_row_operation_closure_matches_product_closure(n, p):
     gens, acts = _sl_generators(n, p)
-    got = _closure(mat_identity(n), acts)
+    got = _closure(packing(n, p).identity, acts)
     assert got == _closure_by_products(matrix_ops(n, p), gens)
     assert len(got[0]) == sl_order(n, p)
 
@@ -550,14 +564,20 @@ def test_closure_by_left_multiplication_matches_products():
 # Shaped subgroups against scans of every element
 
 
+def _decoded(G):
+    """(packed, tuple of row tuples) for each element of a matrix group."""
+    k = packing(*G.ops.meta[1:])
+    return [(x, k.decode(x)) for x in G.elements]
+
+
 def _upper_triangular_scan(G):
-    return {m for m in G.elements if all(m[i][j] == 0 for i in range(len(m)) for j in range(i))}
+    return {x for x, m in _decoded(G) if all(m[i][j] == 0 for i in range(len(m)) for j in range(i))}
 
 
 def _unipotent_scan(G):
     return {
-        m
-        for m in G.elements
+        x
+        for x, m in _decoded(G)
         if all(m[i][i] == 1 for i in range(len(m)))
         and all(m[i][j] == 0 for i in range(len(m)) for j in range(i))
     }
@@ -565,12 +585,12 @@ def _unipotent_scan(G):
 
 def _monomial_scan(G):
     members = set()
-    for m in G.elements:
+    for g, m in _decoded(G):
         n = len(m)
         rows_ok = all(sum(1 for x in row if x) == 1 for row in m)
         cols_ok = all(sum(1 for i in range(n) if m[i][j]) == 1 for j in range(n))
         if rows_ok and cols_ok:
-            members.add(m)
+            members.add(g)
     return members
 
 

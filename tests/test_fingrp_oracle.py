@@ -10,9 +10,16 @@ point stabilizer, the Weyl group by a frontier search over root
 permutations, and double cosets by a two-sided closure.  ``closure``,
 the sorted closure of generators under products, builds the small
 subgroups the tests name.
+
+Matrices as tuples of row tuples, with ``tuple_mat_mul`` and
+``tuple_row_addition``, are the oracle for the packed integers of
+``fingrp``: the same elements in the same order, the same products, and
+the same projective action.
 """
 
+import random
 from functools import partial
+from operator import mul as _times
 
 import pytest
 
@@ -31,14 +38,105 @@ from weylbn.fingrp import (
     coset_action,
     fitting_subgroup,
     is_2transitive,
+    mat_mul,
     normal_closure,
     normal_subgroups,
+    packing,
     projective_space_action,
     special_linear_group,
     upper_triangular_subgroup,
 )
 from weylbn.rootsys import build_root_system
 from weylbn.titssys import projective_rank1_system, psl3_f2_nonstandard_system
+
+
+def tuple_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def tuple_mat_mul(a, b, p):
+    """a*b mod p on tuples of row tuples.  A unit row e_k of a picks the
+    row b[k] as it is; other rows are dot products with b's columns."""
+    n = len(b)
+    cols = None
+    rows = []
+    for row in a:
+        if row.count(0) == n - 1 and 1 in row:
+            rows.append(b[row.index(1)])
+        else:
+            if cols is None:
+                cols = tuple(zip(*b))
+            rows.append(tuple(sum(map(_times, row, col)) % p for col in cols))
+    return tuple(rows)
+
+
+def tuple_row_addition(i, j, c, p):
+    """Left multiplication by the transvection I + c*E_ij as a row
+    operation on a tuple matrix: row i of x plus c times row j, mod p."""
+
+    def act(x):
+        rows = list(x)
+        rows[i] = tuple([(a + c * b) % p for a, b in zip(x[i], x[j])])
+        return tuple(rows)
+
+    return act
+
+
+def tuple_sl(n, p):
+    """SL_n(F_p) as sorted tuple matrices, closed under tuple row operations."""
+    acts = [tuple_row_addition(i, j, 1, p) for i in range(n) for j in range(n) if abs(i - j) == 1]
+    return sorted(_closure(tuple_identity(n), acts)[0])
+
+
+def _least_multiple(m, p):
+    return min(tuple(tuple(x * lam % p for x in row) for row in m) for lam in range(1, p))
+
+
+# Every SL_n(F_p) that ``weylbn report --all`` builds.
+REPORT_SL = [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,p", REPORT_SL)
+def test_packed_order_is_tuple_order(n, p):
+    k = packing(n, p)
+    G = special_linear_group(n, p)
+    assert [k.decode(x) for x in G.elements] == tuple_sl(n, p)
+    assert [k.encode(k.decode(x)) for x in G.elements] == list(G.elements)
+    assert k.decode(G.identity) == tuple_identity(n)
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2)])
+def test_packed_central_quotient_order_is_tuple_order(n, p):
+    k = packing(n, p)
+    want = sorted({_least_multiple(m, p) for m in tuple_sl(n, p)})
+    assert [k.decode(x) for x in central_quotient(special_linear_group(n, p)).elements] == want
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
+def test_projective_action_matches_tuple_action(n, p):
+    action = projective_space_action(n - 1, p)
+    k = packing(n, p)
+    for g in action.group.elements:
+        m = k.decode(g)
+        for v in action.points:
+            w = tuple(sum(map(_times, row, v)) % p for row in m)
+            assert action.apply(g, v) == min(tuple(x * lam % p for x in w) for lam in range(1, p))
+
+
+@pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (3, 5)])
+def test_packed_product_matches_tuple_product(n, p):
+    # SL3(F3) and SL4(F2) on random pairs of elements; 3x3 over F5 (SL3(F5)
+    # is over the enumeration cap) on random matrices, invertible or not.
+    k = packing(n, p)
+    rng = random.Random(n * 100 + p)
+    if (n, p) == (3, 5):
+        rows = range(n)
+        mats = [tuple(tuple(rng.randrange(p) for _ in rows) for _ in rows) for _ in range(2000)]
+    else:
+        mats = [k.decode(x) for x in special_linear_group(n, p).elements]
+    for _ in range(20000):
+        a, b = mats[rng.randrange(len(mats))], mats[rng.randrange(len(mats))]
+        assert k.decode(mat_mul(k.encode(a), k.encode(b), k)) == tuple_mat_mul(a, b, p)
 
 
 def closure(ops, gens):

@@ -1,9 +1,10 @@
-"""The index core of titssys against the tuple-multiplication code it
+"""The index core of titssys against the element-by-element code it
 replaced: the same cells, T1, normalizer check, S, lengths and words.
 
-``Reference`` multiplies group elements as tuples, element by element:
+``Reference`` multiplies group elements one by one with ``ops.mul``:
 cosets by sorting nH, double cosets as {b·w·b'}, T1 as a breadth-first
 closure, the normalizer by conjugating B's generators with every g.
+``check_axioms`` reads T1 and the normalizer off the cell sizes instead.
 ``classify``, which reads its flags off group orders, is checked against
 ``weakly_split_bruteforce`` and the product set of its witness.
 """
@@ -15,6 +16,7 @@ import pytest
 import weylbn.fingrp as fingrp
 import weylbn.titssys as titssys
 from weylbn.fingrp import (
+    FiniteGroup,
     monomial_subgroup,
     special_linear_group,
     strictly_upper_unipotent_subgroup,
@@ -149,6 +151,14 @@ def _unipotent_monomial_sl23():
     return TitsSystemCandidate(G, U, monomial_subgroup(G), label="sl-2-3-unipotent")
 
 
+def _u_u_sl23():
+    """(SL2(F3), U, U): U's cell alone does not cover G, so check_axioms
+    finishes the (U, U) partition, where the torus normalizes U."""
+    G = special_linear_group(2, 3)
+    U = strictly_upper_unipotent_subgroup(G)
+    return TitsSystemCandidate(G, U, U, label="sl-2-3-uu")
+
+
 def _b_b_sl32():
     """(SL3(F2), B, B): B and B do not generate G, so T1 fails."""
     G = special_linear_group(3, 2)
@@ -164,6 +174,7 @@ SYSTEMS = {
     "projective-3-2": lambda: projective_rank1_system(3, 2),
     "psl3f2-nonstandard": psl3_f2_nonstandard_system,
     "sl-2-3-unipotent": _unipotent_monomial_sl23,
+    "sl-2-3-uu": _u_u_sl23,
     "sl-3-2-bb": _b_b_sl32,
 }
 
@@ -196,6 +207,33 @@ def test_index_core_matches_tuple_reference(name):
         assert not rep.t2_holds
     else:
         assert star_property_check(c) == ref.star
+
+
+def test_covered_cells_answer_t1_and_the_normalizer(monkeypatch):
+    # The cells of SL3(F3)'s six Weyl representatives cover G, so
+    # check_axioms builds no right table of N and makes no orbit pass over
+    # G: its only orbits are the right cosets Bw that T3 reads, |B| points
+    # each.
+    c = standard_sl_system(3, 3)
+    d = _derived(c)
+    passes, tables = [], [0]
+    orbits, right_table = fingrp.orbits, FiniteGroup.right_table
+
+    def counted_orbits(perms, size, seeds=None):
+        out = orbits(perms, size, seeds)
+        passes.append(sum(map(len, out)))
+        return out
+
+    def counted_right_table(G, x):
+        tables[0] += 1
+        return right_table(G, x)
+
+    monkeypatch.setattr(titssys, "orbits", counted_orbits)
+    monkeypatch.setattr(FiniteGroup, "right_table", counted_right_table)
+    rep = check_axioms(c)
+    assert rep.t1_generates and rep.normalizer_is_b and rep.bruhat_bijective
+    assert tables[0] == 0
+    assert passes == [c.B.order] * (len(d.s_reps) * len(d.reps))
 
 
 # Every system the tests build that classify runs on.
