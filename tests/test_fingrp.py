@@ -14,8 +14,8 @@ from weylbn.fingrp import (
     FiniteGroup,
     GroupAction,
     GroupOps,
-    _closure,
     _add_row,
+    _closure,
     _primitive_root,
     _sl_generators,
     action_orbits,

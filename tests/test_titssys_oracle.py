@@ -269,7 +269,8 @@ def test_classify_multiplies_no_group_elements(name, monkeypatch):
     # Given Fit(B), whose nilpotency check closes new subgroups, classify
     # reads orders and intersections only: on SL3(F3) Fit(B) is the witness,
     # on SL2(F5) the normal-subgroup lattice is searched.  The brute-force
-    # oracle forms the products H·U.
+    # oracle forms the products H·U.  ``fingrp.mat_mul`` is the packed
+    # product every matrix group's ``ops.mul`` calls.
     c = CLASSIFIED[name]()
     fit = fingrp.fitting_subgroup(c.B)
     monkeypatch.setattr(titssys, "fitting_subgroup", lambda B: fit)
@@ -277,9 +278,9 @@ def test_classify_multiplies_no_group_elements(name, monkeypatch):
     calls = [0]
     mat_mul = fingrp.mat_mul
 
-    def counted(a, b, p):
+    def counted(a, b, k):
         calls[0] += 1
-        return mat_mul(a, b, p)
+        return mat_mul(a, b, k)
 
     monkeypatch.setattr(fingrp, "mat_mul", counted)
     assert classify(c).split
