@@ -267,16 +267,14 @@ def orbits(perms, size, seeds=None):
     return out
 
 
-def left_coset_reps(G, K, seeds=None):
-    """Left cosets xK of the subgroup K, each named by its least member.
-
-    Maps the index in G of every element of the cosets through ``seeds``
-    (indices in G; default every element of G) to the index of its coset's
-    least member.
+def left_coset_reps(G, K):
+    """Left cosets xK of the subgroup K, each named by its least member:
+    maps the index in G of every element to that of its coset's least
+    member.
     """
     perms = [G.right_table(k) for k in K.generators()]
     rep_of = {}
-    for orb in orbits(perms, G.order, seeds):
+    for orb in orbits(perms, G.order):
         r = min(orb)
         for i in orb:
             rep_of[i] = r

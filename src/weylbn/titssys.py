@@ -4,8 +4,8 @@ A candidate is a triple (G, B, N) of a finite group and two subgroups.
 Derived data: H = B ∩ N, the Weyl group W = N/H as canonical coset
 representatives, the distinguished generators S (the nontrivial classes
 w for which B ∪ BwB is a subgroup), lengths and canonical words over S,
-and the B,B-double-coset partition of G.  The axiom checker verifies,
-exhaustively
+and the Bruhat cells BwB, read as the B-orbits on the left cosets G/B.
+The axiom checker verifies, exhaustively
 
   T1  B and N generate G,
   T2  S generates W and consists of involutions,
@@ -131,94 +131,101 @@ def derive_weyl(c):
 
 
 class _Derived:
-    """Everything the checks share: Weyl quotient, S, lengths, cells, and
-    the conjugates of B by the Weyl representatives.
+    """Everything the checks share: the Weyl quotient, the cosets G/B, the
+    cells, S, lengths and words.
 
-    Group elements are handled by their index in G (see fingrp):
-    left and right multiplication by the generators of B and by S are
-    index tables, cells and cosets are orbits of them.
+    The Weyl quotient N/H is computed on N's own tables.  The left cosets
+    of B are numbered once, in the order of their least elements:
+    ``coset_of`` maps G's index of each element to its coset, from the
+    orbits of the right tables of B's generators.  An element x acts on
+    G/B by x·rB = (x·r)B, one ``ops.mul`` per coset with r its least
+    element, and every check reads that action: a cell BwB is the B-orbit
+    of wB, with |B| elements per coset.  G builds no other multiplication
+    table.
     """
 
     def __init__(self, c):
-        G, B = c.G, c.B
-        self.G, self.B = G, B
-        self.mul, self.els, self.index = G.ops.mul, G.elements, G.index
+        G, B, N = c.G, c.B, c.N
+        self.B, self.N, self.mul, self.index = B, N, G.ops.mul, G.index
         # H = B ∩ N; rep_of: the index of n in N -> that of min(nH).
-        self.H = G.subgroup(B.elemset & c.N.elemset)
-        if not is_normal(self.H, c.N):
+        self.H = G.subgroup(B.elemset & N.elemset)
+        if not is_normal(self.H, N):
             raise HNotNormal("B ∩ N is not normal in N")
-        self.rep_of = left_coset_reps(G, self.H, G.indices(c.N))
-        rep_idx = sorted(set(self.rep_of.values()))
-        self.reps = tuple(self.els[r] for r in rep_idx)
-        self.identity_rep = self.wrep(G.ops.identity)
-        bgens = B.generators()
-        self.b_left = [G.left_table(b) for b in bgens]
-        self.b_right = [G.right_table(b) for b in bgens]
-        self._build_cells(rep_idx)
-        self._find_s(B)
-        self.s_left = [G.left_table(s) for s in self.s_reps]
+        self.rep_of = left_coset_reps(N, self.H)
+        self.reps = tuple(N.elements[r] for r in sorted(set(self.rep_of.values())))
+        self.identity_rep = e = self.wrep(G.ops.identity)
+        # Each orbit starts at its least index, so coset k's least element
+        # is coset_reps[k] and the cosets are numbered in their order.
+        cosets = orbits([G.right_table(b) for b in B.generators()], G.order)
+        self.coset_of = [0] * G.order
+        for k, orb in enumerate(cosets):
+            for i in orb:
+                self.coset_of[i] = k
+        self.coset_reps = [G.elements[orb[0]] for orb in cosets]
+        self.b_acts = [self.act(b) for b in B.generators()]
+        # The cells BwB are the B-orbits on G/B, seeded at the Weyl
+        # representatives in order, then at every other coset.  A cell is
+        # named by the first representative it contains: ``cells`` holds
+        # its cosets, and ``cell_of`` maps a coset to that name (None: no
+        # representative).  ``fixed`` counts the cosets gB that B fixes,
+        # those with g in N_G(B).
+        m = len(cosets)
+        named = {self.coset(w): w for w in self.reps}
+        self.cell_of, self.cells, self.fixed = [None] * m, {}, 0
+        for orb in orbits(self.b_acts, m, list(named) + list(range(m))):
+            self.fixed += len(orb) == 1
+            w = named.get(orb[0])
+            if w is not None:
+                self.cells[w] = orb
+                for k in orb:
+                    self.cell_of[k] = w
+        self.cell_size = {w: B.order * len(orb) for w, orb in self.cells.items()}
+        # S: the nontrivial w with B ∪ BwB closed, that is with every w·b·w
+        # in B ∪ BwB, as (BwB)(BwB) is the union of the B(wbw)B over b in B.
+        self.s_reps = tuple(w for w in self.reps if w != e and self.cells_met(w, w) <= {e, w})
         self._word_bfs()
 
     def wrep(self, n):
         """The Weyl representative of an element of N."""
-        return self.els[self.rep_of[self.index[n]]]
+        return self.N.elements[self.rep_of[self.N.index[n]]]
 
     def wmul(self, r1, r2):
         return self.wrep(self.mul(r1, r2))
 
-    def right_coset(self, w):
-        """The right coset Bw, as indices in G."""
-        return orbits(self.b_left, len(self.els), [self.index[w]])[0]
+    def coset(self, x):
+        """The number of the coset xB."""
+        return self.coset_of[self.index[x]]
 
-    def sbw_cells(self, k, w):
-        """The cells met by s·B·w for the k-th s in S (None: no cell)."""
-        s_left, cell_of = self.s_left[k], self.cell_of
-        return {cell_of[s_left[i]] for i in self.right_coset(w)}
+    def act(self, x):
+        """Left multiplication by x, as a permutation of the cosets."""
+        mul, coset = self.mul, self.coset
+        return [coset(mul(x, r)) for r in self.coset_reps]
 
-    def _build_cells(self, rep_idx):
-        """Double cosets B w B, orbits of B on both sides, seeded at the
-        Weyl representatives in order: each cell is named by the first
-        representative it contains, and ``cell_size`` has one entry per
-        cell."""
-        cell_of = [None] * len(self.els)
-        cell_size = {}
-        for orb in orbits(self.b_left + self.b_right, len(self.els), rep_idx):
-            w = self.els[orb[0]]
-            cell_size[w] = len(orb)
-            for i in orb:
-                cell_of[i] = w
-        self.cell_of = cell_of
-        self.cell_size = cell_size
+    def orbit(self, w):
+        """The cosets in BwB, the B-orbit of wB, for a Weyl representative w."""
+        return self.cells[self.cell_of[self.coset(w)]]
 
-    def _find_s(self, B):
-        """S = nontrivial classes w with B ∪ BwB closed under products.
-
-        B ∪ BwB is closed iff every product w·b·w stays in B ∪ BwB,
-        because (BwB)(BwB) is the union of the B(wbw)B over b in B.
-        """
-        mul, els, index, cell_of = self.mul, self.els, self.index, self.cell_of
-        e = self.identity_rep
-        self.s_reps = tuple(
-            w
-            for w in self.reps
-            if w != e
-            and all(cell_of[index[mul(w, els[i])]] in (e, w) for i in self.right_coset(w))
-        )
+    def cells_met(self, x, w):
+        """The cells met by x·B·w, those of x·b·w·B for the cosets bwB in
+        the orbit of wB (None: no cell), one product per coset."""
+        mul, coset, cell_of, reps = self.mul, self.coset, self.cell_of, self.coset_reps
+        return {cell_of[coset(mul(x, reps[k]))] for k in self.orbit(w)}
 
     @cached_property
-    def b_conjugates(self):
-        """w·B·w^-1 as a set of indices in G, for each Weyl representative w."""
-        return {w: set(conjugate(self.G, w, self.G.indices(self.B))) for w in self.reps}
+    def stabilizers(self):
+        """B ∩ wBw^-1 for each Weyl representative w: b lies in wBw^-1
+        exactly when b·wB = wB, so this is the stabilizer in B of wB."""
+        mul, coset = self.mul, self.coset
+        return {w: {b for b in self.B.elements if coset(mul(b, w)) == coset(w)} for w in self.reps}
 
     @cached_property
     def b_conjugates_meet(self):
-        """The intersection of B with every wBw^-1, w a Weyl representative,
-        as indices in G.
+        """The intersection of B with every wBw^-1, w a Weyl representative.
 
         This is also the intersection of all N-conjugates of B: each n in N
         is w·h with h in H ⊆ B, and then nBn^-1 = wBw^-1.
         """
-        return set(self.G.indices(self.B)).intersection(*self.b_conjugates.values())
+        return self.B.elemset.intersection(*self.stabilizers.values())
 
     def _word_bfs(self):
         """Lengths and lexicographically least words over S for each class.
@@ -265,20 +272,20 @@ def find_S(c):
 
 
 def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
-    """Exhaustive T1-T4 verification plus Bruhat and normalizer checks.
+    """Exhaustive T1-T4 verification plus Bruhat and normalizer checks, all
+    read off the action on G/B (see _Derived).
 
-    g normalizes B exactly when gB = Bg, that is when |BgB| = |B|; so
-    B = N_G(B) exactly when B's cell is the only (B, B) double coset of
-    size |B|.  When the cells of the Weyl representatives cover G, each
-    lies in <B, N>, so T1 holds and they are every double coset.
-    Otherwise the partition is finished, and T1 is the orbit of the
-    identity under right multiplication by the generators of B and N.
+    T1: B ⊆ <B, N>, so <B, N> = G exactly when the orbit of the coset B
+    under B and N is all of G/B.  T4: sBs = B puts s² in B ∩ N = H, and
+    then sBs = sBs^-1·s² is B exactly when s normalizes B, that is when B
+    fixes sB; so sBs = B exactly when s² ∈ H and the orbit of sB is one
+    point.  g normalizes B exactly when B fixes gB, so B = N_G(B) exactly
+    when B fixes one coset only.
     """
     if c.G.order > max_group:
         raise GroupTooLarge(
             f"|G| = {c.G.order} exceeds the exhaustive-check cap {max_group}"
         )
-    mul = c.G.ops.mul
     try:
         d = _derived(c)
     except HNotNormal:
@@ -287,31 +294,14 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
             h_normal_in_n=False, bruhat_bijective=False, normalizer_is_b=False,
             weyl_order=0, s_set=(), cells={},
         )
-    e = d.identity_rep
-    size = len(d.els)
-    sizes = list(d.cell_size.values())
-    t1 = covered = sum(sizes) == size
-    if not covered:
-        n_right = [c.G.right_table(x) for x in c.N.generators()]
-        t1 = len(orbits(d.b_right + n_right, size, [d.index[c.G.ops.identity]])[0]) == size
-        rest = [i for i, w in enumerate(d.cell_of) if w is None]
-        sizes += map(len, orbits(d.b_left + d.b_right, size, rest))
-
+    e, m = d.identity_rep, len(d.coset_reps)
+    n_acts = [d.act(n) for n in c.N.generators()]
+    t1 = len(orbits(d.b_acts + n_acts, m, [d.coset(c.G.ops.identity)])[0]) == m
     s_generates = not d.unreached
     t2 = s_generates and all(d.wmul(s, s) == e for s in d.s_reps)
-
-    bruhat = covered and len(d.cell_size) == len(d.reps)
-
-    t3 = all(
-        d.sbw_cells(k, w) <= {w, d.wmul(s, w)}
-        for k, s in enumerate(d.s_reps)
-        for w in d.reps
-    )
-
-    t4 = all(
-        any(mul(mul(s, b), s) not in c.B.elemset for b in c.B.elements)
-        for s in d.s_reps
-    )
+    bruhat = None not in d.cell_of and len(d.cells) == len(d.reps)
+    t3 = all(d.cells_met(s, w) <= {w, d.wmul(s, w)} for s in d.s_reps for w in d.reps)
+    t4 = not any(d.wmul(s, s) == e and len(d.orbit(s)) == 1 for s in d.s_reps)
 
     return TitsReport(
         t1_generates=t1,
@@ -320,7 +310,7 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
         t4_holds=t4,
         h_normal_in_n=True,
         bruhat_bijective=bruhat,
-        normalizer_is_b=sizes.count(c.B.order) == 1,
+        normalizer_is_b=d.fixed == 1,
         weyl_order=len(d.reps),
         s_set=tuple(c.G.ops.fmt(s) for s in d.s_reps),
         cells=bruhat_cells(c) if bruhat and s_generates else {},
@@ -367,10 +357,10 @@ def star_property_check(c):
     d = _derived(c)
     if d.unreached:
         return False
-    for k, s in enumerate(d.s_reps):
+    for s in d.s_reps:
         for w in d.reps:
             sw = d.wmul(s, w)
-            got = d.sbw_cells(k, w)
+            got = d.cells_met(s, w)
             if d.lengths[sw] > d.lengths[w]:
                 expected = {sw}
             else:
@@ -393,9 +383,7 @@ def intersection_identity_check(c):
     longest = [w for w in d.reps if d.lengths[w] == maxlen]
     if len(longest) != 1:
         return False
-    w0 = longest[0]
-    h = set(c.G.indices(d.H))
-    return d.b_conjugates_meet == h == set(c.G.indices(c.B)) & d.b_conjugates[w0]
+    return d.b_conjugates_meet == d.H.elemset == d.stabilizers[longest[0]]
 
 
 def _meet_if_hu_is_b(H, U, B):
@@ -413,7 +401,7 @@ def classify(c):
     nilpotent, so each candidate that complements H is a valid witness.
     """
     d = _derived(c)
-    saturated = d.b_conjugates_meet == set(c.G.indices(d.H))
+    saturated = d.b_conjugates_meet == d.H.elemset
     fit = fitting_subgroup(c.B)
     meet = _meet_if_hu_is_b(d.H, fit, c.B)
     witness = fit if saturated and meet == 1 else None

@@ -1,12 +1,13 @@
 """The index core of titssys against the element-by-element code it
-replaced: the same cells, T1, normalizer check, S, lengths and words.
+replaced: the same cells, T1, T4, normalizer check, S, lengths and words.
 
 ``Reference`` multiplies group elements one by one with ``ops.mul``:
 cosets by sorting nH, double cosets as {b·w·b'}, T1 as a breadth-first
-closure, the normalizer by conjugating B's generators with every g.
-``check_axioms`` reads T1 and the normalizer off the cell sizes instead.
-``classify``, which reads its flags off group orders, is checked against
-``weakly_split_bruteforce`` and the product set of its witness.
+closure, T4 as the set sBs, the normalizer by conjugating B's generators
+with every g.  ``check_axioms`` reads all of them off the action on G/B
+instead.  ``classify``, which reads its flags off group orders, is
+checked against ``weakly_split_bruteforce`` and the product set of its
+witness.
 """
 
 from functools import partial
@@ -17,6 +18,7 @@ import weylbn.fingrp as fingrp
 import weylbn.titssys as titssys
 from weylbn.fingrp import (
     FiniteGroup,
+    affine_group,
     monomial_subgroup,
     special_linear_group,
     strictly_upper_unipotent_subgroup,
@@ -30,6 +32,7 @@ from weylbn.titssys import (
     classify,
     derive_weyl,
     find_S,
+    intersection_identity_check,
     projective_rank1_system,
     psl3_f2_nonstandard_system,
     sl_rank1_column_system,
@@ -58,8 +61,8 @@ def _closure_reference(ops, gens):
 
 
 class Reference:
-    """Weyl quotient, cells, S, lengths, words and the T1, T3, star and
-    normalizer verdicts, all by tuple multiplication."""
+    """Weyl quotient, cells, S, lengths, words and the T1, T3, T4, star
+    and normalizer verdicts, all by tuple multiplication."""
 
     def __init__(self, c):
         G, B, N = c.G, c.B, c.N
@@ -125,6 +128,9 @@ class Reference:
             for w in self.reps
             for b in B.elements
         )
+        self.t4 = not any(
+            {mul(mul(s, b), s) for b in B.elements} == B.elemset for s in self.s_reps
+        )
         self.star = True if lengths.keys() == set(self.reps) else None
         for s in self.s_reps if self.star else ():
             for w in self.reps:
@@ -159,6 +165,15 @@ def _u_u_sl23():
     return TitsSystemCandidate(G, U, U, label="sl-2-3-uu")
 
 
+def _affine5_translations():
+    """(AGL1(F5), translations, AGL1(F5)): B is normal, so W = G/B ≅ Z4
+    and the class of y -> -y is an involution that normalizes B; it is S,
+    and sBs = B, so T4 fails while T3 holds."""
+    G = affine_group(5)
+    B = G.subgroup([(t, 1) for t in range(5)])
+    return TitsSystemCandidate(G, B, G, label="affine-5-translations")
+
+
 def _b_b_sl32():
     """(SL3(F2), B, B): B and B do not generate G, so T1 fails."""
     G = special_linear_group(3, 2)
@@ -171,6 +186,7 @@ SYSTEMS = {
     "sl-3-2": lambda: standard_sl_system(3, 2),
     "sl-3-3": lambda: standard_sl_system(3, 3),
     "affine-5": lambda: affine_rank1_system(5),
+    "affine-5-translations": _affine5_translations,
     "projective-3-2": lambda: projective_rank1_system(3, 2),
     "psl3f2-nonstandard": psl3_f2_nonstandard_system,
     "sl-2-3-unipotent": _unipotent_monomial_sl23,
@@ -195,13 +211,14 @@ def test_index_core_matches_tuple_reference(name):
     assert list(d.cell_size) == [w for w in ref.reps if ref.cell_sets[w] is not None]
     for w, size in d.cell_size.items():
         assert size == len(ref.cell_sets[w])
-    assert [d.cell_of[index[x]] for x in c.G.elements] == [
+    assert [d.cell_of[d.coset_of[index[x]]] for x in c.G.elements] == [
         ref.cell_of.get(x) for x in c.G.elements
     ]
 
     rep = check_axioms(c)
     assert rep.t1_generates == ref.t1
     assert rep.t3_holds == ref.t3
+    assert rep.t4_holds == ref.t4
     assert rep.normalizer_is_b == ref.normalizer
     if ref.star is None:  # S does not generate W
         assert not rep.t2_holds
@@ -209,31 +226,48 @@ def test_index_core_matches_tuple_reference(name):
         assert star_property_check(c) == ref.star
 
 
-def test_covered_cells_answer_t1_and_the_normalizer(monkeypatch):
-    # The cells of SL3(F3)'s six Weyl representatives cover G, so
-    # check_axioms builds no right table of N and makes no orbit pass over
-    # G: its only orbits are the right cosets Bw that T3 reads, |B| points
-    # each.
-    c = standard_sl_system(3, 3)
-    d = _derived(c)
-    passes, tables = [], [0]
-    orbits, right_table = fingrp.orbits, FiniteGroup.right_table
+def test_checks_run_on_the_cosets_of_b(monkeypatch):
+    # The derived data builds G's right tables of B's generators, to number
+    # G/B, and no other table of |G| entries; the Weyl quotient runs on N's
+    # own tables.  After it, the checks act on the |G|/|B| cosets by
+    # products: check_axioms walks one orbit, the T1 orbit of the coset B.
+    right, left, passes = [], [], []
+    right_table, left_table = FiniteGroup.right_table, FiniteGroup.left_table
+    orbits = titssys.orbits
+
+    def counted_right_table(G, x):
+        right.append((G, x))
+        return right_table(G, x)
+
+    def counted_left_table(G, x):
+        left.append((G, x))
+        return left_table(G, x)
 
     def counted_orbits(perms, size, seeds=None):
         out = orbits(perms, size, seeds)
-        passes.append(sum(map(len, out)))
+        passes.append((size, sum(map(len, out))))
         return out
 
-    def counted_right_table(G, x):
-        tables[0] += 1
-        return right_table(G, x)
-
-    monkeypatch.setattr(titssys, "orbits", counted_orbits)
+    c = standard_sl_system(4, 2)
     monkeypatch.setattr(FiniteGroup, "right_table", counted_right_table)
+    monkeypatch.setattr(FiniteGroup, "left_table", counted_left_table)
+    titssys._Derived(c)
+    assert [x for G, x in right if G is c.G] == list(c.B.generators())
+    assert all(G is c.G or G is c.N for G, _ in right)
+    assert left == []
+
+    c = standard_sl_system(3, 3)
+    _derived(c)
+    right.clear()
+    monkeypatch.setattr(titssys, "orbits", counted_orbits)
+    monkeypatch.setattr(fingrp, "orbits", counted_orbits)
+    cosets = c.G.order // c.B.order
     rep = check_axioms(c)
-    assert rep.t1_generates and rep.normalizer_is_b and rep.bruhat_bijective
-    assert tables[0] == 0
-    assert passes == [c.B.order] * (len(d.s_reps) * len(d.reps))
+    assert rep.passed and rep.bruhat_bijective
+    assert passes == [(cosets, cosets)]
+    assert star_property_check(c) and intersection_identity_check(c) and classify(c).split
+    assert all(size < c.G.order for size, _ in passes)
+    assert not any(G is c.G for G, _ in right)
 
 
 # Every system the tests build that classify runs on.
