@@ -24,19 +24,19 @@ table R_x (i -> index of x_i*x).  A group keeps the left tables of its
 generators, as the enumeration or the greedy ``generators()`` formed
 them, and the breadth-first tree that reached each element
 x_i = g_j * x_p from the identity; any right table follows that tree in
-one pass, since x_i * x = g_j * (x_p * x), and L_x = I o R_{x^-1} o I
-with I the inverse table.  The inverse table is read off the same tree:
-x_i = g_j * x_p gives x_i^-1 = x_p^-1 * g_j^-1, one lookup in
-R_{g_j^-1}, so ``ops.inv`` runs once per generator (and on a sample, as
-a check).  Cosets, double cosets and generated subgroups are then orbits
-of a few such tables, found by ``orbits``.
+one pass, since x_i * x = g_j * (x_p * x).  Cosets, double cosets and
+generated subgroups are then orbits of a few such tables, found by
+``orbits``.
 
-Conjugation is one helper, ``conjugate(G, g, xs)``: g x g^-1 is
-I(r(I(r(x)))) with r = R_{g^-1}.  A question about a subgroup runs on
-that subgroup's own tables, of |H| entries: normality, conjugacy classes
-and ``normal_closure`` (the orbit of the identity under right
-multiplication by seeds and conjugation), which builds commutator
-subgroups, the Fitting subgroup and the normal-subgroup lattice.
+Conjugation by a generator g is R_{g^-1} after L_g: the left table the
+group keeps, then one right-table pass, so ``ops.inv`` runs once per
+generator and no group keeps a table of inverses.  A question about a
+subgroup runs on that subgroup's own tables, of |H| entries, and
+conjugates only by its generators: normality, conjugacy classes and
+``normal_closure`` (the orbit of the identity under right multiplication
+by seeds and conjugation), which builds commutator subgroups, the
+Fitting subgroup and the normal-subgroup lattice.  Conjugation by any
+other element is a product, on the few elements that need it.
 
 SL_n(F_p) is enumerated by that breadth-first search with its
 generators, the transvections I + E_{i,i+-1}, acting as row operations
@@ -120,24 +120,6 @@ class FiniteGroup:
         return [index[x] for x in H.elements]
 
     @cached_property
-    def inv_table(self):
-        """The index of each element's inverse, read off the BFS tree:
-        x_i = g_j * x_p gives x_i^-1 = x_p^-1 * g_j^-1, a lookup in the
-        right table of g_j^-1."""
-        steps = self._core[1]
-        right = [self.right_table(self.ops.inv(g)) for g in self.generators()]
-        table = [0] * len(self.elements)
-        e = self.index[self.ops.identity]
-        table[e] = e
-        for i, j, p in steps:
-            table[i] = right[j][table[p]]
-        return table
-
-    def inverse(self, x):
-        """x^-1, read from the inverse table."""
-        return self.elements[self.inv_table[self.index[x]]]
-
-    @cached_property
     def _core(self):
         """(left tables of the generators, BFS steps (i, j, p)), each step
         meaning x_i = gens[j] * x_p.
@@ -171,31 +153,30 @@ class FiniteGroup:
             table[i] = left[j][table[p]]
         return table
 
-    def left_table(self, x):
-        """L_x: i -> index of x * x_i."""
-        inv = self.inv_table
-        r = self.right_table(self.inverse(x))
-        return [inv[r[j]] for j in inv]
+    def left_table(self, g):
+        """L_g: i -> index of g * x_i, for one of the generators g."""
+        return self._core[0][self.generators().index(g)]
 
     def conjugation(self, g):
-        """i -> index of g x_i g^-1, built once per g."""
+        """i -> index of g x_i g^-1 for one of the generators g: R_{g^-1}
+        after L_g, built once per g."""
         table = self._conj.get(g)
         if table is None:
-            table = self._conj[g] = conjugate(self, g, range(len(self.elements)))
+            r = self.right_table(self.ops.inv(g))
+            table = self._conj[g] = [r[i] for i in self.left_table(g)]
         return table
 
     def _spot_check(self):
-        """Membership of the identity, ``ops.inv`` on every generator (the
-        inverse table follows from these), the generators' closure (built
-        with the inverse table), then sampled products, associativity and
-        inverses against the ``ops`` oracles."""
+        """Membership of the identity, ``ops.inv`` on every generator, the
+        generators' closure (the BFS tree), then sampled products,
+        associativity and inverses against the ``ops`` oracles."""
         mul, inv = self.ops.mul, self.ops.inv
         e = self.ops.identity
         if e not in self.elemset:
             raise ValueError(f"{self.ops.label}: identity not a member")
         if any(mul(g, inv(g)) != e for g in self.generators()):
             raise ValueError(f"{self.ops.label}: ops.inv does not invert a generator")
-        self.inv_table  # builds the BFS tree: ValueError unless a group
+        self._core  # builds the BFS tree: ValueError unless a group
         rng = random.Random(20160)
         n = len(self.elements)
         for _ in range(min(200, n * n)):
@@ -206,8 +187,8 @@ class FiniteGroup:
             c = self.elements[rng.randrange(n)]
             if mul(mul(a, b), c) != mul(a, mul(b, c)):
                 raise ValueError(f"{self.ops.label}: multiplication not associative")
-            if inv(a) != self.inverse(a):
-                raise ValueError(f"{self.ops.label}: inverse table disagrees with ops.inv")
+            if mul(a, inv(a)) != e:
+                raise ValueError(f"{self.ops.label}: ops.inv does not invert a sampled element")
         if mul(e, self.elements[0]) != self.elements[0]:
             raise ValueError(f"{self.ops.label}: identity law fails")
 
@@ -267,18 +248,19 @@ def orbits(perms, size, seeds=None):
     return out
 
 
-def left_coset_reps(G, K):
-    """Left cosets xK of the subgroup K, each named by its least member:
-    maps the index in G of every element to that of its coset's least
-    member.
+def left_cosets(G, K):
+    """The left cosets xK of the subgroup K, numbered in the order of their
+    least members: (coset_of, reps), with ``coset_of[i]`` the number of the
+    coset of G's element i and ``reps[k]`` G's index of the least member of
+    coset k.  They are the orbits of the right tables of K's generators,
+    and an orbit seeded in ascending order starts at its least point.
     """
-    perms = [G.right_table(k) for k in K.generators()]
-    rep_of = {}
-    for orb in orbits(perms, G.order):
-        r = min(orb)
+    coset_of, reps = [0] * G.order, []
+    for k, orb in enumerate(orbits([G.right_table(x) for x in K.generators()], G.order)):
+        reps.append(orb[0])
         for i in orb:
-            rep_of[i] = r
-    return rep_of
+            coset_of[i] = k
+    return coset_of, reps
 
 
 def _not_closed(ops):
@@ -316,15 +298,6 @@ def _closure(identity, acts, cap=None, grow=None):
     return order, tables, via
 
 
-def conjugate(G, g, xs):
-    """The indices of g x g^-1 for the indices ``xs``, all in G.  With
-    r = R_{g^-1} and I the inverse table, I(r(x)) = g x^-1, so
-    I(r(I(r(x)))) = g x g^-1: one pass over the BFS tree, then lookups."""
-    inv = G.inv_table
-    r = G.right_table(G.inverse(g))
-    return [inv[r[inv[r[x]]]] for x in xs]
-
-
 def is_normal(H, G):
     """H ⊆ G, and g H g^-1 ⊆ H for each of G's generators g.  H is finite,
     so that inclusion is equality, and then it holds for every product of
@@ -332,7 +305,7 @@ def is_normal(H, G):
     if not H.is_subgroup_of(G):
         return False
     hgens = [G.index[h] for h in H.generators()]
-    return all(G.elements[i] in H for g in G.generators() for i in conjugate(G, g, hgens))
+    return all(G.elements[G.conjugation(g)[i]] in H for g in G.generators() for i in hgens)
 
 
 def conjugacy_classes(G):
@@ -345,8 +318,9 @@ def conjugacy_classes(G):
 def normal_closure(G, seeds, conj_gens):
     """The least subgroup of G that contains ``seeds`` and is normalized by
     ``conj_gens``: on G's index, the orbit of the identity under right
-    multiplication by each seed and conjugation by each of ``conj_gens``
-    (G keeps each conjugation table it builds).
+    multiplication by each seed and conjugation by each of ``conj_gens``,
+    which are among G's generators (G keeps each conjugation table it
+    builds).
 
     The orbit K is that subgroup.  K is finite and closed under
     conjugation by g, so conjugation by g permutes K, and K is closed under
@@ -391,15 +365,14 @@ def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
     return [G.subgroup(els) for els in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
-def commutator_subgroup(G, H, L):
-    """[H, L] inside G: the normal closure of the commutators of H's and
-    L's generators under conjugation by both generating sets.  On G's
-    index, [h, l] = (h l h^-1) l^-1 is a conjugate looked up in R_{l^-1}."""
-    hgens, lgens = H.generators(), L.generators()
-    ls = [G.index[l] for l in lgens]
-    right = [G.right_table(G.inverse(l)) for l in lgens]
-    seeds = [G.elements[r[c]] for h in hgens for r, c in zip(right, conjugate(G, h, ls))]
-    return normal_closure(G, seeds, hgens + lgens)
+def commutator_subgroup(H, L):
+    """[H, L] for L ≤ H, on H's own tables: the normal closure in H of the
+    commutators [h, l] = (h l)(l h)^-1 of H's and L's generators.
+    Conjugation by L's generators adds nothing, since ⟨H, L⟩ = H."""
+    mul, inv = H.ops.mul, H.ops.inv
+    hgens = H.generators()
+    seeds = [mul(mul(h, l), inv(mul(l, h))) for h in hgens for l in L.generators()]
+    return normal_closure(H, seeds, hgens)
 
 
 def is_nilpotent(H):
@@ -408,7 +381,7 @@ def is_nilpotent(H):
         raise GroupTooLarge(f"nilpotency check capped at {NILPOTENCY_CAP}")
     current = H
     while current.order > 1:
-        nxt = commutator_subgroup(H, H, current)
+        nxt = commutator_subgroup(H, current)
         if nxt.order == current.order:
             return False
         current = nxt
@@ -639,8 +612,8 @@ def special_linear_group(n, p):
 
     The breadth-first enumeration applies each generator as a row
     operation on the packed matrix (row_i += row_j mod p), not as a matrix
-    product, and the group keeps its tree, from which right tables and the
-    inverse table are read (see the module docstring).
+    product, and the group keeps its tree, from which right tables are
+    read (see the module docstring).
 
     Instances are cached per (n, p); they are immutable and shared.
     """
@@ -773,14 +746,13 @@ def coset_action(G, B):
 
     Each coset is named by its least element.
     """
-    mul = G.ops.mul
-    els = G.elements
-    rep_of = {els[i]: els[r] for i, r in left_coset_reps(G, B).items()}
+    mul, els, index = G.ops.mul, G.elements, G.index
+    coset_of, reps = left_cosets(G, B)
 
     def apply(g, r):
-        return rep_of[mul(g, r)]
+        return els[reps[coset_of[index[mul(g, r)]]]]
 
-    return GroupAction(G, tuple(sorted(set(rep_of.values()))), apply)
+    return GroupAction(G, tuple(els[r] for r in reps), apply)
 
 
 def affine_group(p):

@@ -48,12 +48,11 @@ from .fingrp import (
     FiniteGroup,
     _shaped_members,
     central_quotient,
-    conjugate,
     coset_action,
     fitting_subgroup,
     is_2transitive,
     is_normal,
-    left_coset_reps,
+    left_cosets,
     monomial_subgroup,
     normal_closure,
     normal_subgroups,
@@ -135,9 +134,9 @@ class _Derived:
     cells, S, lengths and words.
 
     The Weyl quotient N/H is computed on N's own tables.  The left cosets
-    of B are numbered once, in the order of their least elements:
-    ``coset_of`` maps G's index of each element to its coset, from the
-    orbits of the right tables of B's generators.  An element x acts on
+    of B are numbered once by ``left_cosets``, in the order of their least
+    elements: ``coset_of`` maps G's index of each element to its coset.
+    An element x acts on
     G/B by x·rB = (x·r)B, one ``ops.mul`` per coset with r its least
     element, and every check reads that action: a cell BwB is the B-orbit
     of wB, with |B| elements per coset.  G builds no other multiplication
@@ -147,21 +146,16 @@ class _Derived:
     def __init__(self, c):
         G, B, N = c.G, c.B, c.N
         self.B, self.N, self.mul, self.index = B, N, G.ops.mul, G.index
-        # H = B ∩ N; rep_of: the index of n in N -> that of min(nH).
+        # H = B ∩ N; the Weyl representatives are the least elements of
+        # the cosets nH, in their order.
         self.H = G.subgroup(B.elemset & N.elemset)
         if not is_normal(self.H, N):
             raise HNotNormal("B ∩ N is not normal in N")
-        self.rep_of = left_coset_reps(N, self.H)
-        self.reps = tuple(N.elements[r] for r in sorted(set(self.rep_of.values())))
+        self.weyl_of, reps = left_cosets(N, self.H)
+        self.reps = tuple(N.elements[r] for r in reps)
         self.identity_rep = e = self.wrep(G.ops.identity)
-        # Each orbit starts at its least index, so coset k's least element
-        # is coset_reps[k] and the cosets are numbered in their order.
-        cosets = orbits([G.right_table(b) for b in B.generators()], G.order)
-        self.coset_of = [0] * G.order
-        for k, orb in enumerate(cosets):
-            for i in orb:
-                self.coset_of[i] = k
-        self.coset_reps = [G.elements[orb[0]] for orb in cosets]
+        self.coset_of, reps = left_cosets(G, B)
+        self.coset_reps = [G.elements[r] for r in reps]
         self.b_acts = [self.act(b) for b in B.generators()]
         # The cells BwB are the B-orbits on G/B, seeded at the Weyl
         # representatives in order, then at every other coset.  A cell is
@@ -169,7 +163,7 @@ class _Derived:
         # its cosets, and ``cell_of`` maps a coset to that name (None: no
         # representative).  ``fixed`` counts the cosets gB that B fixes,
         # those with g in N_G(B).
-        m = len(cosets)
+        m = len(self.coset_reps)
         named = {self.coset(w): w for w in self.reps}
         self.cell_of, self.cells, self.fixed = [None] * m, {}, 0
         for orb in orbits(self.b_acts, m, list(named) + list(range(m))):
@@ -187,7 +181,7 @@ class _Derived:
 
     def wrep(self, n):
         """The Weyl representative of an element of N."""
-        return self.N.elements[self.rep_of[self.N.index[n]]]
+        return self.reps[self.weyl_of[self.N.index[n]]]
 
     def wmul(self, r1, r2):
         return self.wrep(self.mul(r1, r2))
@@ -497,9 +491,10 @@ def sl_rank1_column_system(n, p):
     g = min(swaps, default=None)
     if g is None:
         raise NoConjugatorFound("no element swaps the two coordinate lines")
-    if set(conjugate(G, g, G.indices(B))) != set(G.indices(Bp)):
+    mul, gi = G.ops.mul, G.ops.inv(g)
+    if {mul(mul(g, b), gi) for b in B.elements} != Bp.elemset:
         raise NoConjugatorFound("swap candidate does not conjugate B onto B'")
-    N = G.subgroup(sorted(H.elemset | {G.ops.mul(g, h) for h in H.elements}))
+    N = G.subgroup(sorted(H.elemset | {mul(g, h) for h in H.elements}))
     return TitsSystemCandidate(G, B, N, label=f"sl-rank1-{n}-{p}")
 
 
@@ -517,9 +512,8 @@ def psl3_f2_nonstandard_system():
             break
     else:
         raise SubgroupNotFound("no element of order 7")
-    p7 = set(G.indices(P7))
-    x7 = [G.index[seed7]]
-    K = G.subgroup([g for g in G.elements if conjugate(G, g, x7)[0] in p7])
+    mul, inv = G.ops.mul, G.ops.inv
+    K = G.subgroup([g for g in G.elements if mul(mul(g, seed7), inv(g)) in P7])
     if K.order != 21:
         raise SubgroupNotFound(f"the normalizer of <seed7> has order {K.order}, not 21")
     action = coset_action(G, K)

@@ -270,6 +270,29 @@ def test_checks_run_on_the_cosets_of_b(monkeypatch):
     assert not any(G is c.G for G, _ in right)
 
 
+def test_sl_enumeration_and_checks_build_right_tables_of_b_only(monkeypatch):
+    # From a fresh enumeration on: checking the group builds no table of
+    # inverses, so the only right tables of G are those of B's generators,
+    # which number G/B.
+    right = []
+    right_table = FiniteGroup.right_table
+
+    def counted_right_table(G, x):
+        right.append((G, x))
+        return right_table(G, x)
+
+    monkeypatch.setattr(fingrp, "_sl_cache", {})
+    monkeypatch.setattr(titssys, "_standard_cache", {})
+    monkeypatch.setattr(FiniteGroup, "right_table", counted_right_table)
+    G = special_linear_group(4, 2)
+    c = standard_sl_system(4, 2)
+    assert c.G is G
+    assert check_axioms(c).passed
+    assert star_property_check(c) and intersection_identity_check(c)
+    classify(c)
+    assert [x for H, x in right if H is G] == list(c.B.generators())
+
+
 # Every system the tests build that classify runs on.
 CLASSIFIED = {
     **{
