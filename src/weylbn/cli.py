@@ -218,13 +218,9 @@ def cells_case(c):
     return inputs, str(c.G.order), str(total), total == c.G.order
 
 
-def star_case(c):
-    ok = titssys.star_property_check(c)
-    return {"system": c.label}, "True", str(ok), ok
-
-
-def intersection_case(c):
-    ok = titssys.intersection_identity_check(c)
+def holds_case(c, check, *args):
+    """A boolean check of the system ``c``, expected to hold."""
+    ok = check(*args)
     return {"system": c.label}, "True", str(ok), ok
 
 
@@ -233,11 +229,6 @@ def classify_case(c):
     monotone = (not flags.split) or (flags.weakly_split and flags.saturated)
     actual = "monotone" if monotone else "violates split=>weakly-split&saturated"
     return {"system": c.label, "flags": flags.to_record()}, "monotone", actual, monotone
-
-
-def cell_formula_case(c, n, p):
-    ok = titssys.cell_size_formula_check(n, p)
-    return {"system": c.label}, "True", str(ok), ok
 
 
 def coxeter_order_case(n, p):
@@ -387,12 +378,13 @@ def bn_cases(spec, max_group):
     cases = [
         (f"axioms/{c.label}", partial(axioms_case, c, max_group)),
         (f"cells/{c.label}", partial(cells_case, c)),
-        (f"star/{c.label}", partial(star_case, c)),
-        (f"intersection/{c.label}", partial(intersection_case, c)),
+        (f"star/{c.label}", partial(holds_case, c, titssys.star_property_check, c)),
+        (f"intersection/{c.label}", partial(holds_case, c, titssys.intersection_identity_check, c)),
         (f"classify/{c.label}", partial(classify_case, c)),
     ]
     if spec[0] == "sl":
-        cases.append((f"cell-formula/{c.label}", partial(cell_formula_case, c, *spec[1:])))
+        formula = partial(holds_case, c, titssys.cell_size_formula_check, *spec[1:])
+        cases.append((f"cell-formula/{c.label}", formula))
     return cases
 
 

@@ -37,7 +37,6 @@ from .weyl import (
     length,
     longest_element,
     reduced_words,
-    reflect_weight,
 )
 
 NAIVE_WEYL_CAP = 10**5
@@ -175,14 +174,6 @@ def _order(core, nodes):
     return reduce(mul, degrees(core, tuple(nodes)), 1)
 
 
-def parabolic_orbit(choice):
-    """The W-orbit of the fundamental weight at the removed node; its size
-    is the index [W : W'], W' being the stabilizer of that weight."""
-    core = choice.core
-    acts = [partial(reflect_weight, core, n) for n in range(1, core.rank + 1)]
-    return frozenset(_closure(fundamental_weight(core, choice.removed), acts)[0])
-
-
 def double_coset_count(choice):
     """Count W'\\W/W' as the J-dominant weights in W·ω_a; the index
     [W : W'] is read off the group orders."""
@@ -254,16 +245,6 @@ def sweep_cases(max_rank, families=None):
     if fams is not None:
         cases = [c for c in cases if c[0] in fams]
     return sorted(cases)
-
-
-def double_coset_sweep(max_rank, families=None):
-    """Double-coset reports for every node of every type in range."""
-    reports = []
-    for fam, rank in sweep_cases(max_rank, families):
-        rs = build_root_system((fam, rank))
-        for node in range(1, rank + 1):
-            reports.append(double_coset_count(ParabolicChoice(rs, node)))
-    return reports
 
 
 def third_coset_witness(choice):

@@ -16,8 +16,7 @@ on elements are meaningful across them.  Groups are immutable after
 construction and safe to share.
 
 Integer index.  Every group, subgroups included, numbers its own sorted
-elements 0..n-1, so the least element has the least index, and
-``G.indices(H)`` gives G's indices of the elements of a subgroup H.
+elements 0..n-1, so the least element has the least index.
 Multiplication by a fixed element is then a permutation of range(n),
 stored as a list: the left table L_x (i -> index of x*x_i) and the right
 table R_x (i -> index of x_i*x).  A group keeps the left tables of its
@@ -41,9 +40,9 @@ other element is a product, on the few elements that need it.
 SL_n(F_p) is enumerated by that breadth-first search with its
 generators, the transvections I + E_{i,i+-1}, acting as row operations
 on the packed integer (row_i += row_j mod p, one lookup) instead of
-matrix products.  The shaped subgroups (upper-triangular, monomial,
-unipotent) are built from their packed candidate matrices, kept when
-they are members, not by scanning G.
+matrix products.  The shaped subgroups (upper-triangular, monomial) are
+built from their packed candidate matrices, kept when they are members,
+not by scanning G.
 """
 
 from __future__ import annotations
@@ -113,11 +112,6 @@ class FiniteGroup:
     def index(self):
         """The index of every element."""
         return {x: i for i, x in enumerate(self.elements)}
-
-    def indices(self, H):
-        """This group's indices of the elements of its subgroup H, ascending."""
-        index = self.index
-        return [index[x] for x in H.elements]
 
     @cached_property
     def _core(self):
@@ -663,23 +657,12 @@ def _shaped_members(G, shapes):
     return members
 
 
-def _triangular_shape(n, p, diagonal):
-    """Upper-triangular shape with the given diagonal values."""
-    shape = {(i, i): diagonal for i in range(n)}
-    shape.update({(i, j): range(p) for i in range(n) for j in range(i + 1, n)})
-    return shape
-
-
 def upper_triangular_subgroup(G):
     """Upper-triangular members of a matrix group."""
     _, n, p = G.ops.meta
-    return G.subgroup(_shaped_members(G, [_triangular_shape(n, p, range(1, p))]))
-
-
-def strictly_upper_unipotent_subgroup(G):
-    """Unipotent upper-triangular members (1 on the diagonal)."""
-    _, n, p = G.ops.meta
-    return G.subgroup(_shaped_members(G, [_triangular_shape(n, p, (1,))]))
+    shape = {(i, i): range(1, p) for i in range(n)}
+    shape.update({(i, j): range(p) for i in range(n) for j in range(i + 1, n)})
+    return G.subgroup(_shaped_members(G, [shape]))
 
 
 def monomial_subgroup(G):

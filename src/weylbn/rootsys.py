@@ -116,12 +116,6 @@ def _pairing(v, a):
     return num // den
 
 
-def reflect_vector(a, v):
-    """Reflect the integer vector ``v`` in the root vector ``a``."""
-    c = _pairing(v, a)
-    return tuple(x - c * y for x, y in zip(v, a))
-
-
 class RootSystem:
     """An immutable root datum: indexed roots plus Cartan/Dynkin data.
 
@@ -192,10 +186,6 @@ class RootSystem:
         for k, row in enumerate(self.cartan):
             if row[k] != 2:
                 raise InvalidSpec("Cartan diagonal entry is not 2")
-
-    def simple_root(self, node):
-        """Vector of the simple root at the 1-based Bourbaki ``node``."""
-        return self.roots[self.simple_indices[node - 1]]
 
     def node_degree(self, node):
         return len(self.neighbors(node))
@@ -271,11 +261,6 @@ def build_root_system(spec):
     if isinstance(spec, tuple):
         spec = RootSystemSpec(*spec)
     return _build_cached(spec.family, spec.rank)
-
-
-def reflect(rs, a, v):
-    """Reflect vector ``v`` in the root with index ``a``."""
-    return reflect_vector(rs.roots[a], tuple(v))
 
 
 @lru_cache(maxsize=None)

@@ -119,16 +119,6 @@ class ClassificationFlags(namedtuple("ClassificationFlags", "saturated weakly_sp
         }
 
 
-def derive_weyl(c):
-    """H = B ∩ N and one canonical representative per coset of H in N.
-
-    H must be normal in N (raises HNotNormal otherwise); representatives
-    are the least element of each coset, sorted.
-    """
-    d = _derived(c)
-    return d.H, d.reps
-
-
 class _Derived:
     """Everything the checks share: the Weyl quotient, the cosets G/B, the
     cells, S, lengths and words.
@@ -317,14 +307,6 @@ def bruhat_cells(c):
     d = _derived(c)
     d.require_words()
     return {" ".join(str(x) for x in d.words[w]): size for w, size in d.cell_size.items()}
-
-
-def weyl_length_census(c):
-    """Multiset of S-word lengths over the Weyl classes, as a sorted tuple
-    (WeylNotGenerated when S does not generate W)."""
-    d = _derived(c)
-    d.require_words()
-    return tuple(sorted(d.lengths[w] for w in d.reps))
 
 
 def order_of_product(c, s1, s2):

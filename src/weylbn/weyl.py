@@ -40,9 +40,6 @@ class WeylElement:
     def __mul__(self, other):
         return WeylElement(self.rs, compose(self.perm, other.perm))
 
-    def inverse(self):
-        return WeylElement(self.rs, invert(self.perm))
-
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.perm == other.perm
 
@@ -67,15 +64,6 @@ def invert(p):
     for r, img in enumerate(p):
         inv[img] = r
     return tuple(inv)
-
-
-def identity_element(rs):
-    return WeylElement(rs, tuple(range(len(rs.roots))))
-
-
-def simple_reflection(rs, node):
-    """The reflection in the simple root at the 1-based ``node``."""
-    return WeylElement(rs, rs.simple_refl_perms[node - 1])
 
 
 def element_of(rs, word):

@@ -8,11 +8,12 @@ import time
 
 import pytest
 
+from test_cosets import double_coset_sweep
+from test_fingrp import _unipotent_scan
 from weylbn.cosets import (
     ParabolicChoice,
     double_coset_count,
     double_coset_count_naive,
-    double_coset_sweep,
     end_node_weight_sets,
     root_count_gap_check,
     sweep_cases,
@@ -20,7 +21,7 @@ from weylbn.cosets import (
     w0_negation_map,
 )
 from weylbn.errors import WitnessNotApplicable
-from weylbn.fingrp import fitting_subgroup, sl_order, strictly_upper_unipotent_subgroup
+from weylbn.fingrp import fitting_subgroup, sl_order
 from weylbn.rootsys import branch_node, build_root_system, is_end_node, reduced_form
 from weylbn.titssys import (
     affine_rank1_system,
@@ -28,7 +29,6 @@ from weylbn.titssys import (
     check_axioms,
     classify,
     cell_size_formula_check,
-    derive_weyl,
     find_S,
     intersection_identity_check,
     order_of_product,
@@ -38,7 +38,6 @@ from weylbn.titssys import (
     standard_sl_system,
     star_property_check,
     weakly_split_bruteforce,
-    weyl_length_census,
 )
 from weylbn.weyl import is_minus_one, longest_element
 
@@ -199,7 +198,9 @@ def test_criterion_07_bn_axioms_and_bruhat():
         c = standard_sl_system(n, p)
         rep = check_axioms(c)
         cells = bruhat_cells(c)
-        census = weyl_length_census(c)
+        d = c.derived
+        d.require_words()
+        census = sorted(d.lengths.values())
         sizes_ok = sorted(cells.values()) == sorted(
             p**l * c.B.order for l in census
         )
@@ -314,8 +315,7 @@ def test_criterion_12_classifier_sanity():
     for n, p in STANDARD_SYSTEMS:
         c = standard_sl_system(n, p)
         flags = classify(c)
-        strict_upper = strictly_upper_unipotent_subgroup(c.G)
-        ok = ok and flags.split and flags.witness_u.elemset == strict_upper.elemset
+        ok = ok and flags.split and flags.witness_u.elemset == _unipotent_scan(c.G)
     for c in systems:
         if c.B.order <= 500:
             ok = ok and classify(c).weakly_split == weakly_split_bruteforce(c)

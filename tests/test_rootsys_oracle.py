@@ -24,6 +24,7 @@ from weylbn.errors import InvalidSpec, NonCrystallographicInput, NotNonReduced
 from weylbn.rootsys import (
     RootSystemSpec,
     _cartan_matrix,
+    _pairing,
     _positive_roots,
     _simple_root_data,
     build_root_system,
@@ -32,8 +33,16 @@ from weylbn.rootsys import (
     dot,
     nondivisible_core,
     reduced_form,
-    reflect_vector,
 )
+
+
+def reflect_vector(a, v):
+    """Reflect the integer vector ``v`` in the root vector ``a``; rootsys's
+    pairing raises NonCrystallographicInput when 2(v, a)/(a, a) is not an
+    integer."""
+    c = _pairing(v, a)
+    return tuple(x - c * y for x, y in zip(v, a))
+
 
 # The sweep types, BC1, the rank-one A, B and C, and D3 (= A3).
 TYPES = sorted(sweep_cases(12) + [("A", 1), ("B", 1), ("C", 1), ("BC", 1), ("D", 3)])
@@ -144,8 +153,8 @@ def test_carried_pairings_and_vectors_match_dot_products(fam, rank):
         assert vec == tuple(dot(c, row) for row in zip(*simples))
     rs = build_root_system((fam, rank))
     assert rs.simple_refl_perms == tuple(
-        tuple(rs.root_index[reflect_vector(rs.simple_root(i), v)] for v in rs.roots)
-        for i in range(1, rank + 1)
+        tuple(rs.root_index[reflect_vector(rs.roots[i], v)] for v in rs.roots)
+        for i in rs.simple_indices
     )
 
 
@@ -198,7 +207,7 @@ def test_reduced_form_matches_halving_scan(fam, rank):
     core = nondivisible_core(rs)
     assert reduced_form(rs) is core
     assert set(core.roots) == set(rs.roots) - divisible
-    assert core.cartan == _cartan_matrix([rs.simple_root(i + 1) for i in range(rank)])
+    assert core.cartan == _cartan_matrix([rs.roots[i] for i in rs.simple_indices])
 
 
 SOLVERS = [_coefficients_fraction]

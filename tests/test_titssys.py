@@ -1,5 +1,6 @@
 import pytest
 
+from test_fingrp import _unipotent_scan
 from weylbn.errors import GroupTooLarge, HNotNormal, NotTwoTransitive, WeylNotGenerated
 from weylbn.fingrp import (
     FiniteGroup,
@@ -10,7 +11,6 @@ from weylbn.fingrp import (
     fitting_subgroup,
     projective_space_action,
     special_linear_group,
-    strictly_upper_unipotent_subgroup,
     upper_triangular_subgroup,
 )
 from weylbn.titssys import (
@@ -20,7 +20,6 @@ from weylbn.titssys import (
     check_axioms,
     classify,
     cell_size_formula_check,
-    derive_weyl,
     find_S,
     intersection_identity_check,
     order_of_product,
@@ -31,19 +30,18 @@ from weylbn.titssys import (
     standard_sl_system,
     star_property_check,
     weakly_split_bruteforce,
-    weyl_length_census,
 )
 
 
 def test_derive_weyl_standard():
     c = standard_sl_system(3, 2)
-    H, reps = derive_weyl(c)
+    H, reps = c.derived.H, c.derived.reps
     assert H.order == 1 and len(reps) == 6
 
 
 def test_derive_weyl_rank1():
     c = projective_rank1_system(3, 2)
-    H, reps = derive_weyl(c)
+    H, reps = c.derived.H, c.derived.reps
     assert len(reps) == 2
     assert c.N.order == 2 * H.order
 
@@ -52,7 +50,7 @@ def test_derive_weyl_trivial():
     c = standard_sl_system(2, 3)
     G = c.G
     triv = TitsSystemCandidate(G, G, G)
-    H, reps = derive_weyl(triv)
+    H, reps = triv.derived.H, triv.derived.reps
     assert H.order == G.order and len(reps) == 1
     assert find_S(triv) == ()
 
@@ -99,12 +97,10 @@ def test_star_property():
 def test_intersection_identity():
     c = standard_sl_system(3, 2)
     assert intersection_identity_check(c)
-    H, _ = derive_weyl(c)
-    assert H.order == 1
+    assert c.derived.H.order == 1
     c = standard_sl_system(3, 3)
     assert intersection_identity_check(c)
-    H, _ = derive_weyl(c)
-    assert H.order == 4
+    assert c.derived.H.order == 4
     # Rank 1: w0 = s, so the identity degenerates to H = B ∩ sBs.
     assert intersection_identity_check(projective_rank1_system(3, 2))
 
@@ -113,11 +109,11 @@ def test_classify_standard_split():
     c = standard_sl_system(3, 2)
     flags = classify(c)
     assert flags.saturated and flags.weakly_split and flags.split
-    assert flags.witness_u.elemset == strictly_upper_unipotent_subgroup(c.G).elemset
+    assert flags.witness_u.elemset == _unipotent_scan(c.G)
     c = standard_sl_system(2, 5)
     flags = classify(c)
     assert flags.split
-    assert flags.witness_u.elemset == strictly_upper_unipotent_subgroup(c.G).elemset
+    assert flags.witness_u.elemset == _unipotent_scan(c.G)
 
 
 def test_classify_affine_split():
@@ -234,7 +230,7 @@ def test_h_not_normal_raises():
     B = upper_triangular_subgroup(G)
     cand = TitsSystemCandidate(G, B, G)
     with pytest.raises(HNotNormal):
-        derive_weyl(cand)
+        cand.derived
     assert not check_axioms(cand).h_normal_in_n
 
 
@@ -258,11 +254,10 @@ def test_s_not_generating_w_is_reported():
     from weylbn.fingrp import monomial_subgroup
 
     G = special_linear_group(2, 3)
-    c = TitsSystemCandidate(G, strictly_upper_unipotent_subgroup(G), monomial_subgroup(G))
+    c = TitsSystemCandidate(G, G.subgroup(_unipotent_scan(G)), monomial_subgroup(G))
     assert star_property_check(c) is False
     assert intersection_identity_check(c) is False
-    for fn in (bruhat_cells, weyl_length_census):
-        with pytest.raises(WeylNotGenerated, match="2 have no word over S"):
-            fn(c)
+    with pytest.raises(WeylNotGenerated, match="2 have no word over S"):
+        bruhat_cells(c)
     rep = check_axioms(c)
     assert not rep.t2_holds and rep.cells == {}

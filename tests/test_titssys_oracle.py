@@ -15,13 +15,13 @@ from functools import partial
 import pytest
 
 import weylbn.fingrp as fingrp
+from test_fingrp import _unipotent_scan
 import weylbn.titssys as titssys
 from weylbn.fingrp import (
     FiniteGroup,
     affine_group,
     monomial_subgroup,
     special_linear_group,
-    strictly_upper_unipotent_subgroup,
     upper_triangular_subgroup,
 )
 from weylbn.titssys import (
@@ -30,7 +30,6 @@ from weylbn.titssys import (
     affine_rank1_system,
     check_axioms,
     classify,
-    derive_weyl,
     find_S,
     intersection_identity_check,
     projective_rank1_system,
@@ -153,7 +152,7 @@ def _unipotent_monomial_sl23():
     """(SL2(F3), U, N) with U the unipotent radical: the torus normalizes
     U, so the normalizer check fails."""
     G = special_linear_group(2, 3)
-    U = strictly_upper_unipotent_subgroup(G)
+    U = G.subgroup(_unipotent_scan(G))
     return TitsSystemCandidate(G, U, monomial_subgroup(G), label="sl-2-3-unipotent")
 
 
@@ -161,7 +160,7 @@ def _u_u_sl23():
     """(SL2(F3), U, U): U's cell alone does not cover G, so check_axioms
     finishes the (U, U) partition, where the torus normalizes U."""
     G = special_linear_group(2, 3)
-    U = strictly_upper_unipotent_subgroup(G)
+    U = G.subgroup(_unipotent_scan(G))
     return TitsSystemCandidate(G, U, U, label="sl-2-3-uu")
 
 
@@ -202,7 +201,7 @@ def test_index_core_matches_tuple_reference(name):
     d = _derived(c)
     index = c.G.index
 
-    assert derive_weyl(c)[1] == d.reps == ref.reps
+    assert d.reps == ref.reps
     assert d.identity_rep == ref.identity_rep
     assert find_S(c) == d.s_reps == ref.s_reps
     assert d.lengths == ref.lengths

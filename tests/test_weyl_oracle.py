@@ -23,11 +23,11 @@ from weylbn.weyl import (
     WeylElement,
     canonical_reduced_word,
     compose,
-    identity_element,
+    element_of,
+    invert,
     longest_element,
     poincare_polynomial,
     reduced_words,
-    simple_reflection,
 )
 
 SMALL = [("A", 3), ("B", 3), ("BC", 3), ("C", 3), ("D", 4), ("G", 2)]
@@ -63,7 +63,7 @@ def weyl_order(family, rank):
 def _left_descents(w):
     """Nodes s with l(r_s w) < l(w), i.e. w^-1(a_s) negative."""
     rs = w.rs
-    inv = w.inverse().perm
+    inv = invert(w.perm)
     return [i + 1 for i, si in enumerate(rs.simple_indices) if inv[si] not in rs.positive_set]
 
 
@@ -77,7 +77,7 @@ def _reduced_words(w, memo):
             got = frozenset(
                 (s,) + tail
                 for s in _left_descents(w)
-                for tail in _reduced_words(simple_reflection(w.rs, s) * w, memo)
+                for tail in _reduced_words(element_of(w.rs, (s,)) * w, memo)
             )
         memo[w.perm] = got
     return got
@@ -89,23 +89,23 @@ def _canonical_word(w):
     while not w.is_identity():
         s = min(_left_descents(w))
         out.append(s)
-        w = simple_reflection(w.rs, s) * w
+        w = element_of(w.rs, (s,)) * w
     return tuple(out)
 
 
 def _greedy_longest(rs):
     """Left-multiply by the first simple reflection that raises the length
     until none does."""
-    w = identity_element(rs)
+    w = element_of(rs, ())
     while True:
-        inv = w.inverse().perm
+        inv = invert(w.perm)
         s = next(
             (i + 1 for i, si in enumerate(rs.simple_indices) if inv[si] in rs.positive_set),
             None,
         )
         if s is None:
             return w
-        w = simple_reflection(rs, s) * w
+        w = element_of(rs, (s,)) * w
 
 
 @pytest.mark.parametrize("fam,rank", SMALL)
