@@ -43,12 +43,25 @@ from .weyl import (
 SCHEMA_VERSION = 1
 MAX_RANK = 12
 MAX_GROUP_ENV = "WEYL_BN_MAX_GROUP"
+DEFAULT_MAX_GROUP = 21000
+
+# Each bn system kind: the name of its titssys constructor, and the order
+# of the largest group that constructor enumerates, as a function of the
+# spec's arguments.  Both are looked up when called, so patches of titssys
+# and of fingrp.sl_order still apply.
+SYSTEM_KINDS = {
+    "sl": ("standard_sl_system", lambda n, p: fingrp.sl_order(n, p)),
+    "sl-rank1": ("sl_rank1_column_system", lambda n, p: fingrp.sl_order(n, p)),
+    "projective": ("projective_rank1_system", lambda n, p: fingrp.sl_order(n, p)),
+    "affine": ("affine_rank1_system", lambda q: q * (q - 1)),
+    "psl3f2-nonstandard": ("psl3_f2_nonstandard_system", lambda: fingrp.sl_order(3, 2)),
+}
 
 
 def _max_group():
     raw = os.environ.get(MAX_GROUP_ENV)
     if not raw:
-        return titssys.DEFAULT_MAX_GROUP
+        return DEFAULT_MAX_GROUP
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise UsageError(f"{MAX_GROUP_ENV} must be a positive integer, got {raw!r}")
     if int(raw) > fingrp.SL_ENUM_CAP:
@@ -205,8 +218,8 @@ def weights_case(m):
     return {"rank": m}, str(m), str(len(diff)), len(diff) == m
 
 
-def axioms_case(c, max_group):
-    rep = titssys.check_axioms(c, max_group=max_group)
+def axioms_case(c):
+    rep = titssys.check_axioms(c)
     actual = "pass" if rep.passed else json.dumps(rep.to_record(), sort_keys=True)
     return {"system": c.label, "weyl_order": rep.weyl_order}, "pass", actual, rep.passed
 
@@ -334,11 +347,7 @@ def weight_set_cases(max_rank=8):
 
 def _group_order(spec):
     """The order of the largest group the system named by ``spec`` builds."""
-    if spec[0] == "affine":
-        return spec[1] * (spec[1] - 1)
-    if spec[0] == "psl3f2-nonstandard":
-        return fingrp.sl_order(3, 2)
-    return fingrp.sl_order(spec[1], spec[2])
+    return SYSTEM_KINDS[spec[0]][1](*spec[1:])
 
 
 def _within_cap(specs, max_group):
@@ -356,27 +365,18 @@ def _within_cap(specs, max_group):
 def _system_for(spec, max_group):
     """Build the system named by ``spec``, refusing (GroupTooLarge) before
     any enumeration when its group order is over ``max_group``."""
-    kind = spec[0]
+    if spec[0] not in SYSTEM_KINDS:
+        raise UsageError(f"unknown system spec {spec!r}")
     order = _group_order(spec)
     if order > max_group:
         raise GroupTooLarge(f"group order {order} exceeds the cap {max_group}")
-    if kind == "sl":
-        return titssys.standard_sl_system(spec[1], spec[2])
-    if kind == "sl-rank1":
-        return titssys.sl_rank1_column_system(spec[1], spec[2])
-    if kind == "projective":
-        return titssys.projective_rank1_system(spec[1], spec[2])
-    if kind == "affine":
-        return titssys.affine_rank1_system(spec[1])
-    if kind == "psl3f2-nonstandard":
-        return titssys.psl3_f2_nonstandard_system()
-    raise UsageError(f"unknown system spec {spec!r}")
+    return getattr(titssys, SYSTEM_KINDS[spec[0]][0])(*spec[1:])
 
 
 def bn_cases(spec, max_group):
     c = _system_for(spec, max_group)
     cases = [
-        (f"axioms/{c.label}", partial(axioms_case, c, max_group)),
+        (f"axioms/{c.label}", partial(axioms_case, c)),
         (f"cells/{c.label}", partial(cells_case, c)),
         (f"star/{c.label}", partial(holds_case, c, titssys.star_property_check, c)),
         (f"intersection/{c.label}", partial(holds_case, c, titssys.intersection_identity_check, c)),
@@ -388,7 +388,7 @@ def bn_cases(spec, max_group):
     return cases
 
 
-def coxeter_order_cases(max_group=titssys.DEFAULT_MAX_GROUP):
+def coxeter_order_cases(max_group):
     return [
         (f"coxeter-order/sl-{n}-{p}", partial(coxeter_order_case, n, p))
         for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
@@ -396,7 +396,7 @@ def coxeter_order_cases(max_group=titssys.DEFAULT_MAX_GROUP):
     ]
 
 
-def rank1_agreement_cases(max_group=titssys.DEFAULT_MAX_GROUP):
+def rank1_agreement_cases(max_group):
     """The rank-1 agreement and affine cases within ``max_group``, and
     the skip notes for the others."""
     agree, skipped = _within_cap([("sl-rank1", n, p) for n, p in [(2, 2), (2, 3), (3, 2)]], max_group)
@@ -406,7 +406,7 @@ def rank1_agreement_cases(max_group=titssys.DEFAULT_MAX_GROUP):
     return cases, skipped + more
 
 
-def nonstandard_cases(max_group=titssys.DEFAULT_MAX_GROUP):
+def nonstandard_cases(max_group):
     """The non-standard PSL3(F2) case within ``max_group``, and its skip note."""
     kept, skipped = _within_cap([("psl3f2-nonstandard",)], max_group)
     return [("psl3f2/nonstandard", nonstandard_case) for _ in kept], skipped

@@ -416,19 +416,9 @@ def fitting_subgroup(B):
 
 
 class GroupAction(namedtuple("GroupAction", "group points apply")):
-    """A finite group acting on an indexed point set; ``apply`` is left out
-    of equality and hashing."""
+    """A finite group acting on an indexed point set by ``apply(g, x)``."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, GroupAction) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
 
 
 def action_orbits(action):
@@ -437,10 +427,6 @@ def action_orbits(action):
     at = {x: i for i, x in enumerate(pts)}
     perms = [[at[apply(g, x)] for x in pts] for g in action.group.generators()]
     return [frozenset(pts[i] for i in orb) for orb in orbits(perms, len(pts))]
-
-
-def stabilizer(action, x):
-    return setwise_stabilizer(action, (x,))
 
 
 def setwise_stabilizer(action, pair):
@@ -599,6 +585,7 @@ def _sl_generators(n, p):
     return [act(k.identity) for act in acts], acts
 
 
+@lru_cache(maxsize=None)
 def special_linear_group(n, p):
     """SL_n(F_p), fully enumerated from the elementary transvections
     I + E_{i,i+1} and I + E_{i+1,i}.  They generate it: the other
@@ -611,9 +598,6 @@ def special_linear_group(n, p):
 
     Instances are cached per (n, p); they are immutable and shared.
     """
-    got = _sl_cache.get((n, p))
-    if got is not None:
-        return got
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     expected = sl_order(n, p)
@@ -626,12 +610,7 @@ def special_linear_group(n, p):
         raise AssertionError(
             f"enumerated {len(elements)} elements, order formula says {expected}"
         )
-    G = FiniteGroup(matrix_ops(n, p), elements, gens=gens, bfs=bfs)
-    _sl_cache[(n, p)] = G
-    return G
-
-
-_sl_cache = {}
+    return FiniteGroup(matrix_ops(n, p), elements, gens=gens, bfs=bfs)
 
 
 def _shaped_members(G, shapes):

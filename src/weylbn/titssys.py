@@ -33,10 +33,9 @@ on them.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
-    GroupTooLarge,
     HNotNormal,
     NoConjugatorFound,
     NotTwoTransitive,
@@ -59,12 +58,9 @@ from .fingrp import (
     orbits,
     setwise_stabilizer,
     special_linear_group,
-    stabilizer,
     upper_triangular_subgroup,
 )
 from .weyl import invert
-
-DEFAULT_MAX_GROUP = 21000
 
 
 class TitsSystemCandidate:
@@ -255,7 +251,7 @@ def find_S(c):
     return _derived(c).s_reps
 
 
-def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
+def check_axioms(c):
     """Exhaustive T1-T4 verification plus Bruhat and normalizer checks, all
     read off the action on G/B (see _Derived).
 
@@ -266,10 +262,6 @@ def check_axioms(c, max_group=DEFAULT_MAX_GROUP):
     point.  g normalizes B exactly when B fixes gB, so B = N_G(B) exactly
     when B fixes one coset only.
     """
-    if c.G.order > max_group:
-        raise GroupTooLarge(
-            f"|G| = {c.G.order} exceeds the exhaustive-check cap {max_group}"
-        )
     try:
         d = _derived(c)
     except HNotNormal:
@@ -407,20 +399,13 @@ def weakly_split_bruteforce(c):
 # Constructors for the example systems
 
 
+@lru_cache(maxsize=None)
 def standard_sl_system(n, p):
     """(SL_n(F_p), upper-triangular B, monomial N).  Cached per (n, p)."""
-    got = _standard_cache.get((n, p))
-    if got is not None:
-        return got
     G = special_linear_group(n, p)
     B = upper_triangular_subgroup(G)
     N = monomial_subgroup(G)
-    c = TitsSystemCandidate(G, B, N, label=f"sl-{n}-{p}")
-    _standard_cache[(n, p)] = c
-    return c
-
-
-_standard_cache = {}
+    return TitsSystemCandidate(G, B, N, label=f"sl-{n}-{p}")
 
 
 def rank1_from_2transitive(action, x, xp):
@@ -430,7 +415,7 @@ def rank1_from_2transitive(action, x, xp):
         raise ValueError("the two base points must differ")
     if not is_2transitive(action):
         raise NotTwoTransitive("the action is not 2-transitive")
-    B = stabilizer(action, x)
+    B = setwise_stabilizer(action, (x,))
     N = setwise_stabilizer(action, (x, xp))
     return TitsSystemCandidate(action.group, B, N, label="rank1-2transitive")
 

@@ -30,12 +30,11 @@ DEFAULT_WORD_CAP = 10**6
 class WeylElement:
     """A Weyl-group element as a permutation of the root index set."""
 
-    __slots__ = ("rs", "perm", "_length")
+    __slots__ = ("rs", "perm")
 
     def __init__(self, rs, perm):
         self.rs = rs
         self.perm = perm
-        self._length = None
 
     def __mul__(self, other):
         return WeylElement(self.rs, compose(self.perm, other.perm))
@@ -89,10 +88,8 @@ def _nondivisible_positive(rs):
 
 def length(w):
     """Coxeter length: the positive nondivisible roots sent negative by ``w``."""
-    if w._length is None:
-        pos = w.rs.positive_set
-        w._length = sum(1 for r in _nondivisible_positive(w.rs) if w.perm[r] not in pos)
-    return w._length
+    pos = w.rs.positive_set
+    return sum(1 for r in _nondivisible_positive(w.rs) if w.perm[r] not in pos)
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,6 @@ from weylbn.fingrp import (
     setwise_stabilizer,
     sl_order,
     special_linear_group,
-    stabilizer,
     upper_triangular_subgroup,
 )
 
@@ -300,7 +299,7 @@ def test_projective_actions():
     assert len(projective_space_action(1, 7).points) == 8
     # Orbit-stabilizer on every point.
     for x in act.points:
-        st = stabilizer(act, x)
+        st = setwise_stabilizer(act, (x,))
         assert st.order * len(act.points) == act.group.order
 
 
@@ -349,7 +348,7 @@ def test_coset_action_points():
     # Orbit-stabilizer across action kinds.
     for action in (act, affine_line_action(7)):
         for x in action.points:
-            assert stabilizer(action, x).order * len(action.points) == action.group.order
+            assert setwise_stabilizer(action, (x,)).order * len(action.points) == action.group.order
 
 
 def test_element_formatting():

@@ -280,8 +280,8 @@ def test_sl_enumeration_and_checks_build_right_tables_of_b_only(monkeypatch):
         right.append((G, x))
         return right_table(G, x)
 
-    monkeypatch.setattr(fingrp, "_sl_cache", {})
-    monkeypatch.setattr(titssys, "_standard_cache", {})
+    special_linear_group.cache_clear()
+    standard_sl_system.cache_clear()
     monkeypatch.setattr(FiniteGroup, "right_table", counted_right_table)
     G = special_linear_group(4, 2)
     c = standard_sl_system(4, 2)
