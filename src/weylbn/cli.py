@@ -46,9 +46,9 @@ MAX_GROUP_ENV = "WEYL_BN_MAX_GROUP"
 DEFAULT_MAX_GROUP = 21000
 
 # Each bn system kind: the name of its titssys constructor, and the order
-# of the largest group that constructor enumerates, as a function of the
-# spec's arguments.  Both are looked up when called, so patches of titssys
-# and of fingrp.sl_order still apply.
+# of its group G (listed or not), which the cap compares, as a function of
+# the spec's arguments.  Both are looked up when called, so patches of
+# titssys and of fingrp.sl_order still apply.
 SYSTEM_KINDS = {
     "sl": ("standard_sl_system", lambda n, p: fingrp.sl_order(n, p)),
     "sl-rank1": ("sl_rank1_column_system", lambda n, p: fingrp.sl_order(n, p)),
@@ -346,7 +346,7 @@ def weight_set_cases(max_rank=8):
 
 
 def _group_order(spec):
-    """The order of the largest group the system named by ``spec`` builds."""
+    """The order of the group G of the system named by ``spec``."""
     return SYSTEM_KINDS[spec[0]][1](*spec[1:])
 
 
@@ -389,11 +389,12 @@ def bn_cases(spec, max_group):
 
 
 def coxeter_order_cases(max_group):
-    return [
-        (f"coxeter-order/sl-{n}-{p}", partial(coxeter_order_case, n, p))
-        for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
-        if fingrp.sl_order(n, p) <= max_group
-    ]
+    """The Coxeter-order cases within ``max_group``, and the skip notes for
+    the others."""
+    specs = [("sl", n, p) for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]]
+    kept, skipped = _within_cap(specs, max_group)
+    cases = [(f"coxeter-order/sl-{n}-{p}", partial(coxeter_order_case, n, p)) for _, n, p in kept]
+    return cases, skipped
 
 
 def rank1_agreement_cases(max_group):
@@ -574,8 +575,9 @@ def cmd_report(args):
         max_group,
     )
     std_cases = [case for spec in bn_specs for case in bn_cases(spec, max_group)]
-    std_cases.extend(coxeter_order_cases(max_group))
-    suites.append(run_suite("bn-standard", std_cases, skipped=skipped))
+    coxeter, more = coxeter_order_cases(max_group)
+    skipped += [note for note in more if note not in skipped]
+    suites.append(run_suite("bn-standard", std_cases + coxeter, skipped=skipped))
     suites.append(run_suite("bn-rank1", *rank1_agreement_cases(max_group)))
     suites.append(run_suite("bn-nonstandard", *nonstandard_cases(max_group)))
     doc = {

@@ -45,6 +45,10 @@ class HNotNormal(WeylBNError):
     """B ∩ N is not normal in N, so no Weyl group can be derived."""
 
 
+class NotAStabilizer(WeylBNError):
+    """B is not the stabilizer of the chamber whose orbit numbers G/B."""
+
+
 class WeylNotGenerated(WeylBNError):
     """S does not generate the Weyl group: some classes have no S-word."""
 

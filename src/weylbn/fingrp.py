@@ -8,8 +8,8 @@ its rows, row 0 most significant.  That is the base-p number of its
 entries read row by row, so integer order is the order of the tuples of
 row tuples.  A row sum and a scalar multiple of a row are lookups in two
 tables built once per (n, p) from digit sums (``packing``); products go
-through them, and only inverses, formats and the projective action
-decode.  An affine-group element is a pair (t, x).  A FiniteGroup
+through them, row reductions too, and only formats and the projective
+action decode.  An affine-group element is a pair (t, x).  A FiniteGroup
 bundles an element list with its multiplication and inversion oracles;
 subgroups are FiniteGroups sharing the same oracles, so set operations
 on elements are meaningful across them.  Groups are immutable after
@@ -40,9 +40,10 @@ other element is a product, on the few elements that need it.
 SL_n(F_p) is enumerated by that breadth-first search with its
 generators, the transvections I + E_{i,i+-1}, acting as row operations
 on the packed integer (row_i += row_j mod p, one lookup) instead of
-matrix products.  The shaped subgroups (upper-triangular, monomial) are
-built from their packed candidate matrices, kept when they are members,
-not by scanning G.
+matrix products, or only known (``SpecialLinear``: its order, its
+generators, membership by determinant, and its complete flags).  The
+shaped subgroups (upper-triangular, monomial) are built from their packed
+candidate matrices, kept when they are members, not by scanning G.
 """
 
 from __future__ import annotations
@@ -140,11 +141,15 @@ class FiniteGroup:
 
     def right_table(self, x):
         """R_x: i -> index of x_i * x."""
-        left, steps = self._core
+        return self.tree_images(self.index[x], self._core[0])
+
+    def tree_images(self, point, acts):
+        """i -> x_i·point for a left action of the generators as tables
+        (``acts[j][y]`` = g_j·y), down the BFS tree: x_i·point = g_j·(x_p·point)."""
         table = [0] * len(self.elements)
-        table[self.index[self.ops.identity]] = self.index[x]
-        for i, j, p in steps:
-            table[i] = left[j][table[p]]
+        table[self.index[self.ops.identity]] = point
+        for i, j, p in self._core[1]:
+            table[i] = acts[j][table[p]]
         return table
 
     def left_table(self, g):
@@ -213,7 +218,7 @@ class FiniteGroup:
         return FiniteGroup(self.ops, elements, check=False)
 
     def is_subgroup_of(self, other):
-        return self.ops is other.ops and self.elemset <= other.elemset
+        return self.ops is other.ops and all(g in other for g in self.generators())
 
 
 def orbits(perms, size, seeds=None):
@@ -262,7 +267,7 @@ def _not_closed(ops):
 
 
 def _closure(identity, acts, cap=None, grow=None):
-    """Breadth-first closure from the identity under left actions.
+    """Breadth-first closure of one point (a group's identity) under actions.
 
     ``acts[j]`` maps x to g_j * x for the j-th generator g_j.  Returns
     (order, tables, via) in discovery numbering: ``order`` lists the
@@ -485,6 +490,9 @@ class _Packing:
         self.digits = [tuple(r // p ** (n - 1 - j) % p for j in range(n)) for r in range(q)]
         self.nonzero = [[(j, c) for j, c in enumerate(d) if c] for d in self.digits]
         self.identity = self.encode([[int(i == j) for j in range(n)] for i in range(n)])
+        # ``columns[i][r]``: a row i that is r, as column i of the transpose.
+        spread = [sum(map(_times, d, self.weights)) for d in self.digits]
+        self.columns = [[s * p ** (n - 1 - i) for s in spread] for i in range(n)]
 
     def rows(self, x):
         return [x // w % self.q for w in self.weights]
@@ -507,6 +515,10 @@ class _Packing:
     def scaled(self, x, c):
         """The packed c·x."""
         return sum(self.scale[c][r] * w for r, w in zip(self.rows(x), self.weights))
+
+    def transpose(self, x):
+        """The packed transpose, one lookup per row."""
+        return sum(map(list.__getitem__, self.columns, self.rows(x)))
 
 
 @lru_cache(maxsize=None)
@@ -531,19 +543,37 @@ def mat_mul(a, b, k):
 
 def mat_inv(a, k):
     """Inverse of a packed matrix mod p, by Gauss-Jordan elimination on
-    its decoded rows."""
-    n, p = k.n, k.p
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(k.decode(a))]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c] % p)
-        m[c], m[piv] = m[piv], m[c]
-        f = pow(m[c][c], p - 2, p)
-        m[c] = [x * f % p for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                g = m[i][c]
-                m[i] = [(x - g * y) % p for x, y in zip(m[i], m[c])]
-    return k.encode(row[n:] for row in m)
+    its packed rows beside those of I, each row operation a lookup."""
+    p, add, scale, digits = k.p, k.add, k.scale, k.digits
+    left, right = k.rows(a), k.rows(k.identity)
+    for c in range(k.n):
+        piv = next(i for i in range(c, k.n) if digits[left[i]][c])
+        left[c], left[piv], right[c], right[piv] = left[piv], left[c], right[piv], right[c]
+        f = pow(digits[left[c]][c], p - 2, p)
+        lc = left[c] = scale[f][left[c]]
+        rc = right[c] = scale[f][right[c]]
+        for i in range(k.n):
+            g = digits[left[i]][c]
+            if g and i != c:
+                left[i] = add[left[i]][scale[p - g][lc]]
+                right[i] = add[right[i]][scale[p - g][rc]]
+    return sum(map(_times, right, k.weights))
+
+
+def mat_det(a, k):
+    """Determinant of a packed matrix mod p, by elimination below the
+    pivots on its packed rows."""
+    p, add, scale, digits = k.p, k.add, k.scale, k.digits
+    rows, det = k.rows(a), 1
+    for c in range(k.n):
+        piv = next((i for i in range(c, k.n) if digits[rows[i]][c]), c)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        d = digits[rows[c]][c]
+        det = (det if piv == c else -det) * d % p  # 0 for good once d is 0
+        f = pow(d, p - 2, p)
+        for i in range(c + 1, k.n):
+            rows[i] = add[rows[i]][scale[-digits[rows[i]][c] * f % p][rows[c]]]
+    return det
 
 
 def matrix_ops(n, p):
@@ -613,6 +643,41 @@ def special_linear_group(n, p):
     return FiniteGroup(matrix_ops(n, p), elements, gens=gens, bfs=bfs)
 
 
+class SpecialLinear:
+    """SL_n(F_p) known by its order, its generators ``gens`` (those of
+    ``_sl_generators``) and their row operations ``acts``, with no element
+    listed; membership is det = 1.
+
+    ``flag(x)`` is the complete flag x·x0, x0 the standard one: x's first
+    n-1 columns, each cleared at the earlier ones' pivot rows using them
+    and scaled so that its first nonzero entry (its pivot) is 1, reduced
+    as packed rows of the transpose and packed back with last column 0.
+    So x and y have one flag exactly when x^-1·y is upper triangular.
+    """
+
+    def __init__(self, n, p):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.k, self.ops, self.order = packing(n, p), matrix_ops(n, p), sl_order(n, p)
+        self.gens, self.acts = _sl_generators(n, p)
+
+    def __contains__(self, x):
+        return mat_det(x, self.k) == 1
+
+    def flag(self, x):
+        k = self.k
+        p, add, scale, digits, nonzero = k.p, k.add, k.scale, k.digits, k.nonzero
+        done = []  # (pivot row, reduced column)
+        for col in k.rows(k.transpose(x))[:-1]:
+            for piv, b in done:
+                f = digits[col][piv]
+                if f:
+                    col = add[col][scale[p - f][b]]
+            piv, f = nonzero[col][0]
+            done.append((piv, scale[pow(f, p - 2, p)][col]))
+        return sum(t[c] for t, (_, c) in zip(k.columns, done))
+
+
 def _shaped_members(G, shapes):
     """The members of the matrix group G that have one of ``shapes``.
 
@@ -625,23 +690,23 @@ def _shaped_members(G, shapes):
     the same shape.
     """
     _, n, p = G.ops.meta
-    elemset = G.elemset
     members = []
     for shape in shapes:
         places = [p ** (n * n - 1 - n * i - j) for i, j in shape]
         for values in product(*shape.values()):
             m = sum(map(_times, places, values))
-            if m in elemset:
+            if m in G:
                 members.append(m)
     return members
 
 
 def upper_triangular_subgroup(G):
-    """Upper-triangular members of a matrix group."""
+    """Upper-triangular members of a matrix group, spot-checked: for the
+    standard systems, the one check of the ``ops`` oracles."""
     _, n, p = G.ops.meta
     shape = {(i, i): range(1, p) for i in range(n)}
     shape.update({(i, j): range(p) for i in range(n) for j in range(i + 1, n)})
-    return G.subgroup(_shaped_members(G, [shape]))
+    return FiniteGroup(G.ops, _shaped_members(G, [shape]))
 
 
 def monomial_subgroup(G):
@@ -649,7 +714,7 @@ def monomial_subgroup(G):
     _, n, p = G.ops.meta
     units = range(1, p)
     shapes = [{(i, s[i]): units for i in range(n)} for s in permutations(range(n))]
-    return G.subgroup(_shaped_members(G, shapes))
+    return FiniteGroup(G.ops, _shaped_members(G, shapes), check=False)
 
 
 def central_quotient(G):

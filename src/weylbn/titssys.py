@@ -4,7 +4,8 @@ A candidate is a triple (G, B, N) of a finite group and two subgroups.
 Derived data: H = B ∩ N, the Weyl group W = N/H as canonical coset
 representatives, the distinguished generators S (the nontrivial classes
 w for which B ∪ BwB is a subgroup), lengths and canonical words over S,
-and the Bruhat cells BwB, read as the B-orbits on the left cosets G/B.
+and the Bruhat cells BwB, read as the B-orbits on the chambers G/B (the
+complete flags for the standard SL_n systems, which never list G).
 The axiom checker verifies, exhaustively
 
   T1  B and N generate G,
@@ -33,11 +34,12 @@ on them.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .errors import (
     HNotNormal,
     NoConjugatorFound,
+    NotAStabilizer,
     NotTwoTransitive,
     SubgroupNotFound,
     WeylNotGenerated,
@@ -45,6 +47,7 @@ from .errors import (
 from . import fingrp
 from .fingrp import (
     FiniteGroup,
+    _closure,
     _shaped_members,
     central_quotient,
     coset_action,
@@ -116,32 +119,36 @@ class ClassificationFlags(namedtuple("ClassificationFlags", "saturated weakly_sp
 
 
 class _Derived:
-    """Everything the checks share: the Weyl quotient, the cosets G/B, the
-    cells, S, lengths and words.
+    """Everything the checks share: the chambers G/B, the Weyl quotient,
+    the cells, S, lengths and words.
 
-    The Weyl quotient N/H is computed on N's own tables.  The left cosets
-    of B are numbered once by ``left_cosets``, in the order of their least
-    elements: ``coset_of`` maps G's index of each element to its coset.
-    An element x acts on
-    G/B by x·rB = (x·r)B, one ``ops.mul`` per coset with r its least
-    element, and every check reads that action: a cell BwB is the B-orbit
-    of wB, with |B| elements per coset.  G builds no other multiplication
-    table.
+    For a ``SpecialLinear`` G, never listed, the chambers are the complete
+    flags (``_chambers``, which first checks that B is the stabilizer of
+    the standard flag); for an enumerated G, the left cosets of B, by
+    ``left_cosets``.  ``coset(x)`` numbers xB, ``coset_reps`` holds an
+    element of each, and x acts on G/B by x·rB = (x·r)B, one ``ops.mul``
+    per chamber.  Every check reads that action: a cell BwB is the B-orbit
+    of wB, with |B| elements per chamber.  The Weyl quotient N/H is
+    computed on N's own tables.
     """
 
     def __init__(self, c):
         G, B, N = c.G, c.B, c.N
-        self.B, self.N, self.mul, self.index = B, N, G.ops.mul, G.index
+        self.B, self.N, self.mul = B, N, G.ops.mul
+        if isinstance(G, FiniteGroup):
+            coset_of, reps = left_cosets(G, B)
+            self.coset_reps = [G.elements[r] for r in reps]
+            self.coset = lambda x: coset_of[G.index[x]]
+        else:
+            self.coset_reps, self.coset = _chambers(G, B)
         # H = B ∩ N; the Weyl representatives are the least elements of
         # the cosets nH, in their order.
-        self.H = G.subgroup(B.elemset & N.elemset)
+        self.H = B.subgroup(B.elemset & N.elemset)
         if not is_normal(self.H, N):
             raise HNotNormal("B ∩ N is not normal in N")
         self.weyl_of, reps = left_cosets(N, self.H)
         self.reps = tuple(N.elements[r] for r in reps)
         self.identity_rep = e = self.wrep(G.ops.identity)
-        self.coset_of, reps = left_cosets(G, B)
-        self.coset_reps = [G.elements[r] for r in reps]
         self.b_acts = [self.act(b) for b in B.generators()]
         # The cells BwB are the B-orbits on G/B, seeded at the Weyl
         # representatives in order, then at every other coset.  A cell is
@@ -172,10 +179,6 @@ class _Derived:
     def wmul(self, r1, r2):
         return self.wrep(self.mul(r1, r2))
 
-    def coset(self, x):
-        """The number of the coset xB."""
-        return self.coset_of[self.index[x]]
-
     def act(self, x):
         """Left multiplication by x, as a permutation of the cosets."""
         mul, coset = self.mul, self.coset
@@ -194,9 +197,14 @@ class _Derived:
     @cached_property
     def stabilizers(self):
         """B ∩ wBw^-1 for each Weyl representative w: b lies in wBw^-1
-        exactly when b·wB = wB, so this is the stabilizer in B of wB."""
-        mul, coset = self.mul, self.coset
-        return {w: {b for b in self.B.elements if coset(mul(b, w)) == coset(w)} for w in self.reps}
+        exactly when b·wB = wB, so this is the stabilizer in B of wB.  The
+        image b·wB of every b is read down B's BFS tree through the action
+        of B's generators (``tree_images``), with no product formed."""
+        B, out = self.B, {}
+        for w in self.reps:
+            k = self.coset(w)
+            out[w] = {b for b, m in zip(B.elements, B.tree_images(k, self.b_acts)) if m == k}
+        return out
 
     @cached_property
     def b_conjugates_meet(self):
@@ -238,6 +246,26 @@ class _Derived:
                 f"S reaches {len(self.lengths)} of the {len(self.reps)} Weyl classes;"
                 f" {self.unreached} have no word over S"
             )
+
+
+def _chambers(G, B):
+    """G/B for G a ``SpecialLinear``: the flags, numbered as the BFS orbit
+    of the standard flag x0 under G's transvections, as (one element
+    carrying x0 to each, the memoized chamber number of an element).
+    NotAStabilizer unless B's generators fix x0 and |B|·|G·x0| = |G|."""
+    flag, acts, e = G.flag, G.acts, G.ops.identity
+    flags, _, via = _closure(flag(e), [lambda f, a=a: flag(a(f)) for a in acts])
+    reps = [e]
+    for j, s in via:
+        reps.append(acts[j](reps[s]))
+    number = dict(zip(flags, range(len(flags))))
+    coset = cache(lambda x: number[flag(x)])
+    for b in B.generators():
+        if coset(b) != 0:
+            raise NotAStabilizer(f"B's generator {G.ops.fmt(b)} moves the standard flag")
+    if B.order * len(reps) != G.order:
+        raise NotAStabilizer(f"|B|·|G·x0| = {B.order}·{len(reps)} is not |G| = {G.order}")
+    return reps, coset
 
 
 def _derived(c):
@@ -401,8 +429,9 @@ def weakly_split_bruteforce(c):
 
 @lru_cache(maxsize=None)
 def standard_sl_system(n, p):
-    """(SL_n(F_p), upper-triangular B, monomial N).  Cached per (n, p)."""
-    G = special_linear_group(n, p)
+    """(SL_n(F_p), upper-triangular B, monomial N), G a never enumerated
+    ``fingrp.SpecialLinear`` whose chambers are flags.  Cached per (n, p)."""
+    G = fingrp.SpecialLinear(n, p)
     B = upper_triangular_subgroup(G)
     N = monomial_subgroup(G)
     return TitsSystemCandidate(G, B, N, label=f"sl-{n}-{p}")

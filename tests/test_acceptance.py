@@ -21,7 +21,7 @@ from weylbn.cosets import (
     w0_negation_map,
 )
 from weylbn.errors import WitnessNotApplicable
-from weylbn.fingrp import fitting_subgroup, sl_order
+from weylbn.fingrp import fitting_subgroup, sl_order, special_linear_group
 from weylbn.rootsys import branch_node, build_root_system, is_end_node, reduced_form
 from weylbn.titssys import (
     affine_rank1_system,
@@ -315,7 +315,8 @@ def test_criterion_12_classifier_sanity():
     for n, p in STANDARD_SYSTEMS:
         c = standard_sl_system(n, p)
         flags = classify(c)
-        ok = ok and flags.split and flags.witness_u.elemset == _unipotent_scan(c.G)
+        unipotent = _unipotent_scan(special_linear_group(n, p))
+        ok = ok and flags.split and flags.witness_u.elemset == unipotent
     for c in systems:
         if c.B.order <= 500:
             ok = ok and classify(c).weakly_split == weakly_split_bruteforce(c)

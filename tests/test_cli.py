@@ -191,8 +191,8 @@ def test_every_dropped_coxeter_order_case_has_a_skip_note(capsys, monkeypatch, c
 
     with monkeypatch.context() as m:
         m.setattr(fingrp, "sl_order", lambda n, p: 1)
-        every = {case_id for case_id, _ in cli.coxeter_order_cases(1)}
-    dropped = every - {case_id for case_id, _ in cli.coxeter_order_cases(cap)}
+        every = {case_id for case_id, _ in cli.coxeter_order_cases(1)[0]}
+    dropped = every - {case_id for case_id, _ in cli.coxeter_order_cases(cap)[0]}
     monkeypatch.setenv("WEYL_BN_MAX_GROUP", str(cap))
     code, out, _ = run(capsys, ["report", "--all", "--max-rank", "2"])
     assert code == 0

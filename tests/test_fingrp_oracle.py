@@ -14,11 +14,15 @@ subgroups the tests name.
 Matrices as tuples of row tuples, with ``tuple_mat_mul`` and
 ``tuple_row_addition``, are the oracle for the packed integers of
 ``fingrp``: the same elements in the same order, the same products, and
-the same projective action.
+the same projective action.  ``gauss_jordan_inverse`` (the inverse on
+decoded rows that ``mat_inv`` replaced) and ``leibniz_det`` check the
+row operations on packed rows, and the left cosets of B in the
+enumerated group check the flags of ``SpecialLinear``.
 """
 
 import random
 from functools import partial
+from itertools import permutations, product
 from operator import mul as _times
 
 import pytest
@@ -28,6 +32,7 @@ from weylbn.cosets import ParabolicChoice, double_coset_count_naive, sweep_cases
 from weylbn.fingrp import (
     FiniteGroup,
     GroupAction,
+    SpecialLinear,
     GroupOps,
     affine_group,
     affine_line_action,
@@ -38,6 +43,9 @@ from weylbn.fingrp import (
     coset_action,
     fitting_subgroup,
     is_2transitive,
+    left_cosets,
+    mat_det,
+    mat_inv,
     mat_mul,
     normal_closure,
     normal_subgroups,
@@ -137,6 +145,87 @@ def test_packed_product_matches_tuple_product(n, p):
     for _ in range(20000):
         a, b = mats[rng.randrange(len(mats))], mats[rng.randrange(len(mats))]
         assert k.decode(mat_mul(k.encode(a), k.encode(b), k)) == tuple_mat_mul(a, b, p)
+
+
+def gauss_jordan_inverse(a, k):
+    """Inverse of a packed matrix mod p, by Gauss-Jordan elimination on
+    its decoded rows."""
+    n, p = k.n, k.p
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(k.decode(a))]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if m[i][c] % p)
+        m[c], m[piv] = m[piv], m[c]
+        f = pow(m[c][c], p - 2, p)
+        m[c] = [x * f % p for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                g = m[i][c]
+                m[i] = [(x - g * y) % p for x, y in zip(m[i], m[c])]
+    return k.encode(row[n:] for row in m)
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 3), (4, 2)])
+def test_mat_inv_matches_gauss_jordan(n, p):
+    k = packing(n, p)
+    for x in special_linear_group(n, p).elements:
+        assert mat_inv(x, k) == gauss_jordan_inverse(x, k)
+
+
+def test_mat_inv_on_the_representatives_of_psl25():
+    # Each class is named by its least scalar multiple, of det 1 or 4.
+    k = packing(2, 5)
+    reps = central_quotient(special_linear_group(2, 5)).elements
+    assert len(reps) == 60 and {mat_det(x, k) for x in reps} == {1, 4}
+    for x in reps:
+        assert mat_inv(x, k) == gauss_jordan_inverse(x, k)
+
+
+def leibniz_det(m, p):
+    n = len(m)
+    total = 0
+    for s in permutations(range(n)):
+        term = (-1) ** sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term *= m[i][s[i]]
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 5), (4, 3)])
+def test_mat_det_matches_leibniz(n, p):
+    # Every matrix when there are at most 512, else 3000 random ones,
+    # singular ones included.
+    k = packing(n, p)
+    if p ** (n * n) <= 512:
+        mats = list(product(product(range(p), repeat=n), repeat=n))
+    else:
+        rng = random.Random(n * 100 + p)
+        mats = [tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)) for _ in range(3000)]
+    for m in mats:
+        assert mat_det(k.encode(m), k) == leibniz_det(m, p)
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2)])
+def test_special_linear_membership_is_the_enumerated_set(n, p):
+    k, G = packing(n, p), special_linear_group(n, p)
+    sl = SpecialLinear(n, p)
+    every = [k.encode(m) for m in product(product(range(p), repeat=n), repeat=n)]
+    assert [x for x in every if x in sl] == list(G.elements)
+    assert sl.order == G.order and set(sl.gens) <= G.elemset
+
+
+@pytest.mark.parametrize("n,p", REPORT_SL)
+def test_flags_are_the_left_cosets_of_b(n, p):
+    # x and y have one flag exactly when xB = yB, and a flag is its own flag.
+    G = special_linear_group(n, p)
+    sl = SpecialLinear(n, p)
+    coset_of, reps = left_cosets(G, upper_triangular_subgroup(G))
+    cosets_of_flag = {}
+    for x, k in zip(G.elements, coset_of):
+        cosets_of_flag.setdefault(sl.flag(x), set()).add(k)
+    assert len(cosets_of_flag) == len(reps)
+    assert all(len(ks) == 1 for ks in cosets_of_flag.values())
+    assert all(sl.flag(f) == f for f in cosets_of_flag)
 
 
 def closure(ops, gens):

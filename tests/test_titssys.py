@@ -9,6 +9,7 @@ from weylbn.fingrp import (
     affine_line_action,
     coset_action,
     fitting_subgroup,
+    monomial_subgroup,
     projective_space_action,
     special_linear_group,
     upper_triangular_subgroup,
@@ -47,8 +48,7 @@ def test_derive_weyl_rank1():
 
 
 def test_derive_weyl_trivial():
-    c = standard_sl_system(2, 3)
-    G = c.G
+    G = special_linear_group(2, 3)
     triv = TitsSystemCandidate(G, G, G)
     H, reps = triv.derived.H, triv.derived.reps
     assert H.order == G.order and len(reps) == 1
@@ -109,11 +109,11 @@ def test_classify_standard_split():
     c = standard_sl_system(3, 2)
     flags = classify(c)
     assert flags.saturated and flags.weakly_split and flags.split
-    assert flags.witness_u.elemset == _unipotent_scan(c.G)
+    assert flags.witness_u.elemset == _unipotent_scan(special_linear_group(3, 2))
     c = standard_sl_system(2, 5)
     flags = classify(c)
     assert flags.split
-    assert flags.witness_u.elemset == _unipotent_scan(c.G)
+    assert flags.witness_u.elemset == _unipotent_scan(special_linear_group(2, 5))
 
 
 def test_classify_affine_split():
@@ -240,7 +240,7 @@ def test_dropped_candidate_is_collected():
     import weakref
 
     G = special_linear_group(3, 2)
-    c = TitsSystemCandidate(G, upper_triangular_subgroup(G), standard_sl_system(3, 2).N)
+    c = TitsSystemCandidate(G, upper_triangular_subgroup(G), monomial_subgroup(G))
     assert check_axioms(c).passed
     ref = weakref.ref(c)
     del c
@@ -251,8 +251,6 @@ def test_dropped_candidate_is_collected():
 def test_s_not_generating_w_is_reported():
     # (SL2(F3), upper unipotent U, monomial N): the Bruhat map is bijective,
     # but S reaches only 2 of the 4 Weyl classes.
-    from weylbn.fingrp import monomial_subgroup
-
     G = special_linear_group(2, 3)
     c = TitsSystemCandidate(G, G.subgroup(_unipotent_scan(G)), monomial_subgroup(G))
     assert star_property_check(c) is False

@@ -8,19 +8,29 @@ with every g.  ``check_axioms`` reads all of them off the action on G/B
 instead.  ``classify``, which reads its flags off group orders, is
 checked against ``weakly_split_bruteforce`` and the product set of its
 witness.
+
+A standard system lists no G: its chambers are the complete flags.  The
+tests enumerate G themselves and build the same system on it
+(``_enumerated_sl``), whose chambers are the left cosets of B, and hold
+the flag path to that one and to ``Reference``.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
 import weylbn.fingrp as fingrp
 from test_fingrp import _unipotent_scan
+from test_fingrp_oracle import REPORT_SL
 import weylbn.titssys as titssys
+from weylbn import cli
+from weylbn.errors import NotAStabilizer
 from weylbn.fingrp import (
     FiniteGroup,
+    SpecialLinear,
     affine_group,
     monomial_subgroup,
+    packing,
     special_linear_group,
     upper_triangular_subgroup,
 )
@@ -180,6 +190,20 @@ def _b_b_sl32():
     return TitsSystemCandidate(G, B, B, label="sl-3-2-bb")
 
 
+@lru_cache(maxsize=None)
+def _enumerated_sl(n, p):
+    """The standard system on the enumerated SL_n(F_p): B and N from their
+    shapes, the chambers numbered by ``left_cosets``."""
+    G = special_linear_group(n, p)
+    B, N = upper_triangular_subgroup(G), monomial_subgroup(G)
+    return TitsSystemCandidate(G, B, N, label=f"enumerated-sl-{n}-{p}")
+
+
+def _listed(c):
+    """``c`` if its G is enumerated, else the same system on the enumerated G."""
+    return c if isinstance(c.G, FiniteGroup) else _enumerated_sl(*c.G.ops.meta[1:])
+
+
 SYSTEMS = {
     "sl-2-3": lambda: standard_sl_system(2, 3),
     "sl-3-2": lambda: standard_sl_system(3, 2),
@@ -197,9 +221,9 @@ SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_index_core_matches_tuple_reference(name):
     c = SYSTEMS[name]()
-    ref = Reference(c)
+    full = _listed(c)
+    ref = Reference(full)
     d = _derived(c)
-    index = c.G.index
 
     assert d.reps == ref.reps
     assert d.identity_rep == ref.identity_rep
@@ -210,8 +234,8 @@ def test_index_core_matches_tuple_reference(name):
     assert list(d.cell_size) == [w for w in ref.reps if ref.cell_sets[w] is not None]
     for w, size in d.cell_size.items():
         assert size == len(ref.cell_sets[w])
-    assert [d.cell_of[d.coset_of[index[x]]] for x in c.G.elements] == [
-        ref.cell_of.get(x) for x in c.G.elements
+    assert [d.cell_of[d.coset(x)] for x in full.G.elements] == [
+        ref.cell_of.get(x) for x in full.G.elements
     ]
 
     rep = check_axioms(c)
@@ -247,7 +271,8 @@ def test_checks_run_on_the_cosets_of_b(monkeypatch):
         passes.append((size, sum(map(len, out))))
         return out
 
-    c = standard_sl_system(4, 2)
+    c = _enumerated_sl(4, 2)
+    _derived(c)
     monkeypatch.setattr(FiniteGroup, "right_table", counted_right_table)
     monkeypatch.setattr(FiniteGroup, "left_table", counted_left_table)
     titssys._Derived(c)
@@ -269,27 +294,79 @@ def test_checks_run_on_the_cosets_of_b(monkeypatch):
     assert not any(G is c.G for G, _ in right)
 
 
-def test_sl_enumeration_and_checks_build_right_tables_of_b_only(monkeypatch):
-    # From a fresh enumeration on: checking the group builds no table of
-    # inverses, so the only right tables of G are those of B's generators,
-    # which number G/B.
-    right = []
-    right_table = FiniteGroup.right_table
+def test_standard_system_never_enumerates_g(monkeypatch):
+    # SL4(F2) has 20,160 elements, and its standard system lists none:
+    # B's is the one spot check, and no table it builds, checks included,
+    # has more than |B| entries.
+    right, checks = [], []
+    right_table, spot_check = FiniteGroup.right_table, FiniteGroup._spot_check
 
     def counted_right_table(G, x):
-        right.append((G, x))
+        right.append(G.order)
         return right_table(G, x)
 
-    special_linear_group.cache_clear()
-    standard_sl_system.cache_clear()
+    def counted_spot_check(G):
+        checks.append(G)
+        return spot_check(G)
+
+    def refuse(n, p):
+        raise AssertionError(f"SL{n}(F{p}) enumerated")
+
+    monkeypatch.setattr(fingrp, "special_linear_group", refuse)
+    monkeypatch.setattr(titssys, "special_linear_group", refuse)
     monkeypatch.setattr(FiniteGroup, "right_table", counted_right_table)
-    G = special_linear_group(4, 2)
+    monkeypatch.setattr(FiniteGroup, "_spot_check", counted_spot_check)
+    standard_sl_system.cache_clear()
     c = standard_sl_system(4, 2)
-    assert c.G is G
+    assert checks == [c.B]
     assert check_axioms(c).passed
     assert star_property_check(c) and intersection_identity_check(c)
-    classify(c)
-    assert [x for H, x in right if H is G] == list(c.B.generators())
+    assert classify(c).split
+    assert right and max(right) <= c.B.order == 64
+
+
+@pytest.mark.parametrize("n,p", REPORT_SL)
+def test_flags_match_the_cosets_of_the_enumerated_group(n, p):
+    c, old = standard_sl_system(n, p), _enumerated_sl(n, p)
+    d, e = _derived(c), _derived(old)
+    for field in ("reps", "s_reps", "lengths", "words", "cell_size", "stabilizers"):
+        assert getattr(d, field) == getattr(e, field), field
+    assert check_axioms(c) == check_axioms(old)
+    assert check_axioms(c).passed
+    flags, old_flags = classify(c), classify(old)
+    assert flags == old_flags and flags.witness_u.elemset == old_flags.witness_u.elemset
+    ref = Reference(old)
+    assert all(d.cell_of[d.coset(x)] == ref.cell_of.get(x) for x in old.G.elements)
+
+
+def test_stabilizer_check_names_its_counterexample():
+    # B must be the stabilizer of the standard flag, checked before the
+    # axioms: the unipotent radical alone is too small, and the lower
+    # triangular group moves the flag.
+    G = SpecialLinear(3, 3)
+    k = packing(3, 3)
+    B, N = upper_triangular_subgroup(G), monomial_subgroup(G)
+    U = FiniteGroup(G.ops, [b for b in B.elements if all(k.decode(b)[i][i] == 1 for i in range(3))])
+    small = TitsSystemCandidate(G, U, N)
+    with pytest.raises(NotAStabilizer, match=r"27·52 is not \|G\| = 5616"):
+        check_axioms(small)
+    result = cli.run_suite("bn", [("axioms/small", partial(cli.axioms_case, small))])
+    assert result.cases[0].actual.startswith("NotAStabilizer: |B|·|G·x0| = 27·52")
+    lower = FiniteGroup(G.ops, [k.transpose(b) for b in B.elements])
+    with pytest.raises(NotAStabilizer, match="moves the standard flag"):
+        _derived(TitsSystemCandidate(G, lower, N))
+
+
+def _stabilizers_by_products(c):
+    """B ∩ wBw^-1 as the b with b·wB = wB, one product per (b, w)."""
+    d, mul = _derived(c), c.G.ops.mul
+    return {w: {b for b in c.B.elements if d.coset(mul(b, w)) == d.coset(w)} for w in d.reps}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_tree_stabilizers_match_products(name):
+    c = SYSTEMS[name]()
+    assert _derived(c).stabilizers == _stabilizers_by_products(c)
 
 
 # Every system the tests build that classify runs on.
@@ -316,7 +393,7 @@ def test_classify_orders_match_products(name):
     assert flags.split == (flags.witness_u is not None)
     if flags.split:
         H, U, mul = _derived(c).H, flags.witness_u, c.G.ops.mul
-        assert H.elemset & U.elemset == {c.G.identity}
+        assert H.elemset & U.elemset == {c.G.ops.identity}
         assert {mul(h, u) for h in H.elements for u in U.elements} == c.B.elemset
 
 
