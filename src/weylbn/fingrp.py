@@ -1,5 +1,5 @@
-"""Explicit finite groups: matrix groups over prime fields, their central
-quotients, abstract subgroup machinery, and group actions.
+"""Explicit finite groups: matrix groups over prime fields, abstract
+subgroup machinery, and group actions.
 
 Elements are canonical hashable encodings.  An n x n matrix over F_p is
 packed as an integer: a row is an int in [0, q), q = p^n, with column 0
@@ -37,13 +37,13 @@ by seeds and conjugation), which builds commutator subgroups, the
 Fitting subgroup and the normal-subgroup lattice.  Conjugation by any
 other element is a product, on the few elements that need it.
 
-SL_n(F_p) is enumerated by that breadth-first search with its
-generators, the transvections I + E_{i,i+-1}, acting as row operations
-on the packed integer (row_i += row_j mod p, one lookup) instead of
-matrix products, or only known (``SpecialLinear``: its order, its
-generators, membership by determinant, and its complete flags).  The
-shaped subgroups (upper-triangular, monomial) are built from their packed
-candidate matrices, kept when they are members, not by scanning G.
+SL_n(F_p) is described once, by ``SpecialLinear``: its order, its
+generators (the transvections I + E_{i,i+-1}, acting as row operations
+on the packed integer, row_i += row_j mod p, one lookup), membership by
+determinant and its complete flags.  ``special_linear_group`` enumerates
+it by that breadth-first search.  The shaped subgroups (upper-triangular,
+monomial) are built from their packed candidate matrices, kept when they
+are members, not by scanning G.
 """
 
 from __future__ import annotations
@@ -512,10 +512,6 @@ class _Packing:
         """Rows of mod-p digits, semicolon-separated: I_2 -> "10;01"."""
         return ";".join("".join(map(str, row)) for row in self.decode(x))
 
-    def scaled(self, x, c):
-        """The packed c·x."""
-        return sum(self.scale[c][r] * w for r, w in zip(self.rows(x), self.weights))
-
     def transpose(self, x):
         """The packed transpose, one lookup per row."""
         return sum(map(list.__getitem__, self.columns, self.rows(x)))
@@ -607,46 +603,10 @@ def _add_row(k, i, j):
     return act
 
 
-def _sl_generators(n, p):
-    """The packed transvections I + E_{i,i+-1}, and their left actions as
-    row operations, in the same order."""
-    k = packing(n, p)
-    acts = [_add_row(k, i, j) for i in range(n) for j in range(n) if abs(i - j) == 1]
-    return [act(k.identity) for act in acts], acts
-
-
-@lru_cache(maxsize=None)
-def special_linear_group(n, p):
-    """SL_n(F_p), fully enumerated from the elementary transvections
-    I + E_{i,i+1} and I + E_{i+1,i}.  They generate it: the other
-    I + E_ij are commutators of these, and p is prime.
-
-    The breadth-first enumeration applies each generator as a row
-    operation on the packed matrix (row_i += row_j mod p), not as a matrix
-    product, and the group keeps its tree, from which right tables are
-    read (see the module docstring).
-
-    Instances are cached per (n, p); they are immutable and shared.
-    """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    expected = sl_order(n, p)
-    if expected > SL_ENUM_CAP:
-        raise GroupTooLarge(f"|SL_{n}(F_{p})| = {expected} exceeds cap {SL_ENUM_CAP}")
-    gens, acts = _sl_generators(n, p)
-    bfs = _closure(packing(n, p).identity, acts, cap=SL_ENUM_CAP + 1)
-    elements = bfs[0]
-    if len(elements) != expected:
-        raise AssertionError(
-            f"enumerated {len(elements)} elements, order formula says {expected}"
-        )
-    return FiniteGroup(matrix_ops(n, p), elements, gens=gens, bfs=bfs)
-
-
 class SpecialLinear:
-    """SL_n(F_p) known by its order, its generators ``gens`` (those of
-    ``_sl_generators``) and their row operations ``acts``, with no element
-    listed; membership is det = 1.
+    """SL_n(F_p) known by its order, its generators ``gens`` and their
+    row operations ``acts``, with no element listed; membership is
+    det = 1.  ``special_linear_group`` enumerates it.
 
     ``flag(x)`` is the complete flag x·x0, x0 the standard one: x's first
     n-1 columns, each cleared at the earlier ones' pivot rows using them
@@ -659,7 +619,10 @@ class SpecialLinear:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.k, self.ops, self.order = packing(n, p), matrix_ops(n, p), sl_order(n, p)
-        self.gens, self.acts = _sl_generators(n, p)
+        # The transvections I + E_{i,i+-1}, as row operations.  They generate
+        # SL_n(F_p): the other I + E_ij are commutators of them, p prime.
+        self.acts = [_add_row(self.k, i, j) for i in range(n) for j in range(n) if abs(i - j) == 1]
+        self.gens = [act(self.k.identity) for act in self.acts]
 
     def __contains__(self, x):
         return mat_det(x, self.k) == 1
@@ -678,16 +641,36 @@ class SpecialLinear:
         return sum(t[c] for t, (_, c) in zip(k.columns, done))
 
 
+@lru_cache(maxsize=None)
+def special_linear_group(n, p):
+    """SL_n(F_p), enumerated: the breadth-first closure of the identity
+    under ``SpecialLinear(n, p)``'s row operations.  The group keeps that
+    tree, from which right tables are read (see the module docstring).
+
+    A non-prime p (ValueError), then an order over ``SL_ENUM_CAP``
+    (GroupTooLarge), is refused before the packing tables are built.
+    Cached per (n, p); instances are immutable and shared.
+    """
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    expected = sl_order(n, p)
+    if expected > SL_ENUM_CAP:
+        raise GroupTooLarge(f"|SL_{n}(F_{p})| = {expected} exceeds cap {SL_ENUM_CAP}")
+    G = SpecialLinear(n, p)
+    bfs = _closure(G.ops.identity, G.acts, cap=SL_ENUM_CAP + 1)
+    elements = bfs[0]
+    if len(elements) != expected:
+        raise AssertionError(f"enumerated {len(elements)} elements, order formula says {expected}")
+    return FiniteGroup(G.ops, elements, gens=G.gens, bfs=bfs)
+
+
 def _shaped_members(G, shapes):
     """The members of the matrix group G that have one of ``shapes``.
 
     A shape maps positions (i, j) to the values allowed there, every other
     entry being 0.  Its packed candidate matrices (entry (i, j) has the
     place p^(n*n - 1 - n*i - j)) are enumerated and kept when they are
-    members of G, so the cost is the number of candidates, not |G|.  On a
-    central quotient, whose members are canonical scalar multiples, this
-    is still every member of the shape: a scalar multiple of a matrix has
-    the same shape.
+    members of G, so the cost is the number of candidates, not |G|.
     """
     _, n, p = G.ops.meta
     members = []
@@ -715,37 +698,6 @@ def monomial_subgroup(G):
     units = range(1, p)
     shapes = [{(i, s[i]): units for i in range(n)} for s in permutations(range(n))]
     return FiniteGroup(G.ops, _shaped_members(G, shapes), check=False)
-
-
-def central_quotient(G):
-    """Quotient by the scalar subgroup, on canonical representatives.
-
-    Each class is represented by the least packed scalar multiple of its
-    matrices, which is the lexicographically least, so equality of
-    representatives is equality of classes and the quotient order times
-    the scalar-subgroup order is the group order (asserted).
-    """
-    kind, n, p = G.ops.meta
-    if kind != "matrix":
-        raise ValueError("central quotient requires a matrix group")
-    k = packing(n, p)
-
-    def canon(x):
-        return min(k.scaled(x, lam) for lam in range(1, p))
-
-    ops = GroupOps(
-        mul=lambda a, b: canon(mat_mul(a, b, k)),
-        inv=lambda a: canon(mat_inv(a, k)),
-        identity=canon(k.identity),
-        fmt=k.fmt,
-        label=f"P{G.ops.label}",
-        meta=("pmatrix", n, p),
-    )
-    elements = sorted({canon(m) for m in G.elements})
-    scalars = sum(k.scaled(k.identity, lam) in G.elemset for lam in range(1, p))
-    if len(elements) * scalars != G.order:
-        raise AssertionError("quotient order times scalar count != group order")
-    return FiniteGroup(ops, elements)
 
 
 def projective_space_action(n, p):

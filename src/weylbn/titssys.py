@@ -49,7 +49,6 @@ from .fingrp import (
     FiniteGroup,
     _closure,
     _shaped_members,
-    central_quotient,
     coset_action,
     fitting_subgroup,
     is_2transitive,
@@ -125,11 +124,13 @@ class _Derived:
     For a ``SpecialLinear`` G, never listed, the chambers are the complete
     flags (``_chambers``, which first checks that B is the stabilizer of
     the standard flag); for an enumerated G, the left cosets of B, by
-    ``left_cosets``.  ``coset(x)`` numbers xB, ``coset_reps`` holds an
-    element of each, and x acts on G/B by x·rB = (x·r)B, one ``ops.mul``
-    per chamber.  Every check reads that action: a cell BwB is the B-orbit
-    of wB, with |B| elements per chamber.  The Weyl quotient N/H is
-    computed on N's own tables.
+    ``left_cosets``.  ``coset(x)`` numbers xB.  r = ``coset_reps[k]``
+    stands for chamber k, and x carries it to ``coset(x·r)``: r is the
+    coset's least member for an enumerated G, and the flag itself (a
+    packed matrix not in G) for a ``SpecialLinear``.  Every check reads
+    that action, one ``ops.mul`` per chamber: a cell BwB is the B-orbit of
+    wB, with |B| elements per chamber.  The Weyl quotient N/H is computed
+    on N's own tables.
     """
 
     def __init__(self, c):
@@ -250,22 +251,21 @@ class _Derived:
 
 def _chambers(G, B):
     """G/B for G a ``SpecialLinear``: the flags, numbered as the BFS orbit
-    of the standard flag x0 under G's transvections, as (one element
-    carrying x0 to each, the memoized chamber number of an element).
+    of the standard flag x0 under G's transvections, as (the flags, the
+    memoized chamber number of an element).  A flag F is a packed matrix
+    whose first n-1 columns are those of an r carrying x0 to F times an
+    upper-triangular matrix, so x·F has the flag of x·r.
     NotAStabilizer unless B's generators fix x0 and |B|·|G·x0| = |G|."""
-    flag, acts, e = G.flag, G.acts, G.ops.identity
-    flags, _, via = _closure(flag(e), [lambda f, a=a: flag(a(f)) for a in acts])
-    reps = [e]
-    for j, s in via:
-        reps.append(acts[j](reps[s]))
+    flag = G.flag
+    flags = _closure(flag(G.ops.identity), [lambda f, a=a: flag(a(f)) for a in G.acts])[0]
     number = dict(zip(flags, range(len(flags))))
     coset = cache(lambda x: number[flag(x)])
     for b in B.generators():
         if coset(b) != 0:
             raise NotAStabilizer(f"B's generator {G.ops.fmt(b)} moves the standard flag")
-    if B.order * len(reps) != G.order:
-        raise NotAStabilizer(f"|B|·|G·x0| = {B.order}·{len(reps)} is not |G| = {G.order}")
-    return reps, coset
+    if B.order * len(flags) != G.order:
+        raise NotAStabilizer(f"|B|·|G·x0| = {B.order}·{len(flags)} is not |G| = {G.order}")
+    return flags, coset
 
 
 def _derived(c):
@@ -497,11 +497,11 @@ def sl_rank1_column_system(n, p):
 def psl3_f2_nonstandard_system():
     """A rank-1 system in PSL_3(F_2) on 8 points whose B has order 21.
 
-    B is the normalizer of a Sylow 7-subgroup (its order 21 is checked).
-    Takes the coset action on its 8 cosets, checks 2-transitivity, and
-    builds the rank-1 system.
+    PSL_3(F_2) is SL_3(F_2), enumerated.  B is the normalizer of a Sylow
+    7-subgroup (its order 21 is checked).  Takes the coset action on its 8
+    cosets, checks 2-transitivity, and builds the rank-1 system.
     """
-    G = central_quotient(special_linear_group(3, 2))
+    G = special_linear_group(3, 2)  # its one scalar is I: λ³ = 1 forces λ = 1 in F_2^×
     for seed7 in G.elements:
         P7 = normal_closure(G, [seed7], ())
         if P7.order == 7:
@@ -539,12 +539,12 @@ def cell_size_formula_check(n, p):
         if size != p ** d.lengths[w] * c.B.order:
             return False
         total += size
-    if total != c.G.order or total != fingrp.sl_order(n, p):
+    # The sum counts only the chambers in cells a Weyl representative
+    # names, so a chamber outside every such cell makes it fall short.
+    if total != c.G.order:
         return False
     if n >= 2:
         poly = poincare_polynomial(build_root_system(("A", n - 1)))
         if Counter(d.lengths[w] for w in d.reps) != dict(enumerate(poly)):
-            return False
-        if c.B.order * sum(m * p**l for l, m in enumerate(poly)) != c.G.order:
             return False
     return True

@@ -9,19 +9,19 @@ from test_fingrp_oracle import (
     tuple_mat_mul,
     tuple_row_addition,
 )
+from weylbn import fingrp
 from weylbn.errors import GroupTooLarge
 from weylbn.fingrp import (
     FiniteGroup,
     GroupAction,
     GroupOps,
+    SpecialLinear,
     _add_row,
     _closure,
     _primitive_root,
-    _sl_generators,
     action_orbits,
     affine_group,
     affine_line_action,
-    central_quotient,
     conjugacy_classes,
     coset_action,
     fitting_subgroup,
@@ -43,6 +43,7 @@ from weylbn.fingrp import (
     special_linear_group,
     upper_triangular_subgroup,
 )
+from weylbn.titssys import psl3_f2_nonstandard_system
 
 
 @pytest.mark.parametrize(
@@ -57,6 +58,19 @@ def test_sl_orders(n, p, order):
 def test_sl_cap():
     with pytest.raises(GroupTooLarge):
         special_linear_group(4, 3)
+
+
+def test_refusals_come_before_the_packing_tables(monkeypatch):
+    # A non-prime p first, then the cap, both before ``packing`` builds
+    # tables of p^(2n) entries: 10,201 x 10,201 for SL2(F101).
+    def refuse(n, p):
+        raise AssertionError(f"packing({n}, {p}) built before the refusal")
+
+    monkeypatch.setattr(fingrp, "packing", refuse)
+    with pytest.raises(GroupTooLarge):
+        special_linear_group(2, 101)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        special_linear_group(4, 4)
 
 
 def test_subgroup_shapes():
@@ -93,24 +107,18 @@ def test_matrix_helpers():
 
 
 def center(G):
-    """The elements commuting with every generator: the oracle for the
-    scalar subgroup that ``central_quotient`` divides out."""
+    """The elements commuting with every generator."""
     gens = G.generators()
     mul = G.ops.mul
     return G.subgroup([z for z in G.elements if all(mul(z, g) == mul(g, z) for g in gens)])
 
 
-def test_central_quotients():
-    psl32 = central_quotient(special_linear_group(3, 2))
-    assert psl32.order == 168
-    psl23 = central_quotient(special_linear_group(2, 3))
-    assert psl23.order == 12
-    same = central_quotient(special_linear_group(2, 2))
-    assert same.order == 6
-    # Quotient order times center order gives the group order here.
-    for n, p in [(3, 2), (2, 3), (2, 5)]:
-        G = special_linear_group(n, p)
-        assert central_quotient(G).order * center(G).order == G.order
+def test_psl3f2_is_sl3f2():
+    # SL3(F2) has trivial center, so the non-standard example takes it as
+    # PSL3(F2) as it is.
+    G = special_linear_group(3, 2)
+    assert center(G).order == 1
+    assert psl3_f2_nonstandard_system().G is G
 
 
 def test_closure_and_normality():
@@ -163,7 +171,7 @@ def test_primitive_root_has_full_multiplicative_order():
 
 
 def test_normal_subgroups_psl3f2_simple():
-    G = central_quotient(special_linear_group(3, 2))
+    G = special_linear_group(3, 2)
     assert [H.order for H in normal_subgroups(G)] == [1, 168]
 
 
@@ -226,11 +234,11 @@ def _conjugate_by_products(G, g, xs):
     "make",
     [
         lambda: special_linear_group(2, 3),
-        lambda: central_quotient(special_linear_group(3, 2)),
+        lambda: special_linear_group(3, 2),
         lambda: affine_group(7),
         lambda: special_linear_group(3, 3),
     ],
-    ids=["sl-2-3", "psl-3-2", "affine-7", "sl-3-3"],
+    ids=["sl-2-3", "sl-3-2", "affine-7", "sl-3-3"],
 )
 def test_conjugate_matches_products(make):
     G = make()
@@ -391,11 +399,11 @@ def test_mat_mul_against_triple_sum(n, p):
     [
         lambda: special_linear_group(2, 3),
         lambda: affine_group(5),
-        lambda: central_quotient(special_linear_group(3, 2)),
+        lambda: special_linear_group(3, 2),
         lambda: special_linear_group(3, 3),
         lambda: special_linear_group(4, 2),
     ],
-    ids=["sl-2-3", "affine-5", "psl-3-2", "sl-3-3", "sl-4-2"],
+    ids=["sl-2-3", "affine-5", "sl-3-2", "sl-3-3", "sl-4-2"],
 )
 def test_index_tables_match_multiplication(make):
     """Left and right tables agree with the multiplication oracle."""
@@ -473,7 +481,7 @@ def test_non_closed_element_list_is_refused_before_it_is_enumerated():
         calls[0] += 1
         return ops.mul(a, b)
 
-    gens = _sl_generators(3, 3)[0]
+    gens = SpecialLinear(3, 3).gens
     with pytest.raises(ValueError, match="closure is not the element set"):
         FiniteGroup(ops._replace(mul=mul), [ops.identity] + gens)
     assert calls[0] < 100
@@ -535,14 +543,14 @@ def _closure_by_products(ops, gens):
 
 @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 3), (4, 2)])
 def test_row_operation_closure_matches_product_closure(n, p):
-    gens, acts = _sl_generators(n, p)
-    got = _closure(packing(n, p).identity, acts)
-    assert got == _closure_by_products(matrix_ops(n, p), gens)
+    G = SpecialLinear(n, p)
+    got = _closure(G.ops.identity, G.acts)
+    assert got == _closure_by_products(G.ops, G.gens)
     assert len(got[0]) == sl_order(n, p)
 
 
 def test_closure_by_left_multiplication_matches_products():
-    for G in (central_quotient(special_linear_group(3, 2)), affine_group(7)):
+    for G in (special_linear_group(3, 2), affine_group(7)):
         gens = G.generators() + G.generators()[:1]
         acts = [lambda x, g=g: G.ops.mul(g, x) for g in dict.fromkeys(gens)]
         assert _closure(G.ops.identity, acts) == _closure_by_products(G.ops, gens)
@@ -592,11 +600,8 @@ def _monomial_scan(G):
         lambda: special_linear_group(3, 2),
         lambda: special_linear_group(3, 3),
         lambda: special_linear_group(4, 2),
-        lambda: central_quotient(special_linear_group(3, 2)),
-        lambda: central_quotient(special_linear_group(2, 3)),
-        lambda: central_quotient(special_linear_group(2, 5)),
     ],
-    ids=["sl-2-2", "sl-2-3", "sl-2-5", "sl-3-2", "sl-3-3", "sl-4-2", "psl-3-2", "psl-2-3", "psl-2-5"],
+    ids=["sl-2-2", "sl-2-3", "sl-2-5", "sl-3-2", "sl-3-3", "sl-4-2"],
 )
 def test_shaped_subgroups_match_scans(make):
     G = make()

@@ -37,7 +37,6 @@ from weylbn.fingrp import (
     affine_group,
     affine_line_action,
     _closure,
-    central_quotient,
     commutator_subgroup,
     conjugacy_classes,
     coset_action,
@@ -96,10 +95,6 @@ def tuple_sl(n, p):
     return sorted(_closure(tuple_identity(n), acts)[0])
 
 
-def _least_multiple(m, p):
-    return min(tuple(tuple(x * lam % p for x in row) for row in m) for lam in range(1, p))
-
-
 # Every SL_n(F_p) that ``weylbn report --all`` builds.
 REPORT_SL = [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]
 
@@ -111,13 +106,6 @@ def test_packed_order_is_tuple_order(n, p):
     assert [k.decode(x) for x in G.elements] == tuple_sl(n, p)
     assert [k.encode(k.decode(x)) for x in G.elements] == list(G.elements)
     assert k.decode(G.identity) == tuple_identity(n)
-
-
-@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2)])
-def test_packed_central_quotient_order_is_tuple_order(n, p):
-    k = packing(n, p)
-    want = sorted({_least_multiple(m, p) for m in tuple_sl(n, p)})
-    assert [k.decode(x) for x in central_quotient(special_linear_group(n, p)).elements] == want
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
@@ -171,13 +159,16 @@ def test_mat_inv_matches_gauss_jordan(n, p):
         assert mat_inv(x, k) == gauss_jordan_inverse(x, k)
 
 
-def test_mat_inv_on_the_representatives_of_psl25():
-    # Each class is named by its least scalar multiple, of det 1 or 4.
-    k = packing(2, 5)
-    reps = central_quotient(special_linear_group(2, 5)).elements
-    assert len(reps) == 60 and {mat_det(x, k) for x in reps} == {1, 4}
-    for x in reps:
-        assert mat_inv(x, k) == gauss_jordan_inverse(x, k)
+def test_mat_inv_on_every_invertible_2x2():
+    # Every nonzero determinant, not only det 1, over F5 and F7.
+    for p in (5, 7):
+        k = packing(2, p)
+        mats = [m for m in product(product(range(p), repeat=2), repeat=2) if leibniz_det(m, p)]
+        assert len(mats) == (p * p - 1) * (p * p - p)
+        assert {leibniz_det(m, p) for m in mats} == set(range(1, p))
+        for m in mats:
+            x = k.encode(m)
+            assert mat_inv(x, k) == gauss_jordan_inverse(x, k)
 
 
 def leibniz_det(m, p):
@@ -334,7 +325,7 @@ GROUPS = {
     "affine-7": lambda: affine_group(7),
     "sl-2-3": lambda: special_linear_group(2, 3),
     "sl-2-5": lambda: special_linear_group(2, 5),
-    "psl-3-2": lambda: central_quotient(special_linear_group(3, 2)),
+    "sl-3-2": lambda: special_linear_group(3, 2),
     "frob21": _frob21,
     "borel-3-2": lambda: _borel(3, 2),
     "borel-3-3": lambda: _borel(3, 3),

@@ -339,6 +339,15 @@ def test_flags_match_the_cosets_of_the_enumerated_group(n, p):
     assert all(d.cell_of[d.coset(x)] == ref.cell_of.get(x) for x in old.G.elements)
 
 
+@pytest.mark.parametrize("n,p", REPORT_SL)
+def test_flags_are_the_chamber_representatives(n, p):
+    c = standard_sl_system(n, p)
+    d = _derived(c)
+    assert len(d.coset_reps) * c.B.order == c.G.order
+    for k, f in enumerate(d.coset_reps):
+        assert c.G.flag(f) == f and d.coset(f) == k
+
+
 def test_stabilizer_check_names_its_counterexample():
     # B must be the stabilizer of the standard flag, checked before the
     # axioms: the unipotent radical alone is too small, and the lower
