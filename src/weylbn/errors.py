@@ -57,9 +57,5 @@ class NotTwoTransitive(WeylBNError):
     """The given action is not 2-transitive."""
 
 
-class NoConjugatorFound(WeylBNError):
-    """No group element conjugating the two point stabilizers was found."""
-
-
 class SubgroupNotFound(WeylBNError):
     """A subgroup search that must succeed came up empty."""

@@ -227,8 +227,8 @@ def orbits(perms, size, seeds=None):
     One list per orbit, in breadth-first order from its first point.
     Orbits are started at ``seeds`` in the order given (default: every
     point, ascending), skipping seeds an earlier orbit reached.  Serves
-    cosets (right tables of a subgroup's generators), double cosets,
-    generated subgroups (the orbit of the identity) and actions.
+    cosets (right tables of a subgroup's generators), double cosets and
+    generated subgroups (the orbit of the identity).
     """
     seen = bytearray(size)
     out = []
@@ -421,35 +421,11 @@ def fitting_subgroup(B):
 
 
 class GroupAction(namedtuple("GroupAction", "group points apply")):
-    """A finite group acting on an indexed point set by ``apply(g, x)``."""
+    """A finite group acting on an indexed point set by ``apply(g, x)``.
+    Only the generators need be applied: where every element sends a point
+    is then read down the group's BFS tree (``FiniteGroup.tree_images``)."""
 
     __slots__ = ()
-
-
-def action_orbits(action):
-    """Orbit partition, each orbit a frozenset, deterministic order."""
-    pts, apply = action.points, action.apply
-    at = {x: i for i, x in enumerate(pts)}
-    perms = [[at[apply(g, x)] for x in pts] for g in action.group.generators()]
-    return [frozenset(pts[i] for i in orb) for orb in orbits(perms, len(pts))]
-
-
-def setwise_stabilizer(action, pair):
-    pair = frozenset(pair)
-    members = [
-        g
-        for g in action.group.elements
-        if frozenset(action.apply(g, x) for x in pair) == pair
-    ]
-    return action.group.subgroup(members)
-
-
-def is_2transitive(action):
-    """Transitive on the ordered pairs of distinct points."""
-    pts, apply = action.points, action.apply
-    pairs = tuple((x, y) for x in pts for y in pts if x != y)
-    on_pairs = GroupAction(action.group, pairs, lambda g, xy: (apply(g, xy[0]), apply(g, xy[1])))
-    return len(action_orbits(on_pairs)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from functools import cache, cached_property, lru_cache
 
 from .errors import (
     HNotNormal,
-    NoConjugatorFound,
     NotAStabilizer,
     NotTwoTransitive,
     SubgroupNotFound,
@@ -51,14 +50,12 @@ from .fingrp import (
     _shaped_members,
     coset_action,
     fitting_subgroup,
-    is_2transitive,
     is_normal,
     left_cosets,
     monomial_subgroup,
     normal_closure,
     normal_subgroups,
     orbits,
-    setwise_stabilizer,
     special_linear_group,
     upper_triangular_subgroup,
 )
@@ -438,15 +435,29 @@ def standard_sl_system(n, p):
 
 
 def rank1_from_2transitive(action, x, xp):
-    """Rank-1 system from a 2-transitive action: B = Stab(x),
-    N = setwise stabilizer of {x, x'}."""
+    """Rank-1 system from a 2-transitive action: B = Stab(x), N = Stab{x, x'}.
+
+    Each of G's generators is applied to each point once; where every
+    element sends x and x' is read down G's BFS tree (``tree_images``).  It
+    is 2-transitive when G moves x to every point and B moves x' to every
+    other one.  ValueError if x = x' or either is not a point, then
+    NotTwoTransitive."""
     if x == xp:
         raise ValueError("the two base points must differ")
-    if not is_2transitive(action):
+    G, pts = action.group, action.points
+    at = {pt: i for i, pt in enumerate(pts)}
+    for name, pt in (("x", x), ("x'", xp)):
+        if pt not in at:
+            raise ValueError(f"the base point {name} = {pt!r} is not a point of the action")
+    i, ip = at[x], at[xp]
+    perms = [[at[action.apply(g, pt)] for pt in pts] for g in G.generators()]
+    to_x, to_xp = G.tree_images(i, perms), G.tree_images(ip, perms)
+    fixing = [k for k, m in enumerate(to_x) if m == i]
+    if len(set(to_x)) < len(pts) or len({to_xp[k] for k in fixing}) < len(pts) - 1:
         raise NotTwoTransitive("the action is not 2-transitive")
-    B = setwise_stabilizer(action, (x,))
-    N = setwise_stabilizer(action, (x, xp))
-    return TitsSystemCandidate(action.group, B, N, label="rank1-2transitive")
+    B = G.subgroup([G.elements[k] for k in fixing])
+    N = G.subgroup([g for g, a, b in zip(G.elements, to_x, to_xp) if {a, b} == {i, ip}])
+    return TitsSystemCandidate(G, B, N, label="rank1-2transitive")
 
 
 def projective_rank1_system(n, p):
@@ -467,12 +478,12 @@ def affine_rank1_system(p):
 
 
 def sl_rank1_column_system(n, p):
-    """Rank-1 system of SL_n(F_p) from the two column stabilizers.
+    """Rank-1 system of SL_n(F_p) on the lines through e_1 and e_n.
 
-    B fixes the line through the first basis vector (first column zero
-    below the top), B' the line through the last; N = H ∪ gH for g the
-    least element swapping the two lines, which conjugates B onto B'.
-    All three are read off their shapes, not found by scanning G.
+    B fixes the line through e_1 (first column zero below the top).  N, the
+    setwise stabilizer of the two lines, fixes both (first and last columns
+    zero off the diagonal) or swaps them (zero off the anti-diagonal
+    corners).  Both are read off their shapes, not found by scanning G.
     """
     G = special_linear_group(n, p)
     units, free = range(1, p), range(p)
@@ -481,25 +492,20 @@ def sl_rank1_column_system(n, p):
         return {(i, j): free for i in range(n) for j in range(lo, hi)}
 
     B = G.subgroup(_shaped_members(G, [{(0, 0): units, **columns(1, n)}]))
-    Bp = G.subgroup(_shaped_members(G, [{(n - 1, n - 1): units, **columns(0, n - 1)}]))
-    H = G.subgroup(B.elemset & Bp.elemset)
-    swaps = _shaped_members(G, [{(n - 1, 0): units, (0, n - 1): units, **columns(1, n - 1)}])
-    g = min(swaps, default=None)
-    if g is None:
-        raise NoConjugatorFound("no element swaps the two coordinate lines")
-    mul, gi = G.ops.mul, G.ops.inv(g)
-    if {mul(mul(g, b), gi) for b in B.elements} != Bp.elemset:
-        raise NoConjugatorFound("swap candidate does not conjugate B onto B'")
-    N = G.subgroup(sorted(H.elemset | {mul(g, h) for h in H.elements}))
+    fix = {(0, 0): units, (n - 1, n - 1): units, **columns(1, n - 1)}
+    swap = {(n - 1, 0): units, (0, n - 1): units, **columns(1, n - 1)}
+    N = G.subgroup(_shaped_members(G, [fix, swap]))
     return TitsSystemCandidate(G, B, N, label=f"sl-rank1-{n}-{p}")
 
 
 def psl3_f2_nonstandard_system():
     """A rank-1 system in PSL_3(F_2) on 8 points whose B has order 21.
 
-    PSL_3(F_2) is SL_3(F_2), enumerated.  B is the normalizer of a Sylow
-    7-subgroup (its order 21 is checked).  Takes the coset action on its 8
-    cosets, checks 2-transitivity, and builds the rank-1 system.
+    PSL_3(F_2) is SL_3(F_2), enumerated.  B is the normalizer K of a Sylow
+    7-subgroup P7 = <seed7> (its order 21 is checked): the g with
+    g·seed7·g^-1 in P7, read down G's BFS tree through the conjugation
+    tables of G's generators, with no product.  Takes the action on the 8
+    cosets of K and builds the rank-1 system, which checks 2-transitivity.
     """
     G = special_linear_group(3, 2)  # its one scalar is I: λ³ = 1 forces λ = 1 in F_2^×
     for seed7 in G.elements:
@@ -508,8 +514,8 @@ def psl3_f2_nonstandard_system():
             break
     else:
         raise SubgroupNotFound("no element of order 7")
-    mul, inv = G.ops.mul, G.ops.inv
-    K = G.subgroup([g for g in G.elements if mul(mul(g, seed7), inv(g)) in P7])
+    conj = G.tree_images(G.index[seed7], [G.conjugation(g) for g in G.generators()])
+    K = G.subgroup([g for g, i in zip(G.elements, conj) if G.elements[i] in P7])
     if K.order != 21:
         raise SubgroupNotFound(f"the normalizer of <seed7> has order {K.order}, not 21")
     action = coset_action(G, K)

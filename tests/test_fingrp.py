@@ -3,14 +3,17 @@ import random
 import pytest
 
 from test_fingrp_oracle import (
+    _action_orbits,
     _element_order,
+    _is_2transitive_on_pairs,
+    _setwise_stabilizer_scan,
     closure,
     tuple_identity,
     tuple_mat_mul,
     tuple_row_addition,
 )
 from weylbn import fingrp
-from weylbn.errors import GroupTooLarge
+from weylbn.errors import GroupTooLarge, NotTwoTransitive
 from weylbn.fingrp import (
     FiniteGroup,
     GroupAction,
@@ -19,13 +22,11 @@ from weylbn.fingrp import (
     _add_row,
     _closure,
     _primitive_root,
-    action_orbits,
     affine_group,
     affine_line_action,
     conjugacy_classes,
     coset_action,
     fitting_subgroup,
-    is_2transitive,
     is_nilpotent,
     is_normal,
     left_cosets,
@@ -38,12 +39,11 @@ from weylbn.fingrp import (
     orbits,
     packing,
     projective_space_action,
-    setwise_stabilizer,
     sl_order,
     special_linear_group,
     upper_triangular_subgroup,
 )
-from weylbn.titssys import psl3_f2_nonstandard_system
+from weylbn.titssys import psl3_f2_nonstandard_system, rank1_from_2transitive
 
 
 @pytest.mark.parametrize(
@@ -303,20 +303,21 @@ def test_subgroup_tables_make_no_products_once_generators_ran(monkeypatch):
 def test_projective_actions():
     act = projective_space_action(2, 2)
     assert len(act.points) == 7
-    assert is_2transitive(act)
+    assert _is_2transitive_on_pairs(act)
     assert len(projective_space_action(1, 7).points) == 8
     # Orbit-stabilizer on every point.
     for x in act.points:
-        st = setwise_stabilizer(act, (x,))
+        st = _setwise_stabilizer_scan(act, (x,))
         assert st.order * len(act.points) == act.group.order
 
 
 def test_affine_group_action():
     act = affine_line_action(5)
     assert act.group.order == 20
-    assert is_2transitive(act)
-    st = setwise_stabilizer(act, (0, 4))
+    assert _is_2transitive_on_pairs(act)
+    st = _setwise_stabilizer_scan(act, (0, 4))
     assert st.order == 2
+    assert rank1_from_2transitive(act, 0, 4).N == st
 
 
 def test_regular_action_not_2transitive():
@@ -329,8 +330,10 @@ def test_regular_action_not_2transitive():
     )
     C4 = FiniteGroup(ops, range(4))
     act = GroupAction(C4, tuple(range(4)), lambda g, y: (g + y) % 4)
-    assert not is_2transitive(act)
-    assert len(action_orbits(act)) == 1
+    with pytest.raises(NotTwoTransitive, match="not 2-transitive"):
+        rank1_from_2transitive(act, 0, 1)
+    assert not _is_2transitive_on_pairs(act)
+    assert len(_action_orbits(act)) == 1
 
 
 def test_action_axioms():
@@ -352,11 +355,11 @@ def test_coset_action_points():
     B = upper_triangular_subgroup(G)
     act = coset_action(G, B)
     assert len(act.points) == G.order // B.order == 21
-    assert len(action_orbits(act)) == 1
+    assert len(_action_orbits(act)) == 1
     # Orbit-stabilizer across action kinds.
     for action in (act, affine_line_action(7)):
         for x in action.points:
-            assert setwise_stabilizer(action, (x,)).order * len(action.points) == action.group.order
+            assert _setwise_stabilizer_scan(action, (x,)).order * len(action.points) == action.group.order
 
 
 def test_element_formatting():

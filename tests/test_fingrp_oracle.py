@@ -1,13 +1,15 @@
-"""The normal-closure subgroup routines, the pair-orbit 2-transitivity test
-and the group-core Weyl enumeration against the algorithms they replaced.
+"""The normal-closure subgroup routines, the rank-1 reads of
+``rank1_from_2transitive`` and the group-core Weyl enumeration against the
+algorithms they replaced.
 
 The references multiply group elements as tuples and close sets by
 breadth-first search: [H, L] as a closure re-conjugated until it is
 stable, the Fitting subgroup as the join of p-cores grown one conjugacy
 class at a time, the normal-subgroup lattice by closing every element of
 a known subgroup together with one more class, 2-transitivity from a
-point stabilizer, the Weyl group by a frontier search over root
-permutations, and double cosets by a two-sided closure.  ``closure``,
+point stabilizer and as one orbit on ordered pairs, stabilizers by
+applying every group element, the Weyl group by a frontier search over
+root permutations, and double cosets by a two-sided closure.  ``closure``,
 the sorted closure of generators under products, builds the small
 subgroups the tests name.
 
@@ -41,20 +43,25 @@ from weylbn.fingrp import (
     conjugacy_classes,
     coset_action,
     fitting_subgroup,
-    is_2transitive,
     left_cosets,
     mat_det,
     mat_inv,
     mat_mul,
     normal_closure,
     normal_subgroups,
+    orbits,
     packing,
     projective_space_action,
     special_linear_group,
     upper_triangular_subgroup,
 )
+from weylbn.errors import NotTwoTransitive
 from weylbn.rootsys import build_root_system
-from weylbn.titssys import projective_rank1_system, psl3_f2_nonstandard_system
+from weylbn.titssys import (
+    projective_rank1_system,
+    psl3_f2_nonstandard_system,
+    rank1_from_2transitive,
+)
 
 
 def tuple_identity(n):
@@ -381,6 +388,34 @@ def _is_2transitive_reference(action):
     return {apply(g, y) for g in stab} == set(pts) - {x}
 
 
+def _action_orbits(action):
+    """Orbit partition, each orbit a frozenset, deterministic order."""
+    pts, apply = action.points, action.apply
+    at = {x: i for i, x in enumerate(pts)}
+    perms = [[at[apply(g, x)] for x in pts] for g in action.group.generators()]
+    return [frozenset(pts[i] for i in orb) for orb in orbits(perms, len(pts))]
+
+
+def _setwise_stabilizer_scan(action, pair):
+    """The g that map the set ``pair`` onto itself, applying every g."""
+    pair = frozenset(pair)
+    members = [
+        g
+        for g in action.group.elements
+        if frozenset(action.apply(g, x) for x in pair) == pair
+    ]
+    return action.group.subgroup(members)
+
+
+def _is_2transitive_on_pairs(action):
+    """Transitive on the ordered pairs of distinct points: one orbit of
+    the action on pairs."""
+    pts, apply = action.points, action.apply
+    pairs = tuple((x, y) for x in pts for y in pts if x != y)
+    on_pairs = GroupAction(action.group, pairs, lambda g, xy: (apply(g, xy[0]), apply(g, xy[1])))
+    return len(_action_orbits(on_pairs)) == 1
+
+
 def _c4_regular():
     ops = GroupOps(
         mul=lambda a, b: (a + b) % 4, inv=lambda a: (-a) % 4, identity=0, fmt=str, label="C4"
@@ -417,7 +452,60 @@ ACTIONS = {
 @pytest.mark.parametrize("name", sorted(ACTIONS))
 def test_is_2transitive_matches_stabilizer_test(name):
     action = ACTIONS[name]()
-    assert is_2transitive(action) == _is_2transitive_reference(action)
+    assert _is_2transitive_on_pairs(action) == _is_2transitive_reference(action)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ACTIONS if n != "c4-one-point"))
+def test_rank1_tree_reads_match_scans(name):
+    # For every ordered pair of base points: refused exactly when the
+    # oracles find the action not 2-transitive, else B = Stab(x) and
+    # N = Stab{x, x'} as the scans find them.
+    action = ACTIONS[name]()
+    pts = action.points
+    transitive2 = _is_2transitive_on_pairs(action)
+    assert transitive2 == _is_2transitive_reference(action)
+    stab = {x: _setwise_stabilizer_scan(action, (x,)) for x in pts} if transitive2 else {}
+    for x in pts:
+        for xp in pts:
+            if x == xp:
+                continue
+            if not transitive2:
+                with pytest.raises(NotTwoTransitive, match="not 2-transitive"):
+                    rank1_from_2transitive(action, x, xp)
+                continue
+            c = rank1_from_2transitive(action, x, xp)
+            assert c.G is action.group
+            assert c.B.elemset == stab[x].elemset
+            assert c.N.elemset == _setwise_stabilizer_scan(action, (x, xp)).elemset
+
+
+def test_rank1_applies_each_generator_to_each_point_once():
+    action = projective_space_action(2, 3)
+    calls = [0]
+
+    def counted(g, v):
+        calls[0] += 1
+        return action.apply(g, v)
+
+    counting = GroupAction(action.group, action.points, counted)
+    rank1_from_2transitive(counting, action.points[0], action.points[1])
+    assert 0 < calls[0] <= len(action.group.generators()) * len(action.points)
+
+
+def test_rank1_refuses_base_points_that_are_not_points():
+    one_point = ACTIONS["c4-one-point"]()
+    with pytest.raises(ValueError, match="must differ"):
+        rank1_from_2transitive(one_point, 0, 0)
+    with pytest.raises(ValueError, match="x' = 1 is not a point"):
+        rank1_from_2transitive(one_point, 0, 1)
+    line = affine_line_action(5)
+    with pytest.raises(ValueError, match="x = 5 is not a point"):
+        rank1_from_2transitive(line, 5, 0)
+    with pytest.raises(ValueError, match="x' = 'a' is not a point"):
+        rank1_from_2transitive(line, 0, "a")
+    # Before 2-transitivity: the regular C4 is refused for the point.
+    with pytest.raises(ValueError, match="x' = 4 is not a point"):
+        rank1_from_2transitive(ACTIONS["regular-c4"](), 0, 4)
 
 
 def _all_elements_reference(rs):

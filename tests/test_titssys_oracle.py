@@ -21,16 +21,19 @@ import pytest
 
 import weylbn.fingrp as fingrp
 from test_fingrp import _unipotent_scan
-from test_fingrp_oracle import REPORT_SL
+from test_fingrp_oracle import REPORT_SL, _setwise_stabilizer_scan
 import weylbn.titssys as titssys
 from weylbn import cli
 from weylbn.errors import NotAStabilizer
 from weylbn.fingrp import (
     FiniteGroup,
     SpecialLinear,
+    _shaped_members,
     affine_group,
     monomial_subgroup,
+    normal_closure,
     packing,
+    projective_space_action,
     special_linear_group,
     upper_triangular_subgroup,
 )
@@ -428,3 +431,65 @@ def test_classify_multiplies_no_group_elements(name, monkeypatch):
     assert classify(c).split
     assert calls[0] == 0
     assert weakly_split_bruteforce(c) and calls[0] > 0
+
+
+def _column_n_by_conjugation(G, n, p):
+    """N = H ∪ gH as the column system first built it: H = B ∩ B' fixes
+    the lines through e_1 and e_n, and g, the least element swapping them,
+    is checked to conjugate B onto B', one product pair per element of B."""
+    units, free = range(1, p), range(p)
+
+    def columns(lo, hi):
+        return {(i, j): free for i in range(n) for j in range(lo, hi)}
+
+    B = G.subgroup(_shaped_members(G, [{(0, 0): units, **columns(1, n)}]))
+    Bp = G.subgroup(_shaped_members(G, [{(n - 1, n - 1): units, **columns(0, n - 1)}]))
+    H = B.elemset & Bp.elemset
+    g = min(_shaped_members(G, [{(n - 1, 0): units, (0, n - 1): units, **columns(1, n - 1)}]))
+    mul, gi = G.ops.mul, G.ops.inv(g)
+    assert {mul(mul(g, b), gi) for b in B.elements} == Bp.elemset
+    return H | {mul(g, h) for h in H}
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (2, 5), (3, 3)])
+def test_column_system_n_matches_references(n, p):
+    # N from its two shapes against H ∪ gH and against the scanned setwise
+    # stabilizer of the two lines, on the enumerated G acting on P^(n-1).
+    c = sl_rank1_column_system(n, p)
+    assert c.N.elemset == _column_n_by_conjugation(c.G, n, p)
+    lines = projective_space_action(n - 1, p)
+    e1, en = (tuple(int(i == j) for i in range(n)) for j in (0, n - 1))
+    assert lines.group is c.G and {e1, en} <= set(lines.points)
+    assert c.N.elemset == _setwise_stabilizer_scan(lines, (e1, en)).elemset
+    assert c.B.elemset == _setwise_stabilizer_scan(lines, (e1,)).elemset
+
+
+def test_psl3f2_normalizer_is_read_with_no_product(monkeypatch):
+    # K, the normalizer of <seed7>, is complete when the coset action on it
+    # is built; up to there no two elements are multiplied.
+    G = special_linear_group(3, 2)
+    calls, seen = [0], {}
+    mat_mul = fingrp.mat_mul
+
+    def counted(a, b, k):
+        calls[0] += 1
+        return mat_mul(a, b, k)
+
+    class Stop(Exception):
+        pass
+
+    def stop(G, K):
+        seen.update(K=K, calls=calls[0])
+        raise Stop
+
+    monkeypatch.setattr(fingrp, "mat_mul", counted)
+    monkeypatch.setattr(titssys, "coset_action", stop)
+    with pytest.raises(Stop):
+        psl3_f2_nonstandard_system()
+    assert seen["calls"] == 0
+    # The product scan it replaced: g·seed7·g^-1 in <seed7>.
+    mul, inv = G.ops.mul, G.ops.inv
+    seed7 = next(s for s in G.elements if normal_closure(G, [s], ()).order == 7)
+    P7 = normal_closure(G, [seed7], ()).elemset
+    assert seen["K"].elemset == {g for g in G.elements if mul(mul(g, seed7), inv(g)) in P7}
+    assert seen["K"].order == 21
