@@ -7,14 +7,14 @@ one example system), ``roots`` and ``reduced-words`` (listings), and
 ``report`` (every suite, one JSON document).
 
 Exit codes: 0 all cases passed, 1 at least one case failed, 2 usage or
-parse error.  Formats: text (default), json, csv.  The JSON format is
-byte-stable across runs (sorted keys, canonical case order, no
-timings); wall time is shown in the text format only.  All numbers are
-exact integers.  The environment variable WEYL_BN_MAX_GROUP, a
-positive integer at most ``fingrp.SL_ENUM_CAP`` (100000, the largest
-group the enumeration builds), overrides the group-size cap of every bn
-system and suite: a system over it is refused, and ``report`` skips it
-with a note.
+parse error, 141 stdout closed early (``| head``).  Formats: text
+(default), json, csv.  The JSON format is byte-stable across runs
+(sorted keys, canonical case order, no timings); wall time is shown in
+the text format only.  All numbers are exact integers.  The environment
+variable WEYL_BN_MAX_GROUP, a positive integer at most
+``fingrp.SL_ENUM_CAP`` (100000, the largest group the enumeration
+builds), overrides the group-size cap of every bn system and suite: a
+system over it is refused, and ``report`` skips it with a note.
 """
 
 from __future__ import annotations
@@ -77,13 +77,7 @@ class CaseResult(namedtuple("CaseResult", "id inputs expected actual passed")):
     __slots__ = ()
 
     def to_record(self):
-        return {
-            "id": self.id,
-            "inputs": self.inputs,
-            "expected": self.expected,
-            "actual": self.actual,
-            "pass": self.passed,
-        }
+        return dict(zip(("id", "inputs", "expected", "actual", "pass"), self))
 
 
 class SuiteResult(namedtuple("SuiteResult", "suite_id cases wall_time_ms skipped", defaults=((),))):
@@ -104,11 +98,7 @@ class SuiteResult(namedtuple("SuiteResult", "suite_id cases wall_time_ms skipped
     def to_record(self):
         rec = {
             "suite": self.suite_id,
-            "summary": {
-                "total": self.total,
-                "passed": self.passed,
-                "failed": self.failed,
-            },
+            "summary": {"total": self.total, "passed": self.passed, "failed": self.failed},
             "cases": [c.to_record() for c in self.cases],
         }
         if self.skipped:
@@ -488,7 +478,7 @@ def _parse_bn_spec(args):
             ("affine", args.affine),
             ("example", args.example),
         ]
-        if val
+        if val is not None
     ]
     if len(chosen) != 1:
         raise UsageError("choose exactly one of --sl/--sl-rank1/--projective/--affine/--example")
@@ -498,6 +488,9 @@ def _parse_bn_spec(args):
             raise UsageError(f"unknown example {args.example!r}")
         return ("psl3f2-nonstandard",)
     if kind == "affine":
+        # AGL1(F2) acts on 2 points: B = G_0 is trivial, and sBs = B.
+        if args.affine < 3:
+            raise UsageError(f"--affine needs P >= 3, got {args.affine}")
         spec = ("affine", args.affine)
     else:
         n, p = {"sl": args.sl, "sl-rank1": args.sl_rank1, "projective": args.projective}[kind]
@@ -652,7 +645,15 @@ def main(argv=None):
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): point it at devnull, so the
+        # flush at exit cannot raise again, and exit 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

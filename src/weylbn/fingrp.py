@@ -152,6 +152,15 @@ class FiniteGroup:
             table[i] = acts[j][table[p]]
         return table
 
+    def tree_perms(self, acts, size):
+        """i -> x_i as a list over range(size), for a left action of the
+        generators as tables, down the BFS tree: x_i = g_j∘x_p."""
+        perms = [None] * len(self.elements)
+        perms[self.index[self.ops.identity]] = list(range(size))
+        for i, j, p in self._core[1]:
+            perms[i] = list(map(acts[j].__getitem__, perms[p]))
+        return perms
+
     def left_table(self, g):
         """L_g: i -> index of g * x_i, for one of the generators g."""
         return self._core[0][self.generators().index(g)]

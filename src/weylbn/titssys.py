@@ -124,42 +124,51 @@ class _Derived:
     ``left_cosets``.  ``coset(x)`` numbers xB.  r = ``coset_reps[k]``
     stands for chamber k, and x carries it to ``coset(x·r)``: r is the
     coset's least member for an enumerated G, and the flag itself (a
-    packed matrix not in G) for a ``SpecialLinear``.  Every check reads
-    that action, one ``ops.mul`` per chamber: a cell BwB is the B-orbit of
-    wB, with |B| elements per chamber.  The Weyl quotient N/H is computed
-    on N's own tables.
+    packed matrix not in G) for a ``SpecialLinear``.  Products only build
+    the chamber permutations of B's and N's generators, one ``ops.mul``
+    per chamber each.  Every element of N is then a permutation, read down
+    N's BFS tree (``tree_perms``), and every check is a lookup: a cell BwB
+    is the B-orbit of wB, with |B| elements per chamber.
     """
 
     def __init__(self, c):
         G, B, N = c.G, c.B, c.N
-        self.B, self.N, self.mul = B, N, G.ops.mul
+        self.B = B
         if isinstance(G, FiniteGroup):
             coset_of, reps = left_cosets(G, B)
             self.coset_reps = [G.elements[r] for r in reps]
             self.coset = lambda x: coset_of[G.index[x]]
         else:
             self.coset_reps, self.coset = _chambers(G, B)
-        # H = B ∩ N; the Weyl representatives are the least elements of
-        # the cosets nH, in their order.
         self.H = B.subgroup(B.elemset & N.elemset)
         if not is_normal(self.H, N):
             raise HNotNormal("B ∩ N is not normal in N")
-        self.weyl_of, reps = left_cosets(N, self.H)
-        self.reps = tuple(N.elements[r] for r in reps)
-        self.identity_rep = e = self.wrep(G.ops.identity)
-        self.b_acts = [self.act(b) for b in B.generators()]
+        mul, coset, m = G.ops.mul, self.coset, len(self.coset_reps)
+        self.b_acts, self.n_acts = (
+            [[coset(mul(g, r)) for r in self.coset_reps] for g in K.generators()] for K in (B, N)
+        )
+        # n·x0 = n'·x0 exactly when n^-1·n' is in B ∩ N = H, so the least n
+        # at each chamber n·x0 are the least members of the cosets nH: the
+        # Weyl representatives, in order.  ``rep_at`` maps their chambers to
+        # them, ``chamber`` back, and ``perm`` gives each one's permutation.
+        x0 = coset(G.ops.identity)
+        self.rep_at, self.perm = {}, {}
+        for n, perm in zip(N.elements, N.tree_perms(self.n_acts, m)):
+            if perm[x0] not in self.rep_at:
+                self.rep_at[perm[x0]], self.perm[n] = n, perm
+        self.reps = tuple(self.rep_at.values())
+        self.chamber = {w: k for k, w in self.rep_at.items()}
+        self.identity_rep = e = self.rep_at[x0]
         # The cells BwB are the B-orbits on G/B, seeded at the Weyl
         # representatives in order, then at every other coset.  A cell is
         # named by the first representative it contains: ``cells`` holds
         # its cosets, and ``cell_of`` maps a coset to that name (None: no
         # representative).  ``fixed`` counts the cosets gB that B fixes,
         # those with g in N_G(B).
-        m = len(self.coset_reps)
-        named = {self.coset(w): w for w in self.reps}
         self.cell_of, self.cells, self.fixed = [None] * m, {}, 0
-        for orb in orbits(self.b_acts, m, list(named) + list(range(m))):
+        for orb in orbits(self.b_acts, m, list(self.rep_at) + list(range(m))):
             self.fixed += len(orb) == 1
-            w = named.get(orb[0])
+            w = self.rep_at.get(orb[0])
             if w is not None:
                 self.cells[w] = orb
                 for k in orb:
@@ -170,27 +179,19 @@ class _Derived:
         self.s_reps = tuple(w for w in self.reps if w != e and self.cells_met(w, w) <= {e, w})
         self._word_bfs()
 
-    def wrep(self, n):
-        """The Weyl representative of an element of N."""
-        return self.reps[self.weyl_of[self.N.index[n]]]
-
     def wmul(self, r1, r2):
-        return self.wrep(self.mul(r1, r2))
-
-    def act(self, x):
-        """Left multiplication by x, as a permutation of the cosets."""
-        mul, coset = self.mul, self.coset
-        return [coset(mul(x, r)) for r in self.coset_reps]
+        """The representative of r1·r2: the one at r1·(r2's chamber)."""
+        return self.rep_at[self.perm[r1][self.chamber[r2]]]
 
     def orbit(self, w):
         """The cosets in BwB, the B-orbit of wB, for a Weyl representative w."""
-        return self.cells[self.cell_of[self.coset(w)]]
+        return self.cells[self.cell_of[self.chamber[w]]]
 
-    def cells_met(self, x, w):
-        """The cells met by x·B·w, those of x·b·w·B for the cosets bwB in
-        the orbit of wB (None: no cell), one product per coset."""
-        mul, coset, cell_of, reps = self.mul, self.coset, self.cell_of, self.coset_reps
-        return {cell_of[coset(mul(x, reps[k]))] for k in self.orbit(w)}
+    def cells_met(self, s, w):
+        """The cells met by s·B·w, those of the chambers s·bwB for bwB in the
+        orbit of wB (None: no cell), for Weyl representatives s and w."""
+        perm, cell_of = self.perm[s], self.cell_of
+        return {cell_of[perm[k]] for k in self.orbit(w)}
 
     @cached_property
     def stabilizers(self):
@@ -199,8 +200,7 @@ class _Derived:
         image b·wB of every b is read down B's BFS tree through the action
         of B's generators (``tree_images``), with no product formed."""
         B, out = self.B, {}
-        for w in self.reps:
-            k = self.coset(w)
+        for w, k in self.chamber.items():
             out[w] = {b for b, m in zip(B.elements, B.tree_images(k, self.b_acts)) if m == k}
         return out
 
@@ -278,7 +278,7 @@ def find_S(c):
 
 def check_axioms(c):
     """Exhaustive T1-T4 verification plus Bruhat and normalizer checks, all
-    read off the action on G/B (see _Derived).
+    read off the permutations of G/B that _Derived builds, with no product.
 
     T1: B ⊆ <B, N>, so <B, N> = G exactly when the orbit of the coset B
     under B and N is all of G/B.  T4: sBs = B puts s² in B ∩ N = H, and
@@ -296,8 +296,7 @@ def check_axioms(c):
             weyl_order=0, s_set=(), cells={},
         )
     e, m = d.identity_rep, len(d.coset_reps)
-    n_acts = [d.act(n) for n in c.N.generators()]
-    t1 = len(orbits(d.b_acts + n_acts, m, [d.coset(c.G.ops.identity)])[0]) == m
+    t1 = len(orbits(d.b_acts + d.n_acts, m, [d.chamber[e]])[0]) == m
     s_generates = not d.unreached
     t2 = s_generates and all(d.wmul(s, s) == e for s in d.s_reps)
     bruhat = None not in d.cell_of and len(d.cells) == len(d.reps)

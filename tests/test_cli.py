@@ -421,6 +421,8 @@ def test_roots_golden(capsys):
         (["reduced-words", "A", "13", "1"], "rank must be at most 12, got 13"),
         (["lemma2", "--family", "D", "--max-rank", "3"], "no type of family D has rank <= 3"),
         (["lemma2", "--family", "E", "--max-rank", "5"], "no type of family E has rank <= 5"),
+        (["bn", "--affine", "2"], "--affine needs P >= 3, got 2"),
+        (["bn", "--affine", "0"], "--affine needs P >= 3, got 0"),
     ],
 )
 def test_malformed_specs_are_usage_errors(capsys, argv, message):
@@ -446,3 +448,23 @@ def test_importing_the_cli_loads_every_traced_module():
     loaded = set(out.stdout.split())
     for mod in ("rootsys", "weyl", "cosets", "fingrp", "titssys", "cli"):
         assert f"weylbn.{mod}" in loaded
+
+
+def test_closed_pipe_exits_without_a_traceback():
+    # The reader takes one line and closes the pipe, as `| head -1` does.
+    # The CSV sweep is 135 kB, past what the pipe and stdout's buffer hold,
+    # so the CLI is still writing when the pipe closes.
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "weylbn.cli", "lemma2", "--max-rank", "12", "--format", "csv"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"id,inputs,expected,actual,pass\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 141
+    assert "Traceback" not in err

@@ -492,6 +492,20 @@ def test_rank1_applies_each_generator_to_each_point_once():
     assert 0 < calls[0] <= len(action.group.generators()) * len(action.points)
 
 
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_tree_perms_match_tree_images(name):
+    # Every element's permutation of the points, read down the BFS tree,
+    # against the images of each point one at a time and against applying
+    # the element itself.
+    action = ACTIONS[name]()
+    G, pts = action.group, action.points
+    at = {pt: i for i, pt in enumerate(pts)}
+    acts = [[at[action.apply(g, pt)] for pt in pts] for g in G.generators()]
+    perms = G.tree_perms(acts, len(pts))
+    assert [list(col) for col in zip(*perms)] == [G.tree_images(y, acts) for y in range(len(pts))]
+    assert perms == [[at[action.apply(g, pt)] for pt in pts] for g in G.elements]
+
+
 def test_rank1_refuses_base_points_that_are_not_points():
     one_point = ACTIONS["c4-one-point"]()
     with pytest.raises(ValueError, match="must differ"):

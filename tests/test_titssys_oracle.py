@@ -41,10 +41,12 @@ from weylbn.titssys import (
     TitsSystemCandidate,
     _derived,
     affine_rank1_system,
+    bruhat_cells,
     check_axioms,
     classify,
     find_S,
     intersection_identity_check,
+    order_of_product,
     projective_rank1_system,
     psl3_f2_nonstandard_system,
     sl_rank1_column_system,
@@ -233,6 +235,7 @@ def test_index_core_matches_tuple_reference(name):
     assert find_S(c) == d.s_reps == ref.s_reps
     assert d.lengths == ref.lengths
     assert d.words == ref.words
+    assert all(d.wmul(a, b) == ref.wmul(a, b) for a in d.reps for b in d.reps)
 
     assert list(d.cell_size) == [w for w in ref.reps if ref.cell_sets[w] is not None]
     for w, size in d.cell_size.items():
@@ -254,9 +257,9 @@ def test_index_core_matches_tuple_reference(name):
 
 def test_checks_run_on_the_cosets_of_b(monkeypatch):
     # The derived data builds G's right tables of B's generators, to number
-    # G/B, and no other table of |G| entries; the Weyl quotient runs on N's
-    # own tables.  After it, the checks act on the |G|/|B| cosets by
-    # products: check_axioms walks one orbit, the T1 orbit of the coset B.
+    # G/B, and no other table of |G| entries; N's elements are read down
+    # N's own tree.  After it, the checks read permutations of the |G|/|B|
+    # cosets: check_axioms walks one orbit, the T1 orbit of the coset B.
     right, left, passes = [], [], []
     right_table, left_table = FiniteGroup.right_table, FiniteGroup.left_table
     orbits = titssys.orbits
@@ -431,6 +434,36 @@ def test_classify_multiplies_no_group_elements(name, monkeypatch):
     assert classify(c).split
     assert calls[0] == 0
     assert weakly_split_bruteforce(c) and calls[0] > 0
+
+
+LOOKED_UP = {
+    "sl-3-3": partial(standard_sl_system, 3, 3),
+    "sl-4-2": partial(standard_sl_system, 4, 2),
+    "sl-rank1-3-3": partial(sl_rank1_column_system, 3, 3),
+    "projective-3-3": partial(projective_rank1_system, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOKED_UP))
+def test_checks_are_lookups(name, monkeypatch):
+    # The derived data forms the chamber permutations of B's and N's
+    # generators, on the flags or on the left cosets of an enumerated G.
+    # After it, every check reads permutations and multiplies nothing.
+    c = LOOKED_UP[name]()
+    d = _derived(c)
+    calls = [0]
+    mat_mul = fingrp.mat_mul
+
+    def counted(a, b, k):
+        calls[0] += 1
+        return mat_mul(a, b, k)
+
+    monkeypatch.setattr(fingrp, "mat_mul", counted)
+    assert check_axioms(c).passed
+    assert star_property_check(c) and intersection_identity_check(c)
+    assert sum(bruhat_cells(c).values()) == c.G.order
+    assert all(order_of_product(c, s, t) in (1, 2, 3) for s in d.s_reps for t in d.s_reps)
+    assert calls[0] == 0
 
 
 def _column_n_by_conjugation(G, n, p):
