@@ -498,7 +498,8 @@ def _parse_bn_spec(args):
             raise UsageError(f"--{kind} needs N >= 2, got {n}")
         spec = (kind, n, p)
     # Checked here, before _system_for compares the group order with the cap.
-    if not fingrp._is_prime(spec[-1]):
+    # No trial division past SL_ENUM_CAP: |G| >= P puts G over every cap.
+    if spec[-1] <= fingrp.SL_ENUM_CAP and not fingrp._is_prime(spec[-1]):
         raise UsageError(f"{spec[-1]} is not prime")
     return spec
 

@@ -32,7 +32,6 @@ from .weyl import (
     descend,
     element_of,
     fundamental_weight,
-    invert,
     is_minus_one,
     length,
     longest_element,
@@ -218,7 +217,7 @@ def double_coset_count_naive(choice, cap=NAIVE_WEYL_CAP):
     gens = core.simple_refl_perms
     ident = tuple(range(len(core.roots)))
     bfs = _closure(ident, [partial(compose, g) for g in gens], cap=cap)
-    ops = GroupOps(compose, invert, ident, str, f"W({core.spec.label()})")
+    ops = GroupOps(compose, ident, str, f"W({core.spec.label()})")
     W = FiniteGroup(ops, bfs[0], gens=gens, check=False, bfs=bfs)
     sub = [g for n, g in enumerate(gens, start=1) if n != choice.removed]
     return len(orbits([W.left_table(g) for g in sub] + [W.right_table(g) for g in sub], W.order))

@@ -25,7 +25,9 @@ class EnumerationCapExceeded(WeylBNError):
     """An enumeration would grow, or grew, past its cap.
 
     ``partial_count`` holds the number of items counted before bailing
-    out; a count made before enumerating (reduced words) is exact.
+    out.  Reduced words are counted one length at a time before any is
+    listed: the count is exact when the refusal comes at the last level,
+    and a lower bound when it comes before.
     """
 
     def __init__(self, message, partial_count):

@@ -10,10 +10,10 @@ row tuples.  A row sum and a scalar multiple of a row are lookups in two
 tables built once per (n, p) from digit sums (``packing``); products go
 through them, row reductions too, and only formats and the projective
 action decode.  An affine-group element is a pair (t, x).  A FiniteGroup
-bundles an element list with its multiplication and inversion oracles;
-subgroups are FiniteGroups sharing the same oracles, so set operations
-on elements are meaningful across them.  Groups are immutable after
-construction and safe to share.
+bundles an element list with its multiplication oracle, the only oracle
+an element kind supplies; subgroups are FiniteGroups sharing the same
+oracle, so set operations on elements are meaningful across them.
+Groups are immutable after construction and safe to share.
 
 Integer index.  Every group, subgroups included, numbers its own sorted
 elements 0..n-1, so the least element has the least index.
@@ -27,15 +27,16 @@ one pass, since x_i * x = g_j * (x_p * x).  Cosets, double cosets and
 generated subgroups are then orbits of a few such tables, found by
 ``orbits``.
 
-Conjugation by a generator g is R_{g^-1} after L_g: the left table the
-group keeps, then one right-table pass, so ``ops.inv`` runs once per
-generator and no group keeps a table of inverses.  A question about a
-subgroup runs on that subgroup's own tables, of |H| entries, and
-conjugates only by its generators: normality, conjugacy classes and
+Inverses are read off right tables, never computed: R_x permutes the
+index and R_{x^-1} is the inverse permutation (Seress, *Permutation
+Group Algorithms*, 2003).  So conjugation by a generator g is R_g
+inverted after L_g, and a commutator [h, l] is four right-table steps
+from the identity; no group keeps a table of inverses.  A question
+about a subgroup runs on that subgroup's own tables, of |H| entries,
+and conjugates only by its generators: normality, conjugacy classes and
 ``normal_closure`` (the orbit of the identity under right multiplication
 by seeds and conjugation), which builds commutator subgroups, the
-Fitting subgroup and the normal-subgroup lattice.  Conjugation by any
-other element is a product, on the few elements that need it.
+Fitting subgroup and the normal-subgroup lattice.
 
 SL_n(F_p) is described once, by ``SpecialLinear``: its order, its
 generators (the transvections I + E_{i,i+-1}, acting as row operations
@@ -61,8 +62,8 @@ NILPOTENCY_CAP = 10**4
 NORMAL_SUBGROUP_CAP = 4096
 
 
-class GroupOps(namedtuple("GroupOps", "mul inv identity fmt label meta", defaults=((),))):
-    """Multiplication/inversion oracles plus metadata for one element kind."""
+class GroupOps(namedtuple("GroupOps", "mul identity fmt label meta", defaults=((),))):
+    """The multiplication oracle plus metadata for one element kind."""
 
     __slots__ = ()
 
@@ -166,24 +167,21 @@ class FiniteGroup:
         return self._core[0][self.generators().index(g)]
 
     def conjugation(self, g):
-        """i -> index of g x_i g^-1 for one of the generators g: R_{g^-1}
-        after L_g, built once per g."""
+        """i -> index of g x_i g^-1 for one of the generators g, built once:
+        R_g inverted after L_g, as x_i g^-1 = x_j exactly when x_j g = x_i."""
         table = self._conj.get(g)
         if table is None:
-            r = self.right_table(self.ops.inv(g))
-            table = self._conj[g] = [r[i] for i in self.left_table(g)]
+            back = _inverse_perm(self.right_table(g))
+            table = self._conj[g] = [back[i] for i in self.left_table(g)]
         return table
 
     def _spot_check(self):
-        """Membership of the identity, ``ops.inv`` on every generator, the
-        generators' closure (the BFS tree), then sampled products,
-        associativity and inverses against the ``ops`` oracles."""
-        mul, inv = self.ops.mul, self.ops.inv
-        e = self.ops.identity
+        """Membership of the identity, the generators' closure (the BFS
+        tree), then sampled products and associativity against
+        ``ops.mul``."""
+        mul, e = self.ops.mul, self.ops.identity
         if e not in self.elemset:
             raise ValueError(f"{self.ops.label}: identity not a member")
-        if any(mul(g, inv(g)) != e for g in self.generators()):
-            raise ValueError(f"{self.ops.label}: ops.inv does not invert a generator")
         self._core  # builds the BFS tree: ValueError unless a group
         rng = random.Random(20160)
         n = len(self.elements)
@@ -195,8 +193,6 @@ class FiniteGroup:
             c = self.elements[rng.randrange(n)]
             if mul(mul(a, b), c) != mul(a, mul(b, c)):
                 raise ValueError(f"{self.ops.label}: multiplication not associative")
-            if mul(a, inv(a)) != e:
-                raise ValueError(f"{self.ops.label}: ops.inv does not invert a sampled element")
         if mul(e, self.elements[0]) != self.elements[0]:
             raise ValueError(f"{self.ops.label}: identity law fails")
 
@@ -254,6 +250,12 @@ def orbits(perms, size, seeds=None):
                     orb.append(y)
         out.append(orb)
     return out
+
+
+def _inverse_perm(perm):
+    """The inverse of an index permutation (R_{x^-1} from R_x): the points
+    in the order of their images."""
+    return sorted(range(len(perm)), key=perm.__getitem__)
 
 
 def left_cosets(G, K):
@@ -375,12 +377,15 @@ def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
 
 def commutator_subgroup(H, L):
     """[H, L] for L ≤ H, on H's own tables: the normal closure in H of the
-    commutators [h, l] = (h l)(l h)^-1 of H's and L's generators.
-    Conjugation by L's generators adds nothing, since ⟨H, L⟩ = H."""
-    mul, inv = H.ops.mul, H.ops.inv
-    hgens = H.generators()
-    seeds = [mul(mul(h, l), inv(mul(l, h))) for h in hgens for l in L.generators()]
-    return normal_closure(H, seeds, hgens)
+    commutators [h, l] = h l h^-1 l^-1 of H's and L's generators, each read
+    in four right-table steps from the identity (R_h, R_l, then R_h and
+    R_l inverted), with no product formed.  Conjugation by L's generators
+    adds nothing, since ⟨H, L⟩ = H."""
+    hs = [(r, _inverse_perm(r)) for r in map(H.right_table, H.generators())]
+    ls = [(r, _inverse_perm(r)) for r in map(H.right_table, L.generators())]
+    e = H.index[H.identity]
+    seeds = [H.elements[lb[hb[lr[hr[e]]]]] for hr, hb in hs for lr, lb in ls]
+    return normal_closure(H, seeds, H.generators())
 
 
 def is_nilpotent(H):
@@ -522,25 +527,6 @@ def mat_mul(a, b, k):
     return out
 
 
-def mat_inv(a, k):
-    """Inverse of a packed matrix mod p, by Gauss-Jordan elimination on
-    its packed rows beside those of I, each row operation a lookup."""
-    p, add, scale, digits = k.p, k.add, k.scale, k.digits
-    left, right = k.rows(a), k.rows(k.identity)
-    for c in range(k.n):
-        piv = next(i for i in range(c, k.n) if digits[left[i]][c])
-        left[c], left[piv], right[c], right[piv] = left[piv], left[c], right[piv], right[c]
-        f = pow(digits[left[c]][c], p - 2, p)
-        lc = left[c] = scale[f][left[c]]
-        rc = right[c] = scale[f][right[c]]
-        for i in range(k.n):
-            g = digits[left[i]][c]
-            if g and i != c:
-                left[i] = add[left[i]][scale[p - g][lc]]
-                right[i] = add[right[i]][scale[p - g][rc]]
-    return sum(map(_times, right, k.weights))
-
-
 def mat_det(a, k):
     """Determinant of a packed matrix mod p, by elimination below the
     pivots on its packed rows."""
@@ -557,11 +543,13 @@ def mat_det(a, k):
     return det
 
 
+@lru_cache(maxsize=None)
 def matrix_ops(n, p):
+    """The ops of n x n matrices over F_p, one object per (n, p), since
+    groups compare their ops by identity."""
     k = packing(n, p)
     return GroupOps(
         mul=lambda a, b: mat_mul(a, b, k),
-        inv=lambda a: mat_inv(a, k),
         identity=k.identity,
         fmt=k.fmt,
         label=f"GL{n}(F{p})-kind",
@@ -729,7 +717,6 @@ def affine_group(p):
         raise ValueError(f"{p} is not prime")
     ops = GroupOps(
         mul=lambda a, b: ((a[0] + a[1] * b[0]) % p, a[1] * b[1] % p),
-        inv=lambda a: (-pow(a[1], p - 2, p) * a[0] % p, pow(a[1], p - 2, p)),
         identity=(0, 1),
         fmt=lambda a: f"({a[0]},{a[1]})",
         label=f"F{p} affine",

@@ -13,8 +13,9 @@ where u·rho has a negative coordinate, and r_s·u sends rho to r_s(u·rho)
 (Humphreys, *Reflection Groups and Coxeter Groups*, §1.6–1.7).  So one
 walk, :func:`descend`, gives the least reduced word of w (from w·rho) and
 the longest element (from w0·rho = -rho), and the reduced words are paths
-from w·rho up to rho, memoized on the weights.  :func:`length` keeps an
-independent inversion count on the root permutation.
+from w·rho up to rho, counted one length at a time and listed memoized on
+the weights.  :func:`length` keeps an independent inversion count on the
+root permutation.
 """
 
 from __future__ import annotations
@@ -140,25 +141,34 @@ def canonical_reduced_word(w):
     return descend(rs, _rho_image(w), range(1, rs.rank + 1))[0]
 
 
-def reduced_word_count(w):
+def reduced_word_count(w, *, _cap=None):
     """The number of reduced words for ``w``, without listing any: the
     paths from w·rho up to rho that reflect at a negative coordinate each
-    step, memoized on the weights (one integer per weight, keyed by a
-    tuple of rank small integers rather than a root permutation).
+    step, counted one length at a time, keeping one level of weights with
+    the number of paths that reach each.
+
+    A path into a level starts at least one reduced word, and different
+    paths start different words, so :func:`reduced_words` passes its cap
+    as ``_cap``: a level of more than ``_cap`` paths is refused at once
+    (EnumerationCapExceeded), with a count exact only at rho's level.
     """
-    rs = w.rs
-    memo = {(1,) * rs.rank: 1}
-
-    def count(mu):
-        got = memo.get(mu)
-        if got is None:
-            got = sum(
-                count(reflect_weight(rs, s + 1, mu)) for s, x in enumerate(mu) if x < 0
-            )
-            memo[mu] = got
-        return got
-
-    return count(_rho_image(w))
+    rs, rho = w.rs, (1,) * w.rs.rank
+    level = {_rho_image(w): 1}
+    while True:
+        total, last = sum(level.values()), rho in level
+        if _cap is not None and total > _cap:
+            bound = "" if last else "at least "
+            msg = f"{bound}{total} reduced words, more than the cap {_cap}"
+            raise EnumerationCapExceeded(msg, total)
+        if last:
+            return total
+        up = {}
+        for mu, paths in level.items():
+            for s, x in enumerate(mu):
+                if x < 0:
+                    nu = reflect_weight(rs, s + 1, mu)
+                    up[nu] = up.get(nu, 0) + paths
+        level = up
 
 
 def _rho_image(w):
@@ -180,21 +190,18 @@ def _rho_image(w):
 def reduced_words(w, cap=DEFAULT_WORD_CAP):
     """The full set of reduced words for ``w``.
 
-    Counts them first (:func:`reduced_word_count`) and raises
-    EnumerationCapExceeded, with the exact count, past ``cap`` before any
-    word is built, so the cap bounds memory.  Then lists them by the same
-    paths from w·rho up to rho, memoized on the weights, and re-derives
-    the same set by closing one word under braid moves; the count and the
-    two routes must agree, which also certifies that the braid-move graph
-    on the result is connected.
+    Counts them first, one length at a time (:func:`reduced_word_count`),
+    and raises EnumerationCapExceeded as soon as a level passes ``cap``,
+    before any word is built, so the cap bounds the memory of the count
+    and of the listing.  Then lists them by the same paths from w·rho up
+    to rho, memoized on the weights, and re-derives the same set by
+    closing one word under braid moves; the count and the two routes must
+    agree, which also certifies that the braid-move graph on the result
+    is connected.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    total = reduced_word_count(w)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} reduced words, more than the cap {cap}", total
-        )
+    total = reduced_word_count(w, _cap=cap)
     rs = w.rs
     memo = {(1,) * rs.rank: frozenset({()})}
 

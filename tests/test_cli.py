@@ -274,6 +274,13 @@ def test_bn_cap_checked_before_building(capsys, monkeypatch):
     assert time.monotonic() - start < 5
     assert code == 1 and out == ""
     assert "GroupTooLarge" in err and "68880" in err and "21000" in err
+    # A P over fingrp.SL_ENUM_CAP puts |G| >= P over every cap: a prime one
+    # is refused with no trial division, and a composite one by the cap too.
+    for p in ("10000000000000061", "100001"):
+        start = time.monotonic()
+        code, out, err = run(capsys, ["bn", "--sl", "2", p])
+        assert time.monotonic() - start < 5
+        assert code == 1 and out == "" and "GroupTooLarge" in err
     monkeypatch.setenv("WEYL_BN_MAX_GROUP", "19")
     for argv in (
         ["bn", "--affine", "5"],

@@ -34,6 +34,16 @@ from weylbn.titssys import (
 )
 
 
+def test_standard_b_is_a_subgroup_of_the_enumerated_group():
+    # Groups compare their ops by identity, so one ops object per (n, p)
+    # lets the standard B, built on a never enumerated SL3(F2), meet the
+    # enumerated one.
+    G = special_linear_group(3, 2)
+    B = standard_sl_system(3, 2).B
+    assert B.is_subgroup_of(G)
+    assert B == upper_triangular_subgroup(G)
+
+
 def test_derive_weyl_standard():
     c = standard_sl_system(3, 2)
     H, reps = c.derived.H, c.derived.reps
@@ -148,13 +158,7 @@ def test_rank1_affine():
 
 
 def test_rank1_rejects_intransitive():
-    ops = GroupOps(
-        mul=lambda a, b: (a + b) % 4,
-        inv=lambda a: (-a) % 4,
-        identity=0,
-        fmt=str,
-        label="C4",
-    )
+    ops = GroupOps(mul=lambda a, b: (a + b) % 4, identity=0, fmt=str, label="C4")
     C4 = FiniteGroup(ops, range(4))
     act = GroupAction(C4, tuple(range(4)), lambda g, y: (g + y) % 4)
     with pytest.raises(NotTwoTransitive):

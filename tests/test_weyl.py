@@ -253,25 +253,48 @@ def test_reduced_word_count_of_longest_element(fam, rank, count):
     assert reduced_word_count(longest_element(build_root_system((fam, rank)))) == count
 
 
-def test_reduced_words_cap_bounds_memory():
-    # E6's longest element has far more reduced words than the default cap
-    # of 10^6: the CLI must refuse after counting them, building none.
+def _refused_words(rank, cap, timeout):
+    """Exit code, stdout, stderr and peak RSS (kilobytes on Linux) of a CLI
+    child asked for the reduced words of E_rank's longest element (``cap``
+    None: the default cap), killed after ``timeout`` seconds."""
     import os
     import subprocess
     import sys
+    import threading
 
-    word = format_word(canonical_reduced_word(longest_element(build_root_system(("E", 6)))))
+    word = format_word(canonical_reduced_word(longest_element(build_root_system(("E", rank)))))
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    argv = [sys.executable, "-m", "weylbn.cli", "reduced-words", "E", "6", word]
+    argv = [sys.executable, "-m", "weylbn.cli", "reduced-words", "E", str(rank), word]
+    argv += [] if cap is None else ["--cap", str(cap)]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        timer = threading.Timer(timeout, proc.kill)
+        timer.start()
         out, err = proc.stdout.read(), proc.stderr.read()
         _, status, usage = os.wait4(proc.pid, 0)
+        timer.cancel()
         proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 1 and out == b""
+    return proc.returncode, out, err, usage.ru_maxrss
+
+
+def test_reduced_words_cap_bounds_memory():
+    # E6's longest element has far more reduced words than the default cap
+    # of 10^6: the CLI must refuse after counting them, building none.
+    code, out, err, rss = _refused_words(6, cap=None, timeout=60)
+    assert code == 1 and out == b""
     assert b"cap exceeded" in err
-    assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
+    assert rss < 200 * 1024
+
+
+def test_reduced_words_cap_bounds_the_count():
+    # E8's longest element: a count memoized on every weight below it would
+    # hold all 696,729,600 of them.  Counted one length at a time, a level
+    # of more than 1000 paths is refused at once.
+    code, out, err, rss = _refused_words(8, cap=1000, timeout=30)
+    assert code == 1 and out == b""
+    assert b"cap exceeded" in err
+    assert rss < 200 * 1024
 
 
 @pytest.mark.parametrize("fam,rank", [("C", 4), ("D", 5), ("F", 4), ("E", 6), ("BC", 4)])
