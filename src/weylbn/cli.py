@@ -15,6 +15,9 @@ variable WEYL_BN_MAX_GROUP, a positive integer at most
 ``fingrp.SL_ENUM_CAP`` (100000, the largest group the enumeration
 builds), overrides the group-size cap of every bn system and suite: a
 system over it is refused, and ``report`` skips it with a note.
+The parser checks the shape of the arguments (one ``bn`` system flag, a
+known ``--example``, a ``--max-rank`` of 2 to 12, ``report --all``) and
+refuses any other with an argparse usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from collections import namedtuple
 from functools import partial
 from itertools import permutations
 
-from . import cosets, fingrp, titssys
+from . import cosets, fingrp, rootsys, titssys
 from .errors import EnumerationCapExceeded, GroupTooLarge, WeylBNError, WitnessNotApplicable
 from .rootsys import branch_node, build_root_system, coxeter_matrix, is_end_node, reduced_form
 from .weyl import (
@@ -47,15 +50,22 @@ DEFAULT_MAX_GROUP = 21000
 
 # Each bn system kind: the name of its titssys constructor, and the order
 # of its group G (listed or not), which the cap compares, as a function of
-# the spec's arguments.  Both are looked up when called, so patches of
-# titssys and of fingrp.sl_order still apply.
+# the spec's arguments.  The constructor is looked up by name when called,
+# so the wrappers perfbench/tracer.py puts in titssys still run.
 SYSTEM_KINDS = {
-    "sl": ("standard_sl_system", lambda n, p: fingrp.sl_order(n, p)),
-    "sl-rank1": ("sl_rank1_column_system", lambda n, p: fingrp.sl_order(n, p)),
-    "projective": ("projective_rank1_system", lambda n, p: fingrp.sl_order(n, p)),
+    "sl": ("standard_sl_system", fingrp.sl_order),
+    "sl-rank1": ("sl_rank1_column_system", fingrp.sl_order),
+    "projective": ("projective_rank1_system", fingrp.sl_order),
     "affine": ("affine_rank1_system", lambda q: q * (q - 1)),
     "psl3f2-nonstandard": ("psl3_f2_nonstandard_system", lambda: fingrp.sl_order(3, 2)),
 }
+
+# The systems of report's bn suites, each list filtered by the cap in cmd_report.
+STANDARD_SPECS = [("sl", n, p) for n, p in [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]]
+COXETER_SPECS = [("sl", n, p) for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]]
+AGREE_SPECS = [("sl-rank1", n, p) for n, p in [(2, 2), (2, 3), (3, 2)]]
+AFFINE_SPECS = [("affine", q) for q in (3, 5, 7)]
+NONSTANDARD_SPECS = [("psl3f2-nonstandard",)]
 
 
 def _max_group():
@@ -335,9 +345,18 @@ def weight_set_cases(max_rank=8):
     return [(f"weights/A{m}", partial(weights_case, m)) for m in range(2, max_rank + 1)]
 
 
-def _group_order(spec):
-    """The order of the group G of the system named by ``spec``."""
-    return SYSTEM_KINDS[spec[0]][1](*spec[1:])
+def _order_over_cap(spec, max_group):
+    """The order of the group G of the system named by ``spec``, as text,
+    when it is over ``max_group``; else None.  As |SL_N(F_P)| >
+    2^(N(N-1)/2) and 2^17 > SL_ENUM_CAP >= max_group, an N of 7 or more
+    is refused by that bound alone, and its huge order is never formed."""
+    kind, *args = spec
+    if kind in ("sl", "sl-rank1", "projective"):
+        exponent = args[0] * (args[0] - 1) // 2
+        if exponent >= fingrp.SL_ENUM_CAP.bit_length():
+            return f"over 2^{exponent}"
+    order = SYSTEM_KINDS[kind][1](*args)
+    return str(order) if order > max_group else None
 
 
 def _within_cap(specs, max_group):
@@ -345,26 +364,15 @@ def _within_cap(specs, max_group):
     note for each other one."""
     kept, skipped = [], []
     for spec in specs:
-        if _group_order(spec) > max_group:
+        if _order_over_cap(spec, max_group):
             skipped.append(f"{'-'.join(map(str, spec))}: order over cap {max_group}")
         else:
             kept.append(spec)
     return kept, skipped
 
 
-def _system_for(spec, max_group):
-    """Build the system named by ``spec``, refusing (GroupTooLarge) before
-    any enumeration when its group order is over ``max_group``."""
-    if spec[0] not in SYSTEM_KINDS:
-        raise UsageError(f"unknown system spec {spec!r}")
-    order = _group_order(spec)
-    if order > max_group:
-        raise GroupTooLarge(f"group order {order} exceeds the cap {max_group}")
-    return getattr(titssys, SYSTEM_KINDS[spec[0]][0])(*spec[1:])
-
-
-def bn_cases(spec, max_group):
-    c = _system_for(spec, max_group)
+def bn_cases(spec):
+    c = getattr(titssys, SYSTEM_KINDS[spec[0]][0])(*spec[1:])
     cases = [
         (f"axioms/{c.label}", partial(axioms_case, c)),
         (f"cells/{c.label}", partial(cells_case, c)),
@@ -378,29 +386,17 @@ def bn_cases(spec, max_group):
     return cases
 
 
-def coxeter_order_cases(max_group):
-    """The Coxeter-order cases within ``max_group``, and the skip notes for
-    the others."""
-    specs = [("sl", n, p) for n, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]]
-    kept, skipped = _within_cap(specs, max_group)
-    cases = [(f"coxeter-order/sl-{n}-{p}", partial(coxeter_order_case, n, p)) for _, n, p in kept]
-    return cases, skipped
+def coxeter_order_cases(specs):
+    return [(f"coxeter-order/sl-{n}-{p}", partial(coxeter_order_case, n, p)) for _, n, p in specs]
 
 
-def rank1_agreement_cases(max_group):
-    """The rank-1 agreement and affine cases within ``max_group``, and
-    the skip notes for the others."""
-    agree, skipped = _within_cap([("sl-rank1", n, p) for n, p in [(2, 2), (2, 3), (3, 2)]], max_group)
-    affine, more = _within_cap([("affine", q) for q in (3, 5, 7)], max_group)
-    cases = [(f"agree/sl-rank1-{n}-{p}", partial(agree_case, n, p)) for _, n, p in agree]
-    cases += [(f"affine/{q}", partial(affine_case, q)) for _, q in affine]
-    return cases, skipped + more
+def rank1_agreement_cases(agree_specs, affine_specs):
+    cases = [(f"agree/sl-rank1-{n}-{p}", partial(agree_case, n, p)) for _, n, p in agree_specs]
+    return cases + [(f"affine/{q}", partial(affine_case, q)) for _, q in affine_specs]
 
 
-def nonstandard_cases(max_group):
-    """The non-standard PSL3(F2) case within ``max_group``, and its skip note."""
-    kept, skipped = _within_cap([("psl3f2-nonstandard",)], max_group)
-    return [("psl3f2/nonstandard", nonstandard_case) for _ in kept], skipped
+def nonstandard_cases(specs):
+    return [("psl3f2/nonstandard", nonstandard_case) for _ in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +438,7 @@ def _exit_code(results):
 # Subcommand handlers
 
 
-def _check_max_rank(args):
-    if not 2 <= args.max_rank <= MAX_RANK:
-        raise UsageError(f"--max-rank must be between 2 and {MAX_RANK}")
-
-
 def cmd_lemma2(args):
-    _check_max_rank(args)
     families = set(args.family) if args.family else None
     cases = lemma2_cases(args.max_rank, families)
     if not cases:
@@ -462,42 +452,31 @@ def cmd_lemma2(args):
 def cmd_bn(args):
     spec = _parse_bn_spec(args)
     max_group = _max_group()
-    cases = bn_cases(spec, max_group)
-    result = run_suite("bn", cases)
+    # Refused before the system is built, so no group over the cap is enumerated.
+    order = _order_over_cap(spec, max_group)
+    if order:
+        raise GroupTooLarge(f"group order {order} exceeds the cap {max_group}")
+    result = run_suite("bn", bn_cases(spec))
     emit_suite(result, args.format, sys.stdout)
     return _exit_code([result])
 
 
 def _parse_bn_spec(args):
-    chosen = [
-        name
-        for name, val in [
-            ("sl", args.sl),
-            ("sl-rank1", args.sl_rank1),
-            ("projective", args.projective),
-            ("affine", args.affine),
-            ("example", args.example),
-        ]
-        if val is not None
-    ]
-    if len(chosen) != 1:
-        raise UsageError("choose exactly one of --sl/--sl-rank1/--projective/--affine/--example")
-    kind = chosen[0]
-    if kind == "example":
-        if args.example != "psl3f2-nonstandard":
-            raise UsageError(f"unknown example {args.example!r}")
-        return ("psl3f2-nonstandard",)
-    if kind == "affine":
+    """The spec of the one system flag the parser let through."""
+    if args.example:
+        return (args.example,)
+    if args.affine is not None:
         # AGL1(F2) acts on 2 points: B = G_0 is trivial, and sBs = B.
         if args.affine < 3:
             raise UsageError(f"--affine needs P >= 3, got {args.affine}")
         spec = ("affine", args.affine)
     else:
-        n, p = {"sl": args.sl, "sl-rank1": args.sl_rank1, "projective": args.projective}[kind]
+        flags = {"sl": args.sl, "sl-rank1": args.sl_rank1, "projective": args.projective}
+        kind, (n, p) = next((k, v) for k, v in flags.items() if v)
         if n < 2:
             raise UsageError(f"--{kind} needs N >= 2, got {n}")
         spec = (kind, n, p)
-    # Checked here, before _system_for compares the group order with the cap.
+    # Checked here, before cmd_bn compares the group order with the cap.
     # No trial division past SL_ENUM_CAP: |G| >= P puts G over every cap.
     if spec[-1] <= fingrp.SL_ENUM_CAP and not fingrp._is_prime(spec[-1]):
         raise UsageError(f"{spec[-1]} is not prime")
@@ -556,24 +535,21 @@ def cmd_reduced_words(args):
 
 
 def cmd_report(args):
-    if not args.all:
-        raise UsageError("report requires --all")
-    _check_max_rank(args)
     max_group = _max_group()
     suites = []
     suites.append(run_suite("lemma2", lemma2_cases(args.max_rank)))
     suites.append(run_suite("oracle", oracle_cases()))
     suites.append(run_suite("weights", weight_set_cases(min(args.max_rank, 8))))
-    bn_specs, skipped = _within_cap(
-        [("sl", n, p) for n, p in [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]],
-        max_group,
-    )
-    std_cases = [case for spec in bn_specs for case in bn_cases(spec, max_group)]
-    coxeter, more = coxeter_order_cases(max_group)
+    standard, skipped = _within_cap(STANDARD_SPECS, max_group)
+    coxeter, more = _within_cap(COXETER_SPECS, max_group)
     skipped += [note for note in more if note not in skipped]
-    suites.append(run_suite("bn-standard", std_cases + coxeter, skipped=skipped))
-    suites.append(run_suite("bn-rank1", *rank1_agreement_cases(max_group)))
-    suites.append(run_suite("bn-nonstandard", *nonstandard_cases(max_group)))
+    cases = [case for spec in standard for case in bn_cases(spec)] + coxeter_order_cases(coxeter)
+    suites.append(run_suite("bn-standard", cases, skipped=skipped))
+    agree, skipped = _within_cap(AGREE_SPECS, max_group)
+    affine, more = _within_cap(AFFINE_SPECS, max_group)
+    suites.append(run_suite("bn-rank1", rank1_agreement_cases(agree, affine), skipped + more))
+    kept, skipped = _within_cap(NONSTANDARD_SPECS, max_group)
+    suites.append(run_suite("bn-nonstandard", nonstandard_cases(kept), skipped))
     doc = {
         "schema": SCHEMA_VERSION,
         "suites": [s.to_record() for s in sorted(suites, key=lambda s: s.suite_id)],
@@ -591,30 +567,33 @@ def build_parser():
         description="Exact verification suites for root-system and Tits-system combinatorics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    families = sorted(rootsys.FAMILIES)
+    max_rank = dict(type=int, default=8, choices=range(2, MAX_RANK + 1), metavar=f"2..{MAX_RANK}")
 
     p = sub.add_parser("lemma2", help="double-coset sweep with witnesses and gap checks")
-    p.add_argument("--max-rank", type=int, default=8)
-    p.add_argument("--family", action="append", choices=["A", "B", "BC", "C", "D", "E", "F", "G"])
+    p.add_argument("--max-rank", **max_rank)
+    p.add_argument("--family", action="append", choices=families)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_lemma2)
 
     p = sub.add_parser("bn", help="verify one example Tits system")
-    p.add_argument("--sl", nargs=2, type=int, metavar=("N", "P"))
-    p.add_argument("--sl-rank1", nargs=2, type=int, metavar=("N", "P"))
-    p.add_argument("--projective", nargs=2, type=int, metavar=("N", "P"))
-    p.add_argument("--affine", type=int, metavar="P")
-    p.add_argument("--example", type=str)
+    system = p.add_mutually_exclusive_group(required=True)
+    system.add_argument("--sl", nargs=2, type=int, metavar=("N", "P"))
+    system.add_argument("--sl-rank1", nargs=2, type=int, metavar=("N", "P"))
+    system.add_argument("--projective", nargs=2, type=int, metavar=("N", "P"))
+    system.add_argument("--affine", type=int, metavar="P")
+    system.add_argument("--example", choices=["psl3f2-nonstandard"])
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_bn)
 
     p = sub.add_parser("roots", help="list the roots of one system")
-    p.add_argument("family", choices=["A", "B", "BC", "C", "D", "E", "F", "G"])
+    p.add_argument("family", choices=families)
     p.add_argument("rank", type=int)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("reduced-words", help="enumerate the reduced words of a word's element")
-    p.add_argument("family", choices=["A", "B", "BC", "C", "D", "E", "F", "G"])
+    p.add_argument("family", choices=families)
     p.add_argument("rank", type=int)
     p.add_argument("word", type=str)
     p.add_argument("--cap", type=int, default=10**6)
@@ -622,8 +601,8 @@ def build_parser():
     p.set_defaults(func=cmd_reduced_words)
 
     p = sub.add_parser("report", help="run every suite and emit one JSON document")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--max-rank", type=int, default=8)
+    p.add_argument("--all", action="store_true", required=True)
+    p.add_argument("--max-rank", **max_rank)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -23,6 +23,12 @@ def test_exit_code_usage_errors(capsys):
     assert run(capsys, ["roots", "E", "5"])[0] == 2
     assert run(capsys, ["definitely-not-a-command"])[0] == 2
     assert run(capsys, ["report"])[0] == 2
+    for argv in (
+        ["bn", "--sl", "2", "2", "--affine", "5"],
+        ["report", "--all", "--max-rank", "1"],
+        ["report", "--all", "--max-rank", "13"],
+    ):
+        assert run(capsys, argv)[:2] == (2, "")
 
 
 def test_lemma2_small_sweep(capsys):
@@ -184,21 +190,21 @@ def test_report_cap_applies_to_every_bn_suite(capsys, monkeypatch):
 
 @pytest.mark.parametrize("cap", [100, 400, 21000])
 def test_every_dropped_coxeter_order_case_has_a_skip_note(capsys, monkeypatch, cap):
-    # The cases coxeter_order_cases can list are those it lists when every
-    # group is tiny; each one the cap drops must leave a skip note in
-    # bn-standard, like every other group over the cap.
+    # Each system of report's Coxeter-order list whose group is over the
+    # cap must leave a skip note in bn-standard, like every other group
+    # over the cap, and no coxeter-order case; each other one has its case.
     from weylbn import cli, fingrp
 
-    with monkeypatch.context() as m:
-        m.setattr(fingrp, "sl_order", lambda n, p: 1)
-        every = {case_id for case_id, _ in cli.coxeter_order_cases(1)[0]}
-    dropped = every - {case_id for case_id, _ in cli.coxeter_order_cases(cap)[0]}
+    names = {f"sl-{n}-{p}": fingrp.sl_order(n, p) for _, n, p in cli.COXETER_SPECS}
+    dropped = {name for name, order in names.items() if order > cap}
     monkeypatch.setenv("WEYL_BN_MAX_GROUP", str(cap))
     code, out, _ = run(capsys, ["report", "--all", "--max-rank", "2"])
     assert code == 0
     std = next(s for s in json.loads(out)["suites"] if s["suite"] == "bn-standard")
     noted = {note.split(":")[0] for note in std.get("skipped", ())}
-    assert {case_id.split("/")[1] for case_id in dropped} <= noted
+    assert dropped <= noted
+    listed = {c["id"].split("/")[1] for c in std["cases"] if c["id"].startswith("coxeter-order/")}
+    assert listed == set(names) - dropped
 
 
 def test_bn_example_honours_the_cap(capsys, monkeypatch):
@@ -289,6 +295,29 @@ def test_bn_cap_checked_before_building(capsys, monkeypatch):
     ):
         code, _, err = run(capsys, argv)
         assert code == 1 and "exceeds the cap 19" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bn", "--sl", "120", "2"],
+        ["bn", "--sl", "4000", "2"],
+        ["bn", "--projective", "7", "2"],
+        ["bn", "--sl-rank1", "50", "3"],
+    ],
+)
+def test_large_n_refused_by_a_bound(capsys, monkeypatch, argv):
+    # |SL_N(F_P)| > 2^(N(N-1)/2), past every cap from N = 7 on: the refusal
+    # names that bound, so the order, with thousands of digits at N = 120,
+    # is neither formed nor printed.
+    import time
+
+    monkeypatch.delenv("WEYL_BN_MAX_GROUP", raising=False)
+    start = time.monotonic()
+    code, out, err = run(capsys, argv)
+    assert time.monotonic() - start < 5
+    assert (code, out) == (1, "")
+    assert "GroupTooLarge" in err and "exceeds the cap" in err and len(err) < 200
 
 
 def test_run_suite_turns_internal_errors_into_failed_cases():
