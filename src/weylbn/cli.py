@@ -347,14 +347,13 @@ def weight_set_cases(max_rank=8):
 
 def _order_over_cap(spec, max_group):
     """The order of the group G of the system named by ``spec``, as text,
-    when it is over ``max_group``; else None.  As |SL_N(F_P)| >
-    2^(N(N-1)/2) and 2^17 > SL_ENUM_CAP >= max_group, an N of 7 or more
-    is refused by that bound alone, and its huge order is never formed."""
+    when it is over ``max_group``; else None.  |G| >= P for every kind, and
+    |SL_N(F_P)| > 2^(N(N-1)/2) >= 2^21 for N >= 7, so a P over SL_ENUM_CAP
+    (>= max_group) or such an N is refused by that bound, and a huge order
+    is never formed."""
     kind, *args = spec
-    if kind in ("sl", "sl-rank1", "projective"):
-        exponent = args[0] * (args[0] - 1) // 2
-        if exponent >= fingrp.SL_ENUM_CAP.bit_length():
-            return f"over 2^{exponent}"
+    if args and (args[-1] > fingrp.SL_ENUM_CAP or kind != "affine" and args[0] >= 7):
+        return f"over {fingrp.SL_ENUM_CAP}"
     order = SYSTEM_KINDS[kind][1](*args)
     return str(order) if order > max_group else None
 

@@ -1,19 +1,19 @@
-"""Explicit finite groups: matrix groups over prime fields, abstract
-subgroup machinery, and group actions.
+"""Explicit finite groups: matrix groups over prime fields and abstract
+subgroup machinery.
 
 Elements are canonical hashable encodings.  An n x n matrix over F_p is
 packed as an integer: a row is an int in [0, q), q = p^n, with column 0
-its most significant base-p digit, and the matrix is the base-q number of
-its rows, row 0 most significant.  That is the base-p number of its
+its most significant base-p digit, and the matrix is the base-q number
+of its rows, row 0 most significant.  That is the base-p number of its
 entries read row by row, so integer order is the order of the tuples of
 row tuples.  A row sum and a scalar multiple of a row are lookups in two
 tables built once per (n, p) from digit sums (``packing``); products go
 through them, row reductions too, and only formats and the projective
-action decode.  An affine-group element is a pair (t, x).  A FiniteGroup
-bundles an element list with its multiplication oracle, the only oracle
-an element kind supplies; subgroups are FiniteGroups sharing the same
-oracle, so set operations on elements are meaningful across them.
-Groups are immutable after construction and safe to share.
+system's tables decode.  An affine-group element is a pair (t, x).  A
+FiniteGroup bundles an element list with its multiplication oracle, the
+only oracle an element kind supplies; subgroups are FiniteGroups sharing
+the same oracle, so set operations on elements are meaningful across
+them.  Groups are immutable after construction and safe to share.
 
 Integer index.  Every group, subgroups included, numbers its own sorted
 elements 0..n-1, so the least element has the least index.
@@ -25,7 +25,9 @@ them, and the breadth-first tree that reached each element
 x_i = g_j * x_p from the identity; any right table follows that tree in
 one pass, since x_i * x = g_j * (x_p * x).  Cosets, double cosets and
 generated subgroups are then orbits of a few such tables, found by
-``orbits``.
+``orbits``.  A group action is given the same way, as the tables of the
+generators on the points range(m), and ``tree_images`` and ``tree_perms``
+read where every element sends a point down the tree.
 
 Inverses are read off right tables, never computed: R_x permutes the
 index and R_{x^-1} is the inverse permutation (Seress, *Permutation
@@ -188,10 +190,11 @@ class FiniteGroup:
         for _ in range(min(200, n * n)):
             a = self.elements[rng.randrange(n)]
             b = self.elements[rng.randrange(n)]
-            if mul(a, b) not in self.elemset:
+            ab = mul(a, b)
+            if ab not in self.elemset:
                 raise ValueError(f"{self.ops.label}: not closed under multiplication")
             c = self.elements[rng.randrange(n)]
-            if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            if mul(ab, c) != mul(a, mul(b, c)):
                 raise ValueError(f"{self.ops.label}: multiplication not associative")
         if mul(e, self.elements[0]) != self.elements[0]:
             raise ValueError(f"{self.ops.label}: identity law fails")
@@ -431,18 +434,6 @@ def fitting_subgroup(B):
 
 
 # ---------------------------------------------------------------------------
-# Group actions
-
-
-class GroupAction(namedtuple("GroupAction", "group points apply")):
-    """A finite group acting on an indexed point set by ``apply(g, x)``.
-    Only the generators need be applied: where every element sends a point
-    is then read down the group's BFS tree (``FiniteGroup.tree_images``)."""
-
-    __slots__ = ()
-
-
-# ---------------------------------------------------------------------------
 # Matrix groups over prime fields
 
 
@@ -673,40 +664,6 @@ def monomial_subgroup(G):
     return FiniteGroup(G.ops, _shaped_members(G, shapes), check=False)
 
 
-def projective_space_action(n, p):
-    """SL_{n+1}(F_p) acting on the points of P^n(F_p).
-
-    Points are nonzero column vectors canonicalized to the
-    lexicographically least scalar multiple.
-    """
-    G = special_linear_group(n + 1, p)
-    k = packing(n + 1, p)
-
-    def canon(v):
-        return min(tuple(x * lam % p for x in v) for lam in range(1, p))
-
-    pts = sorted({canon(v) for v in product(range(p), repeat=n + 1) if any(v)})
-
-    def apply(m, v):
-        return canon(tuple(sum(map(_times, row, v)) % p for row in k.decode(m)))
-
-    return GroupAction(G, tuple(pts), apply)
-
-
-def coset_action(G, B):
-    """G acting by left multiplication on the left cosets of B.
-
-    Each coset is named by its least element.
-    """
-    mul, els, index = G.ops.mul, G.elements, G.index
-    coset_of, reps = left_cosets(G, B)
-
-    def apply(g, r):
-        return els[reps[coset_of[index[mul(g, r)]]]]
-
-    return GroupAction(G, tuple(els[r] for r in reps), apply)
-
-
 def affine_group(p):
     """The semidirect product of F_p (translations) by F_p^* (scalings).
 
@@ -724,16 +681,6 @@ def affine_group(p):
     )
     elements = [(t, x) for t in range(p) for x in range(1, p)]
     return FiniteGroup(ops, elements, gens=[(1, 1)] + ([(0, _primitive_root(p))] if p > 2 else []))
-
-
-def affine_line_action(p):
-    """The natural 2-transitive action of the affine group on F_p."""
-    G = affine_group(p)
-
-    def apply(g, y):
-        return (g[1] * y + g[0]) % p
-
-    return GroupAction(G, tuple(range(p)), apply)
 
 
 def _primitive_root(p):

@@ -5,7 +5,9 @@ Derived data: H = B ∩ N, the Weyl group W = N/H as canonical coset
 representatives, the distinguished generators S (the nontrivial classes
 w for which B ∪ BwB is a subgroup), lengths and canonical words over S,
 and the Bruhat cells BwB, read as the B-orbits on the chambers G/B (the
-complete flags for the standard SL_n systems, which never list G).
+complete flags for the standard SL_n systems, which never list G).  A
+rank-1 system comes from a 2-transitive action given, as everywhere here,
+by the tables of G's generators on the points (``rank1_from_2transitive``).
 The axiom checker verifies, exhaustively
 
   T1  B and N generate G,
@@ -35,6 +37,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import cache, cached_property, lru_cache
+from itertools import product
+from operator import mul as _times
 
 from .errors import (
     HNotNormal,
@@ -48,7 +52,6 @@ from .fingrp import (
     FiniteGroup,
     _closure,
     _shaped_members,
-    coset_action,
     fitting_subgroup,
     is_normal,
     left_cosets,
@@ -433,26 +436,24 @@ def standard_sl_system(n, p):
     return TitsSystemCandidate(G, B, N, label=f"sl-{n}-{p}")
 
 
-def rank1_from_2transitive(action, x, xp):
+def rank1_from_2transitive(G, acts, i, ip):
     """Rank-1 system from a 2-transitive action: B = Stab(x), N = Stab{x, x'}.
 
-    Each of G's generators is applied to each point once; where every
-    element sends x and x' is read down G's BFS tree (``tree_images``).  It
-    is 2-transitive when G moves x to every point and B moves x' to every
-    other one.  ValueError if x = x' or either is not a point, then
-    NotTwoTransitive."""
-    if x == xp:
+    The action is the tables of G's generators, in ``G.generators()``
+    order, on the points range(m): ``acts[j][k]`` is where g_j sends k.
+    x and x' are the points i and ip.  Where every element sends them is
+    read down G's BFS tree (``tree_images``).  It is 2-transitive when G
+    moves x to every point and B moves x' to every other one.  ValueError
+    if i = ip or either is not a point, then NotTwoTransitive."""
+    if i == ip:
         raise ValueError("the two base points must differ")
-    G, pts = action.group, action.points
-    at = {pt: i for i, pt in enumerate(pts)}
-    for name, pt in (("x", x), ("x'", xp)):
-        if pt not in at:
+    m = len(acts[0]) if acts else 1  # a trivial G has no generators
+    for name, pt in (("x", i), ("x'", ip)):
+        if pt not in range(m):
             raise ValueError(f"the base point {name} = {pt!r} is not a point of the action")
-    i, ip = at[x], at[xp]
-    perms = [[at[action.apply(g, pt)] for pt in pts] for g in G.generators()]
-    to_x, to_xp = G.tree_images(i, perms), G.tree_images(ip, perms)
-    fixing = [k for k, m in enumerate(to_x) if m == i]
-    if len(set(to_x)) < len(pts) or len({to_xp[k] for k in fixing}) < len(pts) - 1:
+    to_x, to_xp = G.tree_images(i, acts), G.tree_images(ip, acts)
+    fixing = [k for k, a in enumerate(to_x) if a == i]
+    if len(set(to_x)) < m or len({to_xp[k] for k in fixing}) < m - 1:
         raise NotTwoTransitive("the action is not 2-transitive")
     B = G.subgroup([G.elements[k] for k in fixing])
     N = G.subgroup([g for g, a, b in zip(G.elements, to_x, to_xp) if {a, b} == {i, ip}])
@@ -460,18 +461,30 @@ def rank1_from_2transitive(action, x, xp):
 
 
 def projective_rank1_system(n, p):
-    """Rank-1 system of SL_{n}(F_p) acting on P^{n-1}(F_p)."""
-    action = fingrp.projective_space_action(n - 1, p)
-    x, xp = action.points[0], action.points[1]
-    c = rank1_from_2transitive(action, x, xp)
+    """Rank-1 system of SL_n(F_p) acting on P^{n-1}(F_p), with x, x' the
+    first two points.  The points are the nonzero vectors canonicalized to
+    their lexicographically least scalar multiple, in sorted order; each
+    generator's table entry at a point is one matrix-vector product."""
+    G = special_linear_group(n, p)
+
+    def canon(v):
+        return min(tuple(x * lam % p for x in v) for lam in range(1, p))
+
+    pts = sorted({canon(v) for v in product(range(p), repeat=n) if any(v)})
+    at = {v: k for k, v in enumerate(pts)}
+    rows = map(fingrp.packing(n, p).decode, G.generators())
+    acts = [[at[canon(tuple(sum(map(_times, r, v)) % p for r in m))] for v in pts] for m in rows]
+    c = rank1_from_2transitive(G, acts, 0, 1)
     c.label = f"projective-{n}-{p}"
     return c
 
 
 def affine_rank1_system(p):
-    """Rank-1 system of the affine group of F_p acting on the line."""
-    action = fingrp.affine_line_action(p)
-    c = rank1_from_2transitive(action, 0, p - 1)
+    """Rank-1 system of the affine group of F_p acting on the line by
+    y -> x·y + t, with x, x' the points 0 and p-1."""
+    G = fingrp.affine_group(p)
+    acts = [[(x * y + t) % p for y in range(p)] for t, x in G.generators()]
+    c = rank1_from_2transitive(G, acts, 0, p - 1)
     c.label = f"affine-{p}"
     return c
 
@@ -503,8 +516,10 @@ def psl3_f2_nonstandard_system():
     PSL_3(F_2) is SL_3(F_2), enumerated.  B is the normalizer K of a Sylow
     7-subgroup P7 = <seed7> (its order 21 is checked): the g with
     g·seed7·g^-1 in P7, read down G's BFS tree through the conjugation
-    tables of G's generators, with no product.  Takes the action on the 8
-    cosets of K and builds the rank-1 system, which checks 2-transitivity.
+    tables of G's generators, with no product.  G acts on the 8 cosets of
+    K by its left tables, gK -> coset of g·r for each coset's least member
+    r, again with no product, and the rank-1 system on that action checks
+    2-transitivity.
     """
     G = special_linear_group(3, 2)  # its one scalar is I: λ³ = 1 forces λ = 1 in F_2^×
     for seed7 in G.elements:
@@ -514,15 +529,18 @@ def psl3_f2_nonstandard_system():
     else:
         raise SubgroupNotFound("no element of order 7")
     conj = G.tree_images(G.index[seed7], [G.conjugation(g) for g in G.generators()])
-    K = G.subgroup([g for g, i in zip(G.elements, conj) if G.elements[i] in P7])
+    members = [g for g, i in zip(G.elements, conj) if G.elements[i] in P7]
+    # Its members are its generators, so no generating set is grown by
+    # products: the cosets are the orbits of their right tables.
+    K = FiniteGroup(G.ops, members, gens=members, check=False)
     if K.order != 21:
         raise SubgroupNotFound(f"the normalizer of <seed7> has order {K.order}, not 21")
-    action = coset_action(G, K)
-    if len(action.points) != 8:
+    coset_of, reps = left_cosets(G, K)
+    if len(reps) != 8:
         raise SubgroupNotFound("coset action is not on 8 points")
-    x = min(K.elements)
-    xp = next(pt for pt in action.points if pt != x)
-    c = rank1_from_2transitive(action, x, xp)
+    acts = [[coset_of[L[r]] for r in reps] for L in map(G.left_table, G.generators())]
+    x = coset_of[G.index[G.identity]]
+    c = rank1_from_2transitive(G, acts, x, 0 if x else 1)  # x' the first other coset
     c.label = "psl3f2-nonstandard"
     return c
 

@@ -320,6 +320,29 @@ def test_large_n_refused_by_a_bound(capsys, monkeypatch, argv):
     assert "GroupTooLarge" in err and "exceeds the cap" in err and len(err) < 200
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bn", "--affine", "9" * 3001],
+        ["bn", "--sl", "2", "9" * 1501],
+        ["bn", "--sl", "9" * 3000, "2"],
+    ],
+    ids=["affine-3001-digits", "sl-2-1501-digits", "sl-3000-digits-2"],
+)
+def test_huge_spec_refused_by_a_bound(capsys, monkeypatch, argv):
+    # |G| >= P for every kind, so a P over SL_ENUM_CAP is refused by that
+    # bound; so is an N of 7 or more.  Neither the order nor N(N-1)/2, past
+    # Python's 4,300-digit limit for int-to-text here, is formed or printed.
+    import time
+
+    monkeypatch.delenv("WEYL_BN_MAX_GROUP", raising=False)
+    start = time.monotonic()
+    code, out, err = run(capsys, argv)
+    assert time.monotonic() - start < 5
+    assert (code, out) == (1, "")
+    assert "group order over 100000 exceeds the cap 21000" in err and len(err) < 200
+
+
 def test_run_suite_turns_internal_errors_into_failed_cases():
     from weylbn.cli import CaseResult, run_suite
 

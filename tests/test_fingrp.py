@@ -3,13 +3,18 @@ import random
 import pytest
 
 from test_fingrp_oracle import (
+    Action,
     _action_orbits,
     _element_order,
     _is_2transitive_on_pairs,
+    _nonstandard_reference,
     _setwise_stabilizer_scan,
+    affine_line,
     closure,
+    coset_action_by_products,
     gauss_jordan_inverse,
     oracle_inverse,
+    projective_action,
     tuple_identity,
     tuple_mat_mul,
     tuple_row_addition,
@@ -18,16 +23,13 @@ from weylbn import fingrp
 from weylbn.errors import GroupTooLarge, NotTwoTransitive
 from weylbn.fingrp import (
     FiniteGroup,
-    GroupAction,
     GroupOps,
     SpecialLinear,
     _add_row,
     _closure,
     _primitive_root,
     affine_group,
-    affine_line_action,
     conjugacy_classes,
-    coset_action,
     fitting_subgroup,
     is_nilpotent,
     is_normal,
@@ -39,7 +41,6 @@ from weylbn.fingrp import (
     normal_subgroups,
     orbits,
     packing,
-    projective_space_action,
     sl_order,
     special_linear_group,
     upper_triangular_subgroup,
@@ -305,10 +306,10 @@ def test_subgroup_tables_make_no_products_once_generators_ran(monkeypatch):
 
 
 def test_projective_actions():
-    act = projective_space_action(2, 2)
+    act = projective_action(2, 2)
     assert len(act.points) == 7
     assert _is_2transitive_on_pairs(act)
-    assert len(projective_space_action(1, 7).points) == 8
+    assert len(projective_action(1, 7).points) == 8
     # Orbit-stabilizer on every point.
     for x in act.points:
         st = _setwise_stabilizer_scan(act, (x,))
@@ -316,46 +317,48 @@ def test_projective_actions():
 
 
 def test_affine_group_action():
-    act = affine_line_action(5)
+    act = affine_line(5)
     assert act.group.order == 20
     assert _is_2transitive_on_pairs(act)
     st = _setwise_stabilizer_scan(act, (0, 4))
     assert st.order == 2
-    assert rank1_from_2transitive(act, 0, 4).N == st
+    assert rank1_from_2transitive(act.group, act.tables(), 0, 4).N == st
 
 
 def test_regular_action_not_2transitive():
     ops = GroupOps(mul=lambda a, b: (a + b) % 4, identity=0, fmt=str, label="C4")
     C4 = FiniteGroup(ops, range(4))
-    act = GroupAction(C4, tuple(range(4)), lambda g, y: (g + y) % 4)
+    act = Action(C4, tuple(range(4)), lambda g, y: (g + y) % 4)
     with pytest.raises(NotTwoTransitive, match="not 2-transitive"):
-        rank1_from_2transitive(act, 0, 1)
+        rank1_from_2transitive(C4, act.tables(), 0, 1)
     assert not _is_2transitive_on_pairs(act)
     assert len(_action_orbits(act)) == 1
 
 
 def test_action_axioms():
-    act = affine_line_action(7)
-    e = act.group.ops.identity
-    for y in act.points:
-        assert act.apply(e, y) == y
+    # The reference actions are actions: the identity fixes every point,
+    # and (gh)·y = g·(h·y).
     rng = random.Random(3)
-    els = act.group.elements
-    for _ in range(200):
-        g = els[rng.randrange(len(els))]
-        h = els[rng.randrange(len(els))]
-        y = act.points[rng.randrange(len(act.points))]
-        assert act.apply(act.group.ops.mul(g, h), y) == act.apply(g, act.apply(h, y))
+    for act in (affine_line(7), projective_action(1, 5), _nonstandard_reference()[0]):
+        mul, e, els = act.group.ops.mul, act.group.identity, act.group.elements
+        for y in act.points:
+            assert act.apply(e, y) == y
+        for _ in range(200):
+            g = els[rng.randrange(len(els))]
+            h = els[rng.randrange(len(els))]
+            y = act.points[rng.randrange(len(act.points))]
+            assert act.apply(mul(g, h), y) == act.apply(g, act.apply(h, y))
 
 
 def test_coset_action_points():
     G = special_linear_group(3, 2)
     B = upper_triangular_subgroup(G)
-    act = coset_action(G, B)
+    act = coset_action_by_products(G, B)
     assert len(act.points) == G.order // B.order == 21
+    assert act.points == tuple(G.elements[r] for r in left_cosets(G, B)[1])
     assert len(_action_orbits(act)) == 1
     # Orbit-stabilizer across action kinds.
-    for action in (act, affine_line_action(7)):
+    for action in (act, affine_line(7)):
         for x in action.points:
             assert _setwise_stabilizer_scan(action, (x,)).order * len(action.points) == action.group.order
 
@@ -459,6 +462,36 @@ def test_non_group_element_lists_raise_value_error():
     half = [e] + [x for x in els if x != e][:11]
     with pytest.raises(ValueError):
         FiniteGroup(ops, half)
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_spot_check_makes_four_products_per_sample(n):
+    # Each sampled (a, b, c) costs a·b once, then (a·b)·c, b·c and a·(b·c),
+    # and the identity law one more; min(200, n²) samples.
+    calls = [0]
+
+    def mul(a, b):
+        calls[0] += 1
+        return (a + b) % n
+
+    G = FiniteGroup(GroupOps(mul=mul, identity=0, fmt=str, label=f"C{n}"), range(n))
+    calls[0] = 0
+    G._spot_check()  # its BFS tree is already built
+    assert calls[0] == 4 * min(200, n * n) + 1
+
+
+def test_spot_check_refuses_products_outside_and_non_associative_laws():
+    # Both laws pass the BFS tree, as 1 generates each from 0 by left
+    # multiplication.  A product a·b with a >= 2 is 10, no element (an
+    # associative law that passes the tree is closed, so this one is not
+    # associative either); (a - b) - c ≠ a - (b - c).
+    def escapes(a, b):
+        return (a + b) % 4 if a <= 1 else 10
+
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        FiniteGroup(GroupOps(mul=escapes, identity=0, fmt=str, label="C4+"), range(4))
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(GroupOps(mul=lambda a, b: (a - b) % 5, identity=0, fmt=str, label="Z5-"), range(5))
 
 
 def test_generators_reaching_part_of_the_elements_raise_value_error():

@@ -16,14 +16,20 @@ subgroups the tests name.
 Matrices as tuples of row tuples, with ``tuple_mat_mul`` and
 ``tuple_row_addition``, are the oracle for the packed integers of
 ``fingrp``: the same elements in the same order, the same products, and
-the same projective action.  ``fingrp`` computes no inverse; where a
-reference needs one, ``oracle_inverse`` gives it by an independent
-formula (Gauss-Jordan on the decoded rows of a matrix).  ``leibniz_det``
-checks the determinant's row operations on packed rows, and the left
-cosets of B in the enumerated group check the flags of ``SpecialLinear``.
+the same projective action.  The package gives an action only as the
+tables of a group's generators; ``Action``, a group acting by
+``apply(g, x)`` for any element g, is the reference they are held to:
+matrix-vector products on P^n, the affine formula on the line, and
+products with a coset lookup on G/K.  ``fingrp`` computes no inverse;
+where a reference needs one, ``oracle_inverse`` gives it by an
+independent formula (Gauss-Jordan on the decoded rows of a matrix).
+``leibniz_det`` checks the determinant's row operations on packed rows,
+and the left cosets of B in the enumerated group check the flags of
+``SpecialLinear``.
 """
 
 import random
+from collections import namedtuple
 from functools import partial
 from itertools import permutations, product
 from operator import mul as _times
@@ -32,17 +38,16 @@ import pytest
 
 from test_weyl_oracle import all_elements, weyl_order
 from weylbn.cosets import ParabolicChoice, double_coset_count_naive, sweep_cases
+import weylbn.fingrp as fingrp
+import weylbn.titssys as titssys
 from weylbn.fingrp import (
     FiniteGroup,
-    GroupAction,
     SpecialLinear,
     GroupOps,
     affine_group,
-    affine_line_action,
     _closure,
     commutator_subgroup,
     conjugacy_classes,
-    coset_action,
     fitting_subgroup,
     left_cosets,
     mat_det,
@@ -51,13 +56,13 @@ from weylbn.fingrp import (
     normal_subgroups,
     orbits,
     packing,
-    projective_space_action,
     special_linear_group,
     upper_triangular_subgroup,
 )
 from weylbn.errors import NotTwoTransitive
 from weylbn.rootsys import build_root_system
 from weylbn.titssys import (
+    affine_rank1_system,
     projective_rank1_system,
     psl3_f2_nonstandard_system,
     rank1_from_2transitive,
@@ -117,14 +122,16 @@ def test_packed_order_is_tuple_order(n, p):
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
-def test_projective_action_matches_tuple_action(n, p):
-    action = projective_space_action(n - 1, p)
-    k = packing(n, p)
-    for g in action.group.elements:
-        m = k.decode(g)
-        for v in action.points:
+def test_projective_action_matches_tuple_action(n, p, monkeypatch):
+    # The tables projective_rank1_system builds, read for every element down
+    # G's BFS tree, against the tuple matrix of that element times each point.
+    G, acts, i, ip = rank1_inputs(monkeypatch, partial(projective_rank1_system, n, p))
+    pts = projective_action(n - 1, p).points
+    assert G is special_linear_group(n, p) and (i, ip) == (0, 1)
+    for m, perm in zip(tuple_sl(n, p), G.tree_perms(acts, len(pts))):
+        for v, k in zip(pts, perm):
             w = tuple(sum(map(_times, row, v)) % p for row in m)
-            assert action.apply(g, v) == min(tuple(x * lam % p for x in w) for lam in range(1, p))
+            assert pts[k] == _canon(w, p)
 
 
 @pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (3, 5)])
@@ -370,6 +377,70 @@ def test_normal_subgroups_match_whole_element_lattice(name):
     assert [H.elemset for H in normal_subgroups(G)] == _normal_subgroups_reference(G)
 
 
+class Action(namedtuple("Action", "group points apply")):
+    """A finite group acting on listed points by ``apply(g, x)``, for any
+    element g."""
+
+    def tables(self):
+        """The tables of the generators on the point indices, as
+        ``rank1_from_2transitive`` takes them."""
+        at = {pt: k for k, pt in enumerate(self.points)}
+        return [[at[self.apply(g, pt)] for pt in self.points] for g in self.group.generators()]
+
+    def rank1(self, x, xp):
+        """``rank1_from_2transitive`` on these tables, at the points x and x'."""
+        at = self.points.index
+        return rank1_from_2transitive(self.group, self.tables(), at(x), at(xp))
+
+
+def _canon(v, p):
+    """The lexicographically least scalar multiple of a nonzero vector."""
+    return min(tuple(x * lam % p for x in v) for lam in range(1, p))
+
+
+def projective_action(n, p):
+    """SL_{n+1}(F_p) on P^n(F_p), the canonical vectors in sorted order, by
+    matrix-vector products."""
+    k = packing(n + 1, p)
+    pts = sorted({_canon(v, p) for v in product(range(p), repeat=n + 1) if any(v)})
+
+    def apply(g, v):
+        return _canon(tuple(sum(map(_times, row, v)) % p for row in k.decode(g)), p)
+
+    return Action(special_linear_group(n + 1, p), tuple(pts), apply)
+
+
+def affine_line(p):
+    """The affine group of F_p on the line, (t, x) sending y to x·y + t."""
+    return Action(affine_group(p), tuple(range(p)), lambda g, y: (g[1] * y + g[0]) % p)
+
+
+def coset_action_by_products(G, K):
+    """G on the left cosets of K, each named by its least member: the sets
+    x·K, formed by products, and g·r looked up in them."""
+    mul, name = G.ops.mul, {}
+    for x in G.elements:  # ascending, so x is the least of x·K when first met
+        if x not in name:
+            name.update((mul(x, k), x) for k in K.elements)
+    return Action(G, tuple(dict.fromkeys(name.values())), lambda g, r: name[mul(g, r)])
+
+
+def rank1_inputs(monkeypatch, build):
+    """The arguments (G, acts, i, ip) that ``build()`` passes to
+    ``rank1_from_2transitive``."""
+    seen = []
+    real = titssys.rank1_from_2transitive
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(titssys, "rank1_from_2transitive", spy)
+    build()
+    (args,) = seen
+    return args
+
+
 def _is_2transitive_reference(action):
     """Transitive, and the stabilizer of the first point transitive on
     the rest, each by applying every group element."""
@@ -386,10 +457,8 @@ def _is_2transitive_reference(action):
 
 def _action_orbits(action):
     """Orbit partition, each orbit a frozenset, deterministic order."""
-    pts, apply = action.points, action.apply
-    at = {x: i for i, x in enumerate(pts)}
-    perms = [[at[apply(g, x)] for x in pts] for g in action.group.generators()]
-    return [frozenset(pts[i] for i in orb) for orb in orbits(perms, len(pts))]
+    pts = action.points
+    return [frozenset(pts[i] for i in orb) for orb in orbits(action.tables(), len(pts))]
 
 
 def _setwise_stabilizer_scan(action, pair):
@@ -408,36 +477,36 @@ def _is_2transitive_on_pairs(action):
     the action on pairs."""
     pts, apply = action.points, action.apply
     pairs = tuple((x, y) for x in pts for y in pts if x != y)
-    on_pairs = GroupAction(action.group, pairs, lambda g, xy: (apply(g, xy[0]), apply(g, xy[1])))
+    on_pairs = Action(action.group, pairs, lambda g, xy: (apply(g, xy[0]), apply(g, xy[1])))
     return len(_action_orbits(on_pairs)) == 1
 
 
 def _c4_regular():
     ops = GroupOps(mul=lambda a, b: (a + b) % 4, identity=0, fmt=str, label="C4")
-    return GroupAction(FiniteGroup(ops, range(4)), tuple(range(4)), lambda g, y: (g + y) % 4)
+    return Action(FiniteGroup(ops, range(4)), tuple(range(4)), lambda g, y: (g + y) % 4)
 
 
 def _c4_on_one_point():
     action = _c4_regular()
-    return GroupAction(action.group, (0,), lambda g, y: y)
+    return Action(action.group, (0,), lambda g, y: y)
 
 
 def _coset_action_of(system):
     c = system()
-    return coset_action(c.G, c.B)
+    return coset_action_by_products(c.G, c.B)
 
 
 ACTIONS = {
-    "projective-1-2": lambda: projective_space_action(1, 2),
-    "projective-1-3": lambda: projective_space_action(1, 3),
-    "projective-1-7": lambda: projective_space_action(1, 7),
-    "projective-2-2": lambda: projective_space_action(2, 2),
-    "affine-line-3": lambda: affine_line_action(3),
-    "affine-line-5": lambda: affine_line_action(5),
-    "affine-line-7": lambda: affine_line_action(7),
+    "projective-1-2": lambda: projective_action(1, 2),
+    "projective-1-3": lambda: projective_action(1, 3),
+    "projective-1-7": lambda: projective_action(1, 7),
+    "projective-2-2": lambda: projective_action(2, 2),
+    "affine-line-3": lambda: affine_line(3),
+    "affine-line-5": lambda: affine_line(5),
+    "affine-line-7": lambda: affine_line(7),
     "regular-c4": _c4_regular,
     "c4-one-point": _c4_on_one_point,
-    "sl-3-2-on-flags": lambda: coset_action(special_linear_group(3, 2), _borel(3, 2)),
+    "sl-3-2-on-flags": lambda: coset_action_by_products(special_linear_group(3, 2), _borel(3, 2)),
     "projective-3-2-cosets": lambda: _coset_action_of(lambda: projective_rank1_system(3, 2)),
     "psl3f2-nonstandard-cosets": lambda: _coset_action_of(psl3_f2_nonstandard_system),
 }
@@ -465,25 +534,77 @@ def test_rank1_tree_reads_match_scans(name):
                 continue
             if not transitive2:
                 with pytest.raises(NotTwoTransitive, match="not 2-transitive"):
-                    rank1_from_2transitive(action, x, xp)
+                    action.rank1(x, xp)
                 continue
-            c = rank1_from_2transitive(action, x, xp)
+            c = action.rank1(x, xp)
             assert c.G is action.group
             assert c.B.elemset == stab[x].elemset
             assert c.N.elemset == _setwise_stabilizer_scan(action, (x, xp)).elemset
 
 
-def test_rank1_applies_each_generator_to_each_point_once():
-    action = projective_space_action(2, 3)
+def test_rank1_reads_b_and_n_with_no_product(monkeypatch):
+    # B, N and 2-transitivity are read off the generators' tables down G's
+    # BFS tree: no product is formed before the candidate is built (whose
+    # subgroup checks then grow B's and N's generating sets).
+    action = projective_action(2, 3)
+    acts = action.tables()
     calls = [0]
+    mat_mul = fingrp.mat_mul
 
-    def counted(g, v):
+    def counted(a, b, k):
         calls[0] += 1
-        return action.apply(g, v)
+        return mat_mul(a, b, k)
 
-    counting = GroupAction(action.group, action.points, counted)
-    rank1_from_2transitive(counting, action.points[0], action.points[1])
-    assert 0 < calls[0] <= len(action.group.generators()) * len(action.points)
+    monkeypatch.setattr(fingrp, "mat_mul", counted)
+    monkeypatch.setattr(titssys, "TitsSystemCandidate", lambda G, B, N, label: (calls[0], B, N))
+    made, B, N = rank1_from_2transitive(action.group, acts, 0, 1)
+    x, xp = action.points[:2]
+    assert made == 0
+    assert B.elemset == _setwise_stabilizer_scan(action, (x,)).elemset
+    assert N.elemset == _setwise_stabilizer_scan(action, (x, xp)).elemset
+
+
+def _nonstandard_reference():
+    """The coset action and base points psl3_f2_nonstandard_system names:
+    G on G/B, x the coset B, x' the first other coset."""
+    c = psl3_f2_nonstandard_system()
+    action = coset_action_by_products(c.G, c.B)
+    x = min(c.B.elements)
+    return action, x, next(pt for pt in action.points if pt != x)
+
+
+def _projective_reference(n, p):
+    action = projective_action(n - 1, p)
+    return (action, *action.points[:2])
+
+
+RANK1_SYSTEMS = {
+    **{
+        f"projective-{n}-{p}": (
+            partial(projective_rank1_system, n, p),
+            partial(_projective_reference, n, p),
+        )
+        for n, p in [(2, 2), (2, 3), (2, 7), (3, 2), (3, 3), (4, 2)]
+    },
+    **{
+        f"affine-{p}": (partial(affine_rank1_system, p), lambda p=p: (affine_line(p), 0, p - 1))
+        for p in (3, 5, 7)
+    },
+    "psl3f2-nonstandard": (psl3_f2_nonstandard_system, _nonstandard_reference),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK1_SYSTEMS))
+def test_rank1_constructors_pass_the_reference_tables(name, monkeypatch):
+    # Each constructor hands rank1_from_2transitive its generators' tables
+    # and base points; they equal those of the reference action, so B and N
+    # are the stabilizers test_rank1_tree_reads_match_scans holds to scans.
+    build, reference = RANK1_SYSTEMS[name]
+    action, x, xp = reference()
+    G, acts, i, ip = rank1_inputs(monkeypatch, build)
+    assert (G.elements, G.generators()) == (action.group.elements, action.group.generators())
+    assert acts == action.tables()
+    assert (action.points[i], action.points[ip]) == (x, xp)
 
 
 @pytest.mark.parametrize("name", sorted(ACTIONS))
@@ -494,7 +615,7 @@ def test_tree_perms_match_tree_images(name):
     action = ACTIONS[name]()
     G, pts = action.group, action.points
     at = {pt: i for i, pt in enumerate(pts)}
-    acts = [[at[action.apply(g, pt)] for pt in pts] for g in G.generators()]
+    acts = action.tables()
     perms = G.tree_perms(acts, len(pts))
     assert [list(col) for col in zip(*perms)] == [G.tree_images(y, acts) for y in range(len(pts))]
     assert perms == [[at[action.apply(g, pt)] for pt in pts] for g in G.elements]
@@ -502,18 +623,19 @@ def test_tree_perms_match_tree_images(name):
 
 def test_rank1_refuses_base_points_that_are_not_points():
     one_point = ACTIONS["c4-one-point"]()
+    C4, acts = one_point.group, one_point.tables()
     with pytest.raises(ValueError, match="must differ"):
-        rank1_from_2transitive(one_point, 0, 0)
+        rank1_from_2transitive(C4, acts, 0, 0)
     with pytest.raises(ValueError, match="x' = 1 is not a point"):
-        rank1_from_2transitive(one_point, 0, 1)
-    line = affine_line_action(5)
+        rank1_from_2transitive(C4, acts, 0, 1)
+    line = affine_line(5)
     with pytest.raises(ValueError, match="x = 5 is not a point"):
-        rank1_from_2transitive(line, 5, 0)
+        rank1_from_2transitive(line.group, line.tables(), 5, 0)
     with pytest.raises(ValueError, match="x' = 'a' is not a point"):
-        rank1_from_2transitive(line, 0, "a")
+        rank1_from_2transitive(line.group, line.tables(), 0, "a")
     # Before 2-transitivity: the regular C4 is refused for the point.
     with pytest.raises(ValueError, match="x' = 4 is not a point"):
-        rank1_from_2transitive(ACTIONS["regular-c4"](), 0, 4)
+        rank1_from_2transitive(C4, _c4_regular().tables(), 0, 4)
 
 
 def _all_elements_reference(rs):

@@ -1,16 +1,13 @@
 import pytest
 
 from test_fingrp import _unipotent_scan
+from test_fingrp_oracle import coset_action_by_products, projective_action
 from weylbn.errors import HNotNormal, NotTwoTransitive, WeylNotGenerated
 from weylbn.fingrp import (
     FiniteGroup,
-    GroupAction,
     GroupOps,
-    affine_line_action,
-    coset_action,
     fitting_subgroup,
     monomial_subgroup,
-    projective_space_action,
     special_linear_group,
     upper_triangular_subgroup,
 )
@@ -138,8 +135,8 @@ def test_weakly_split_bruteforce_agreement():
 
 
 def test_rank1_from_2transitive():
-    act = projective_space_action(2, 2)
-    c = rank1_from_2transitive(act, act.points[0], act.points[1])
+    act = projective_action(2, 2)
+    c = rank1_from_2transitive(act.group, act.tables(), 0, 1)
     rep = check_axioms(c)
     assert rep.passed and rep.weyl_order == 2
     assert c.G.order // c.B.order == 7 and c.B.order == 24
@@ -160,9 +157,9 @@ def test_rank1_affine():
 def test_rank1_rejects_intransitive():
     ops = GroupOps(mul=lambda a, b: (a + b) % 4, identity=0, fmt=str, label="C4")
     C4 = FiniteGroup(ops, range(4))
-    act = GroupAction(C4, tuple(range(4)), lambda g, y: (g + y) % 4)
+    regular = [[(g + y) % 4 for y in range(4)] for g in C4.generators()]
     with pytest.raises(NotTwoTransitive):
-        rank1_from_2transitive(act, 0, 1)
+        rank1_from_2transitive(C4, regular, 0, 1)
 
 
 @pytest.mark.parametrize("n,p,index", [(2, 2, 3), (2, 3, 4), (3, 2, 7)])
@@ -176,10 +173,10 @@ def test_column_system(n, p, index):
 
 def test_rank1_round_trip_same_cells():
     c = projective_rank1_system(3, 2)
-    act = coset_action(c.G, c.B)
+    act = coset_action_by_products(c.G, c.B)
     x = next(p for p in act.points if act.apply(min(c.B.elements), p) == p and p in c.B.elemset)
     xp = next(p for p in act.points if p != x)
-    again = rank1_from_2transitive(act, x, xp)
+    again = act.rank1(x, xp)
     assert sorted(bruhat_cells(again).values()) == sorted(bruhat_cells(c).values())
 
 

@@ -21,7 +21,13 @@ import pytest
 
 import weylbn.fingrp as fingrp
 from test_fingrp import _unipotent_scan
-from test_fingrp_oracle import REPORT_SL, _setwise_stabilizer_scan, oracle_inverse
+from test_fingrp_oracle import (
+    REPORT_SL,
+    _setwise_stabilizer_scan,
+    coset_action_by_products,
+    oracle_inverse,
+    projective_action,
+)
 import weylbn.titssys as titssys
 from weylbn import cli
 from weylbn.errors import NotAStabilizer
@@ -33,7 +39,6 @@ from weylbn.fingrp import (
     monomial_subgroup,
     normal_closure,
     packing,
-    projective_space_action,
     special_linear_group,
     upper_triangular_subgroup,
 )
@@ -490,7 +495,7 @@ def test_column_system_n_matches_references(n, p):
     # stabilizer of the two lines, on the enumerated G acting on P^(n-1).
     c = sl_rank1_column_system(n, p)
     assert c.N.elemset == _column_n_by_conjugation(c.G, n, p)
-    lines = projective_space_action(n - 1, p)
+    lines = projective_action(n - 1, p)
     e1, en = (tuple(int(i == j) for i in range(n)) for j in (0, n - 1))
     assert lines.group is c.G and {e1, en} <= set(lines.points)
     assert c.N.elemset == _setwise_stabilizer_scan(lines, (e1, en)).elemset
@@ -498,8 +503,9 @@ def test_column_system_n_matches_references(n, p):
 
 
 def test_psl3f2_normalizer_is_read_with_no_product(monkeypatch):
-    # K, the normalizer of <seed7>, is complete when the coset action on it
-    # is built; up to there no two elements are multiplied.
+    # K, the normalizer of <seed7>, and G's tables on its 8 cosets are
+    # complete when the rank-1 system is built on them; up to there no two
+    # elements are multiplied.
     G = special_linear_group(3, 2)
     calls, seen = [0], {}
     mat_mul = fingrp.mat_mul
@@ -511,12 +517,12 @@ def test_psl3f2_normalizer_is_read_with_no_product(monkeypatch):
     class Stop(Exception):
         pass
 
-    def stop(G, K):
-        seen.update(K=K, calls=calls[0])
+    def stop(G, acts, i, ip):
+        seen.update(G=G, acts=acts, i=i, ip=ip, calls=calls[0])
         raise Stop
 
     monkeypatch.setattr(fingrp, "mat_mul", counted)
-    monkeypatch.setattr(titssys, "coset_action", stop)
+    monkeypatch.setattr(titssys, "rank1_from_2transitive", stop)
     with pytest.raises(Stop):
         psl3_f2_nonstandard_system()
     assert seen["calls"] == 0
@@ -524,5 +530,11 @@ def test_psl3f2_normalizer_is_read_with_no_product(monkeypatch):
     mul, inv = G.ops.mul, partial(oracle_inverse, G.ops)
     seed7 = next(s for s in G.elements if normal_closure(G, [s], ()).order == 7)
     P7 = normal_closure(G, [seed7], ()).elemset
-    assert seen["K"].elemset == {g for g in G.elements if mul(mul(g, seed7), inv(g)) in P7}
-    assert seen["K"].order == 21
+    K = G.subgroup([g for g in G.elements if mul(mul(g, seed7), inv(g)) in P7])
+    assert K.order == 21
+    # The tables against products: g sends the coset of r to that of g·r.
+    # x is the coset K, x' the first other one.
+    action = coset_action_by_products(G, K)
+    assert seen["G"] is G and seen["acts"] == action.tables()
+    x, xp = (action.points[seen[k]] for k in ("i", "ip"))
+    assert x == min(K.elements) and xp == next(pt for pt in action.points if pt != x)
