@@ -6,7 +6,10 @@ a.  W', generated by the reflections of the other nodes J, is the
 stabilizer of the fundamental weight ω_a, so W/W' is the orbit W·ω_a and
 each double coset in W'\\W/W' holds exactly one J-dominant weight of it
 (no negative coordinate except at a).  Those weights alone are listed, as
-a tree (Stembridge, MSJ Mem. 11, 2001), and the index [W : W'] is
+a tree (Stembridge, MSJ Mem. 11, 2001) that recurses into the components
+of the diagram less a node; each sub-diagram's tree is memoized on its
+own Cartan block, so every root system containing it (the A-chains in
+A to E, E6 in E7, and B as the core of BC) shares one walk.  The index [W : W'] is
 |W| / |W'|, each order the product of the degrees (Kostant, Amer. J.
 Math. 81, 1959); no orbit is walked.  The orbit walks this replaced are
 oracles in the tests, next to :func:`double_coset_count_naive`.
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import product
-from operator import add, mul
+from operator import mul
 
 from .errors import RankTooSmall, WitnessNotApplicable
 from .fingrp import FiniteGroup, GroupOps, _closure, orbits
@@ -98,74 +101,69 @@ class WitnessReport(
         return not self.failed_checks
 
 
-@lru_cache(maxsize=1)
-def _memo(cartan):
-    """The memo of :func:`_dominant` for one Cartan matrix; suites run a type's nodes together."""
-    return {}
-
-
 @lru_cache(maxsize=None)
-def _split(cartan, C, c):
-    """The components of C∖c, each as (nodes, contact node)."""
+def _split(cartan, c):
+    """The components of a connected diagram less its node c, each as (its
+    Cartan block, the contact node's index in the block, the contact node,
+    the component's nodes), nodes 0-based and sorted."""
     got = []
-    for d in C:
-        if d != c and cartan[c][d]:
+    for d, entry in enumerate(cartan[c]):
+        if d != c and entry:
             comp = [d]
             for u in comp:
-                comp += [v for v in C if v != c and v not in comp and cartan[u][v]]
-            got.append((tuple(sorted(comp)), d))
+                comp += [v for v, e in enumerate(cartan[u]) if e and v != c and v not in comp]
+            nodes = tuple(sorted(comp))
+            block = tuple(tuple(cartan[i][j] for j in nodes) for i in nodes)
+            got.append((block, nodes.index(d), d, nodes))
     return got
 
 
-def _dominant(cartan, C, c, lam):
-    """D(C, c, lam): for a connected tuple C of 0-based nodes, c in C and
-    lam dominant at C, the changes from lam to the weights of W_C·lam with
-    no negative coordinate in C but at c; memoized on (C, c, lam at C).
+@lru_cache(maxsize=None)
+def _dominant(cartan, c, lam):
+    """D(cartan, c, lam): for a connected diagram with Cartan matrix
+    ``cartan``, a node c and a dominant weight lam, the pairs (mu, m) of
+    the weights mu of W·lam with no negative coordinate but at c, and the
+    coefficient m of a_c in lam - mu.  Memoized on the diagram's own
+    matrix, so every root system containing it shares the entries.
 
     They form a tree with root lam (Stembridge, MSJ Mem. 11, 2001): any
-    other mu has mu_c < 0, and its parent is the (C∖c)-dominant weight of
-    W_{C∖c}·s_c·mu.  So the children of nu are the s_c·x, x in W_{C∖c}·nu
-    with x_c > 0, that are dominant at C∖c.  The diagram is a tree, so each
-    component P of C∖c meets c at one contact node d, and s_c moves only
-    the contact nodes of C∖c: x adds the changes of one member of
-    D(P, d, nu) per P, and s_c·x is kept when it is nonnegative at every d.
+    other mu has mu_c < 0, and its parent is the dominant weight of
+    W_{C∖c}·s_c·mu, C the nodes.  So the children of nu are the s_c·x,
+    x in W_{C∖c}·nu with x_c > 0, that are dominant but at c.  The diagram
+    is a tree, so each component P of C∖c meets c at one contact node d,
+    and x takes one member (mu_P, m_d) of D(P, d, nu at P) per P: x is
+    mu_P on P and nu_c - sum m_d·cartan[d][c] at c.  s_c moves only c and
+    the contact nodes, and s_c·x is kept when it is nonnegative at every d.
     """
-    memo, key = _memo(cartan), (C, c, tuple(map(lam.__getitem__, C)))
-    got = memo.get(key)
-    if got is None:
-        comps, row = _split(cartan, C, c), cartan[c]
-        got = []
-
-        def grow(delta):
-            got.append(delta)
-            nu = tuple(map(add, lam, delta))
-            for combo in product(*[_dominant(cartan, P, d, nu) for P, d in comps]):
-                xc = nu[c]
-                for y in combo:
-                    xc += y[c]
-                if xc <= 0:
-                    continue
-                for y, (_, d) in zip(combo, comps):
-                    if nu[d] + y[d] < row[d] * xc:
-                        break
-                else:
-                    change = delta
-                    for y in combo:
-                        change = map(add, change, y)
-                    grow(tuple(e - xc * r for e, r in zip(change, row)))
-
-        grow((0,) * len(lam))
-        del grow  # grow refers to itself; deleting it frees the memo by reference counting
-        memo[key] = got  # only once complete, so an interrupted walk leaves no partial entry
+    comps, row = _split(cartan, c), cartan[c]
+    # x is built as its members' concatenation, then -x_c: node i sits at place[i].
+    order = [i for *_, P in comps for i in P] + [c]
+    place = sorted(range(len(order)), key=order.__getitem__)
+    contacts = [(order.index(d), row[d], -cartan[d][c]) for _, _, d, _ in comps]
+    got = [(lam, 0)]
+    for nu, m in got:  # got grows as the loop runs: each weight's children are appended
+        subs = [_dominant(block, k, tuple(map(nu.__getitem__, P))) for block, k, _, P in comps]
+        for combo in product(*subs):
+            xc = nu[c]
+            for (_, md), (_, _, f) in zip(combo, contacts):
+                xc += md * f
+            if xc <= 0:
+                continue
+            x = [e for mu, _ in combo for e in mu]
+            for at, r, _ in contacts:
+                x[at] -= r * xc
+                if x[at] < 0:
+                    break
+            else:
+                x.append(-xc)
+                got.append((tuple(map(x.__getitem__, place)), m + xc))
     return got
 
 
 def _j_dominant(choice):
     """The J-dominant weights of W·ω_a, J the nodes other than a."""
-    core = choice.core
-    start = fundamental_weight(core, choice.removed)
-    changes = _dominant(core.cartan, tuple(range(core.rank)), choice.removed - 1, start)
-    return [tuple(map(add, start, delta)) for delta in changes]
+    core, a = choice.core, choice.removed
+    return [mu for mu, _ in _dominant(core.cartan, a - 1, fundamental_weight(core, a))]
 
 
 def _order(core, nodes):

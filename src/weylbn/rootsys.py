@@ -134,7 +134,6 @@ class RootSystem:
         "coeffs",
         "neg_index",
         "cartan",
-        "dynkin_edges",
         "simple_refl_perms",
     )
 
@@ -143,27 +142,30 @@ class RootSystem:
         self.spec = spec
         self.ambient_dim = ambient_dim
         self.scale = scale
-        data = {v: (c, pair) for c, pair, v in positive}
-        data.update({_neg(v): (_neg(c), _neg(pair)) for v, (c, pair) in data.items()})
-        self.roots = tuple(sorted(data))
-        self.coeffs = tuple(data[v][0] for v in self.roots)
+        coeff_of = {v: c for c, _, v in positive}
+        coeff_of.update({_neg(v): _neg(c) for v, c in coeff_of.items()})
+        self.roots = tuple(sorted(coeff_of))
+        self.coeffs = tuple(map(coeff_of.__getitem__, self.roots))
         self.root_index = {v: i for i, v in enumerate(self.roots)}
         index = {c: i for i, c in enumerate(self.coeffs)}
         n = len(cartan)
         self.simple_indices = tuple(index[_e(i, n)] for i in range(n))
-        self.positive_set = frozenset(index[c] for c, _, _ in positive)
+        rows = [(self.root_index[v], c, p) for c, p, v in positive]
+        self.positive_set = frozenset(r for r, _, _ in rows)
         # Negation reverses the lexicographic order of the roots.
         self.neg_index = tuple(range(len(self.roots) - 1, -1, -1))
         self.cartan = cartan
-        self.dynkin_edges = tuple(
-            (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if cartan[i][j] != 0
-        )
-        # s_i: c -> c - <c, a_i^v>·e_i, which fixes c when the pairing is 0.
-        rows = list(enumerate(map(data.get, self.roots)))
-        self.simple_refl_perms = tuple(
-            tuple(index[c[:i] + (c[i] - p[i],) + c[i + 1 :]] if p[i] else r for r, (c, p) in rows)
-            for i in range(n)
-        )
+        # s_i: c -> c - <c, a_i^v>·e_i on the positive roots, which fixes c when
+        # the pairing is 0; then s_i(-b) = -s_i(b), and root r's negative is last - r.
+        last = len(self.roots) - 1
+        perms = []
+        for i in range(n):
+            perm = [0] * (last + 1)
+            for r, c, p in rows:
+                t = index[c[:i] + (c[i] - p[i],) + c[i + 1 :]] if p[i] else r
+                perm[r], perm[last - r] = t, last - t
+            perms.append(tuple(perm))
+        self.simple_refl_perms = tuple(perms)
         self._check()
 
     @property
@@ -191,7 +193,7 @@ class RootSystem:
         return len(self.neighbors(node))
 
     def neighbors(self, node):
-        return tuple(sorted({k for e in self.dynkin_edges if node in e for k in e} - {node}))
+        return tuple(j for j, a in enumerate(self.cartan[node - 1], start=1) if a and j != node)
 
     def to_json(self):
         """Canonical JSON document; byte-stable (roots sorted, keys sorted)."""
@@ -278,6 +280,13 @@ def coxeter_matrix(rs):
 
 
 @lru_cache(maxsize=None)
+def _height_masks(rs):
+    """(height, support) of each positive root, the support a bit mask of 0-based nodes."""
+    coeffs = map(rs.coeffs.__getitem__, rs.positive_set)
+    return tuple((sum(c), sum(1 << i for i, x in enumerate(c) if x)) for c in coeffs)
+
+
+@lru_cache(maxsize=None)
 def degrees(rs, nodes):
     """The degrees of the parabolic subgroup of W(rs) at ``nodes`` (a tuple
     of 1-based nodes), largest first; their product is its order.
@@ -288,9 +297,8 @@ def degrees(rs, nodes):
     the union of their duals, the subgroup may be reducible.
     """
     rs = reduced_form(rs)
-    outside = [i for i in range(rs.rank) if i + 1 not in nodes]
-    coeffs = map(rs.coeffs.__getitem__, rs.positive_set)
-    per_height = Counter(sum(c) for c in coeffs if not any(map(c.__getitem__, outside)))
+    outside = sum(1 << i for i in range(rs.rank) if i + 1 not in nodes)
+    per_height = Counter(h for h, m in _height_masks(rs) if not m & outside)
     return tuple(1 + sum(k >= j for k in per_height.values()) for j in range(1, per_height[1] + 1))
 
 

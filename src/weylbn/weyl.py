@@ -141,7 +141,7 @@ def canonical_reduced_word(w):
     return descend(rs, _rho_image(w), range(1, rs.rank + 1))[0]
 
 
-def reduced_word_count(w, *, _cap=None):
+def reduced_word_count(w, *, _cap=None, _top=None):
     """The number of reduced words for ``w``, without listing any: the
     paths from w·rho up to rho that reflect at a negative coordinate each
     step, counted one length at a time, keeping one level of weights with
@@ -151,9 +151,10 @@ def reduced_word_count(w, *, _cap=None):
     paths start different words, so :func:`reduced_words` passes its cap
     as ``_cap``: a level of more than ``_cap`` paths is refused at once
     (EnumerationCapExceeded), with a count exact only at rho's level.
+    It passes w·rho as ``_top`` too, which it has computed already.
     """
     rs, rho = w.rs, (1,) * w.rs.rank
-    level = {_rho_image(w): 1}
+    level = {_rho_image(w) if _top is None else _top: 1}
     while True:
         total, last = sum(level.values()), rho in level
         if _cap is not None and total > _cap:
@@ -201,7 +202,8 @@ def reduced_words(w, cap=DEFAULT_WORD_CAP):
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    total = reduced_word_count(w, _cap=cap)
+    top = _rho_image(w)
+    total = reduced_word_count(w, _cap=cap, _top=top)
     rs = w.rs
     memo = {(1,) * rs.rank: frozenset({()})}
 
@@ -217,7 +219,7 @@ def reduced_words(w, cap=DEFAULT_WORD_CAP):
             memo[mu] = got
         return got
 
-    words = rec(_rho_image(w))
+    words = rec(top)
     if len(words) != total:
         raise AssertionError("descent recursion disagrees with the reduced-word count")
     seed = min(words)

@@ -161,6 +161,51 @@ def test_tree_matches_walk(fam, rank, node):
     assert (rep.quotient_size, rep.count) == walked
 
 
+def test_shared_memo_is_order_free_and_local(monkeypatch):
+    # The memo of _dominant is keyed on each sub-diagram's own Cartan block
+    # and shared by every type: filled in reverse order, it gives the same
+    # counts, and each entry's weights are as long as their block.
+    from weylbn import cosets
+
+    cached = cosets._dominant
+    cached.cache_clear()
+    entries = {}
+
+    def recording(cartan, c, lam):
+        entries[cartan, c, lam] = got = cached(cartan, c, lam)
+        return got
+
+    monkeypatch.setattr(cosets, "_dominant", recording)
+    for fam, rank in reversed(sweep_cases(8)):
+        for node in range(rank, 0, -1):
+            ch, core, nodes, _ = _setup(fam, rank, node)
+            walked = _walk(core, fundamental_weight(core, node), nodes, node - 1)
+            assert double_coset_count(ch).count == walked[1]
+    assert len(entries) == cached.cache_info().currsize
+    for (cartan, c, lam), got in entries.items():
+        assert got[0] == (lam, 0)
+        assert all(len(mu) == len(cartan) and m >= 0 for mu, m in got)
+
+
+def test_memo_shares_sub_diagrams_across_types():
+    # A3 is B4 less its node 4, with the same Cartan block: counting B4
+    # after A3 reuses A3's entries.
+    from weylbn import cosets
+
+    def misses(*types):
+        before = cosets._dominant.cache_info().misses
+        for fam, rank in types:
+            for node in range(1, rank + 1):
+                double_coset_count(ParabolicChoice(build_root_system((fam, rank)), node))
+        return cosets._dominant.cache_info().misses - before
+
+    cosets._dominant.cache_clear()
+    alone = misses(("B", 4))
+    cosets._dominant.cache_clear()
+    misses(("A", 3))
+    assert misses(("B", 4)) < alone
+
+
 @pytest.mark.parametrize("fam,rank,node", [c for c in CHOICES if c[1] <= 4])
 def test_orbit_sizes_and_representatives_match_bfs(fam, rank, node):
     ch, core, nodes, others = _setup(fam, rank, node)

@@ -14,6 +14,7 @@ height-raising closure carries are checked against dot products, and the
 reflection permutations read from them against ambient reflections.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -162,6 +163,24 @@ def test_orders_from_degrees():
     for fam, rank, order in [("E", 8, 696_729_600), ("F", 4, 1_152)]:
         rs = build_root_system((fam, rank))
         assert prod(degrees(rs, tuple(range(1, rank + 1)))) == order
+
+
+def _degrees_by_scan(rs, nodes):
+    """The degrees as read before the mask table: each positive root's
+    coefficients are tested at every node outside ``nodes``."""
+    rs = reduced_form(rs)
+    outside = [i for i in range(rs.rank) if i + 1 not in nodes]
+    coeffs = map(rs.coeffs.__getitem__, rs.positive_set)
+    per_height = Counter(sum(c) for c in coeffs if not any(map(c.__getitem__, outside)))
+    return tuple(1 + sum(k >= j for k in per_height.values()) for j in range(1, per_height[1] + 1))
+
+
+@pytest.mark.parametrize("fam,rank", sorted({*sweep_cases(6), ("F", 4), ("E", 6), ("E", 7)}))
+def test_degrees_match_root_scan(fam, rank):
+    rs = build_root_system((fam, rank))
+    for subset in range(1 << rank):
+        nodes = tuple(n for n in range(1, rank + 1) if subset >> (n - 1) & 1)
+        assert degrees(rs, nodes) == _degrees_by_scan(rs, nodes)
 
 
 def _coxeter_by_iteration(rs):

@@ -297,6 +297,17 @@ def test_reduced_words_cap_bounds_the_count():
     assert rss < 200 * 1024
 
 
+def test_reduced_words_computes_rho_image_once(monkeypatch):
+    from weylbn import weyl
+
+    real, calls = weyl._rho_image, []
+    monkeypatch.setattr(weyl, "_rho_image", lambda w: calls.append(w) or real(w))
+    for word in [(1, 2, 1), (2, 3, 4, 3, 2), (1, 2, 3, 2, 1, 4)]:
+        calls.clear()
+        assert word in reduced_words(element_of(build_root_system(("B", 4)), word))
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("fam,rank", [("C", 4), ("D", 5), ("F", 4), ("E", 6), ("BC", 4)])
 def test_rho_image_matches_weight_action(fam, rank):
     from weylbn.weyl import _rho_image
