@@ -27,7 +27,6 @@ from itertools import product
 from operator import mul
 
 from .errors import RankTooSmall, WitnessNotApplicable
-from .fingrp import FiniteGroup, GroupOps, _closure, orbits
 from .rootsys import branch_node, build_root_system, degrees, dynkin_path, is_end_node, reduced_form
 from .weyl import (
     act_on_weight,
@@ -211,6 +210,9 @@ def double_coset_count_naive(choice, cap=NAIVE_WEYL_CAP):
     multiplication tables of the simple reflections of W': the W' x W'
     double cosets.  Only for |W| <= cap; GroupTooLarge past it.
     """
+    # Only here, so the Weyl side imports without the group side.
+    from .fingrp import FiniteGroup, GroupOps, _closure, orbits
+
     core = choice.core
     gens = core.simple_refl_perms
     ident = tuple(range(len(core.roots)))

@@ -26,8 +26,7 @@ group every nilpotent normal subgroup U of B lies inside Fit(B); so if
 B = HU for some such U then B = H·Fit(B), and conversely Fit(B) itself
 is a nilpotent normal witness.  Both flags are read off group orders:
 for U normal in B, H·U is a subgroup of order |H|·|U| / |H ∩ U|, so
-B = H·U exactly when |H|·|U| = |B|·|H ∩ U|.  Only the oracle
-``weakly_split_bruteforce`` forms the products.
+B = H·U exactly when |H|·|U| = |B|·|H ∩ U|, and no product is formed.
 
 Candidates are immutable once built, and their derived data is cached
 on them.
@@ -51,6 +50,7 @@ from . import fingrp
 from .fingrp import (
     FiniteGroup,
     _closure,
+    _inverse_perm,
     _shaped_members,
     fitting_subgroup,
     is_normal,
@@ -62,7 +62,6 @@ from .fingrp import (
     special_linear_group,
     upper_triangular_subgroup,
 )
-from .weyl import invert
 
 
 class TitsSystemCandidate:
@@ -226,7 +225,7 @@ class _Derived:
         """
         at = {w: i for i, w in enumerate(self.reps)}
         perms = [[at[self.wmul(s, w)] for w in self.reps] for s in self.s_reps]
-        back = [invert(p) for p in perms]
+        back = [_inverse_perm(p) for p in perms]
         e = at[self.identity_rep]
         lengths = {e: 0}
         words = {e: ()}
@@ -406,20 +405,6 @@ def classify(c):
         witness = next((U for U in below if _meet_if_hu_is_b(d.H, U, c.B) == 1), None)
     weakly, split = meet > 0, witness is not None
     return ClassificationFlags(saturated, weakly, split, witness)
-
-
-def weakly_split_bruteforce(c):
-    """Oracle: search every normal subgroup of B for a nilpotent one U
-    with B = HU.  Intended for |B| small."""
-    d = _derived(c)
-    mul = c.G.ops.mul
-    for U in normal_subgroups(c.B):
-        if not fingrp.is_nilpotent(U):
-            continue
-        prod = {mul(h, u) for h in d.H.elements for u in U.elements}
-        if prod == c.B.elemset:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

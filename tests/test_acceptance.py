@@ -10,6 +10,7 @@ import pytest
 
 from test_cosets import double_coset_sweep
 from test_fingrp import _unipotent_scan
+from test_titssys_oracle import weakly_split_bruteforce
 from weylbn.cosets import (
     ParabolicChoice,
     double_coset_count,
@@ -37,7 +38,6 @@ from weylbn.titssys import (
     sl_rank1_column_system,
     standard_sl_system,
     star_property_check,
-    weakly_split_bruteforce,
 )
 from weylbn.weyl import is_minus_one, longest_element
 

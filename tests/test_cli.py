@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -507,6 +512,84 @@ def test_importing_the_cli_loads_every_traced_module():
     loaded = set(out.stdout.split())
     for mod in ("rootsys", "weyl", "cosets", "fingrp", "titssys", "cli"):
         assert f"weylbn.{mod}" in loaded
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh_python(argv, **kw):
+    """Run ``python argv`` in a new interpreter with ``src`` on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, cwd=ROOT, **kw)
+
+
+def _loaded_after(statement):
+    """The weylbn submodules a fresh interpreter holds after ``statement``."""
+    code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
+    out = _fresh_python(["-c", code], text=True)
+    assert out.returncode == 0, out.stderr
+    return {n.split(".", 1)[1] for n in out.stdout.split() if n.startswith("weylbn.")}
+
+
+@pytest.mark.parametrize(
+    "module,barred",
+    [
+        ("titssys", {"rootsys", "weyl", "cosets"}),
+        ("fingrp", {"rootsys", "weyl", "cosets"}),
+        ("rootsys", {"fingrp", "titssys"}),
+        ("weyl", {"fingrp", "titssys"}),
+        ("cosets", {"fingrp", "titssys"}),
+    ],
+)
+def test_each_half_imports_without_the_other(module, barred):
+    # The Weyl side (rootsys, weyl, cosets) and the group side (fingrp,
+    # titssys) import apart; only the CLI joins them.
+    loaded = _loaded_after(f"import weylbn.{module}")
+    assert module in loaded and not loaded & barred
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_after("import weylbn") == set()
+
+
+def test_every_public_name_resolves_on_first_use():
+    code = (
+        "import json, weylbn\n"
+        "listed = [n for n in weylbn.__all__ if n not in dir(weylbn)]\n"
+        "missing = [n for n in weylbn.__all__ if getattr(weylbn, n, None) is None]\n"
+        "modules = [weylbn.rootsys.__name__, weylbn.errors.__name__]\n"
+        "try:\n"
+        "    weylbn.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as e:\n"
+        "    unknown = str(e)\n"
+        "print(json.dumps([len(weylbn.__all__), listed, missing, modules, unknown]))\n"
+    )
+    out = _fresh_python(["-c", code], text=True)
+    assert out.returncode == 0, out.stderr
+    count, listed, missing, modules, unknown = json.loads(out.stdout)
+    assert count == 41 and listed == [] and missing == []
+    assert modules == ["weylbn.rootsys", "weylbn.errors"]
+    assert unknown == "module 'weylbn' has no attribute 'no_such_name'"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bn", "--sl", "2", "2", "--format", "json"], ["lemma2", "--max-rank", "3", "--format", "json"]],
+)
+def test_traced_run_prints_the_untraced_bytes(tmp_path, argv):
+    # perfbench/tracer.py wraps the functions of every module the CLI loads
+    # and runs it in-process; a change to the package namespace that breaks
+    # it should fail here, not only in a benchmark run.
+    plain = _fresh_python(["-m", "weylbn.cli", *argv])
+    assert plain.returncode == 0, plain.stderr
+    record = tmp_path / "trace.json"
+    traced = _fresh_python([str(ROOT / "perfbench" / "tracer.py"), str(record), *argv])
+    assert traced.returncode == 0, traced.stderr
+    doc = json.loads(record.read_text())
+    assert doc["exit"] == 0
+    assert doc["stdout_sha256"] == hashlib.sha256(plain.stdout).hexdigest()
 
 
 def test_closed_pipe_exits_without_a_traceback():

@@ -15,7 +15,6 @@ import weylbn
 
 # Kept although nothing in the library calls them, each for its reason.
 UNCALLED = {
-    "weakly_split_bruteforce": "the slow oracle the tests hold classify's weakly-split flag to",
     "double_coset_orbit_sizes": "the W'-orbit sizes that the group-side double cosets will be checked against",
 }
 

@@ -2,6 +2,7 @@ import pytest
 
 from test_fingrp import _unipotent_scan
 from test_fingrp_oracle import coset_action_by_products, projective_action
+from test_titssys_oracle import weakly_split_bruteforce
 from weylbn.errors import HNotNormal, NotTwoTransitive, WeylNotGenerated
 from weylbn.fingrp import (
     FiniteGroup,
@@ -27,7 +28,6 @@ from weylbn.titssys import (
     sl_rank1_column_system,
     standard_sl_system,
     star_property_check,
-    weakly_split_bruteforce,
 )
 
 

@@ -57,7 +57,6 @@ from weylbn.titssys import (
     sl_rank1_column_system,
     standard_sl_system,
     star_property_check,
-    weakly_split_bruteforce,
 )
 
 
@@ -166,6 +165,19 @@ class Reference:
 
     def wmul(self, r1, r2):
         return self.rep_of[self.mul(r1, r2)]
+
+
+def weakly_split_bruteforce(c):
+    """Oracle: search every normal subgroup of B for a nilpotent one U
+    with B = HU, by forming the products.  Intended for |B| small."""
+    H = _derived(c).H
+    mul = c.G.ops.mul
+    for U in fingrp.normal_subgroups(c.B):
+        if not fingrp.is_nilpotent(U):
+            continue
+        if {mul(h, u) for h in H.elements for u in U.elements} == c.B.elemset:
+            return True
+    return False
 
 
 def _unipotent_monomial_sl23():
