@@ -35,6 +35,7 @@ from . import cosets, fingrp, rootsys, titssys
 from .errors import EnumerationCapExceeded, GroupTooLarge, WeylBNError, WitnessNotApplicable
 from .rootsys import branch_node, build_root_system, coxeter_matrix, is_end_node, reduced_form
 from .weyl import (
+    DEFAULT_WORD_CAP,
     element_of,
     format_word,
     is_minus_one,
@@ -595,7 +596,7 @@ def build_parser():
     p.add_argument("family", choices=families)
     p.add_argument("rank", type=int)
     p.add_argument("word", type=str)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_reduced_words)
 

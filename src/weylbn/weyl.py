@@ -12,10 +12,11 @@ the sum of the fundamental weights, the left descents of u are the nodes
 where u·rho has a negative coordinate, and r_s·u sends rho to r_s(u·rho)
 (Humphreys, *Reflection Groups and Coxeter Groups*, §1.6–1.7).  So one
 walk, :func:`descend`, gives the least reduced word of w (from w·rho) and
-the longest element (from w0·rho = -rho), and the reduced words are paths
-from w·rho up to rho, counted one length at a time and listed memoized on
-the weights.  :func:`length` keeps an independent inversion count on the
-root permutation.
+the longest element (from w0·rho = -rho).  The reduced words are paths
+from w·rho up to rho, counted one length at a time; they are listed as
+the braid closure of the least word (Matsumoto's theorem), checked by
+size against the count.  :func:`length` keeps an independent inversion
+count on the root permutation.
 """
 
 from __future__ import annotations
@@ -56,14 +57,6 @@ class WeylElement:
 def compose(p, q):
     """The root permutation p o q: apply q, then p."""
     return tuple(map(p.__getitem__, q))
-
-
-def invert(p):
-    """The inverse of the root permutation p."""
-    inv = [0] * len(p)
-    for r, img in enumerate(p):
-        inv[img] = r
-    return tuple(inv)
 
 
 def element_of(rs, word):
@@ -180,11 +173,10 @@ def _rho_image(w):
     sum_i c_i (a_i, a_i) / (b, b), an exact integer quotient.
     """
     rs = w.rs
-    inv = invert(w.perm)
     norms = [dot(rs.roots[i], rs.roots[i]) for i in rs.simple_indices]
     return tuple(
         dot(rs.coeffs[b], norms) // dot(rs.roots[b], rs.roots[b])
-        for b in (inv[si] for si in rs.simple_indices)
+        for b in map(w.perm.index, rs.simple_indices)
     )
 
 
@@ -194,38 +186,20 @@ def reduced_words(w, cap=DEFAULT_WORD_CAP):
     Counts them first, one length at a time (:func:`reduced_word_count`),
     and raises EnumerationCapExceeded as soon as a level passes ``cap``,
     before any word is built, so the cap bounds the memory of the count
-    and of the listing.  Then lists them by the same paths from w·rho up
-    to rho, memoized on the weights, and re-derives the same set by
-    closing one word under braid moves; the count and the two routes must
-    agree, which also certifies that the braid-move graph on the result
-    is connected.
+    and of the listing.  Then lists them as the braid closure of the
+    least reduced word, which is the whole set by Matsumoto's theorem
+    (Björner and Brenti 2005, Thm 3.3.1).  Braid moves keep the element
+    and the length, so the closure lies in the set the count counts, and
+    the two must have the same size.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    rs = w.rs
     top = _rho_image(w)
     total = reduced_word_count(w, _cap=cap, _top=top)
-    rs = w.rs
-    memo = {(1,) * rs.rank: frozenset({()})}
-
-    def rec(mu):
-        got = memo.get(mu)
-        if got is None:
-            got = frozenset(
-                (s + 1,) + tail
-                for s, x in enumerate(mu)
-                if x < 0
-                for tail in rec(reflect_weight(rs, s + 1, mu))
-            )
-            memo[mu] = got
-        return got
-
-    words = rec(top)
+    words = _braid_closure(rs, descend(rs, top, range(1, rs.rank + 1))[0])
     if len(words) != total:
-        raise AssertionError("descent recursion disagrees with the reduced-word count")
-    seed = min(words)
-    closure = _braid_closure(rs, seed)
-    if closure != words:
-        raise AssertionError("braid closure disagrees with descent recursion")
+        raise AssertionError("braid closure disagrees with the reduced-word count")
     return words
 
 
@@ -249,16 +223,14 @@ def braid_moves(rs, word):
 
 
 def _braid_closure(rs, seed):
+    """Every word reached from ``seed`` by braid moves."""
+    words = [seed]
     seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            for moved in braid_moves(rs, word):
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
+    for word in words:  # words grows as the loop runs: a breadth-first walk
+        for moved in braid_moves(rs, word):
+            if moved not in seen:
+                seen.add(moved)
+                words.append(moved)
     return frozenset(seen)
 
 

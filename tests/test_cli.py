@@ -129,6 +129,26 @@ def test_reduced_words_cap(capsys):
     assert "cap exceeded" in err
 
 
+def test_reduced_words_cap_defaults_to_the_library_cap():
+    from weylbn.cli import build_parser
+    from weylbn.weyl import DEFAULT_WORD_CAP
+
+    assert build_parser().parse_args(["reduced-words", "A", "2", "1"]).cap == DEFAULT_WORD_CAP
+
+
+def test_reduced_words_d4_longest_json_golden(capsys):
+    # D4's longest element: 2,316 words, the largest listing a golden pins.
+    word = "1 2 1 3 2 1 4 2 1 3 2 4"
+    code, out, _ = run(capsys, ["reduced-words", "D", "4", word, "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["words"]) == 2316
+    assert len(out.encode()) == 60259
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "433cd87fb5f21fdc87674521bb7e2153d150f1f5f63e2d832ef9a76abd8d3c04"
+    )
+
+
 def test_report_small(capsys, monkeypatch):
     monkeypatch.setenv("WEYL_BN_MAX_GROUP", "400")
     code, out, _ = run(capsys, ["report", "--all", "--max-rank", "2"])

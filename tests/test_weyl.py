@@ -3,7 +3,7 @@ import random
 import pytest
 
 from test_rootsys_oracle import reflect_vector
-from test_weyl_oracle import all_elements
+from test_weyl_oracle import all_elements, inverse
 from weylbn.errors import EnumerationCapExceeded
 from weylbn.rootsys import build_root_system, coxeter_matrix
 from weylbn.weyl import (
@@ -13,7 +13,6 @@ from weylbn.weyl import (
     element_of,
     format_word,
     fundamental_weight,
-    invert,
     is_minus_one,
     length,
     longest_element,
@@ -142,7 +141,7 @@ def test_length_identities_exhaustive(fam, rank):
     for perm, ell in perms.items():
         w = type(w0)(rs, perm)
         assert length(w) == ell
-        assert length(WeylElement(rs, invert(perm))) == ell
+        assert length(WeylElement(rs, inverse(perm))) == ell
         assert length(w0 * w) == length(w0) - ell
 
 
@@ -168,7 +167,7 @@ def test_length_identities_sampled(fam, rank):
         word = tuple(rng.randrange(1, rank + 1) for _ in range(rng.randrange(0, 40)))
         w = element_of(rs, word)
         assert length(w) <= len(word)
-        assert length(WeylElement(rs, invert(w.perm))) == length(w)
+        assert length(WeylElement(rs, inverse(w.perm))) == length(w)
         assert length(w0 * w) == length(w0) - length(w)
 
 
@@ -295,6 +294,24 @@ def test_reduced_words_cap_bounds_the_count():
     assert code == 1 and out == b""
     assert b"cap exceeded" in err
     assert rss < 200 * 1024
+
+
+def test_reduced_words_peak_memory_is_near_the_result():
+    # One listing: the traced peak stays within a small multiple of the
+    # frozenset of words it returns (D4's w0, 2,316 words).
+    import sys
+    import tracemalloc
+
+    w0 = longest_element(build_root_system(("D", 4)))
+    tracemalloc.start()
+    try:
+        words = reduced_words(w0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(words) + sum(sys.getsizeof(u) for u in words)
+    assert len(words) == 2316
+    assert peak < 3 * size
 
 
 def test_reduced_words_computes_rho_image_once(monkeypatch):

@@ -16,7 +16,8 @@ from math import factorial, prod
 
 import pytest
 
-from weylbn.cosets import sweep_cases
+from weylbn.cosets import ParabolicChoice, sweep_cases, third_coset_witness
+from weylbn.errors import WitnessNotApplicable
 from weylbn.fingrp import _closure
 from weylbn.rootsys import build_root_system, degrees
 from weylbn.weyl import (
@@ -24,7 +25,6 @@ from weylbn.weyl import (
     canonical_reduced_word,
     compose,
     element_of,
-    invert,
     longest_element,
     poincare_polynomial,
     reduced_words,
@@ -60,10 +60,18 @@ def weyl_order(family, rank):
     return {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840}.get((family, rank), 10**9)
 
 
+def inverse(perm):
+    """The inverse of the index permutation ``perm``."""
+    inv = [0] * len(perm)
+    for i, img in enumerate(perm):
+        inv[img] = i
+    return tuple(inv)
+
+
 def _left_descents(w):
     """Nodes s with l(r_s w) < l(w), i.e. w^-1(a_s) negative."""
     rs = w.rs
-    inv = invert(w.perm)
+    inv = inverse(w.perm)
     return [i + 1 for i, si in enumerate(rs.simple_indices) if inv[si] not in rs.positive_set]
 
 
@@ -98,7 +106,7 @@ def _greedy_longest(rs):
     until none does."""
     w = element_of(rs, ())
     while True:
-        inv = invert(w.perm)
+        inv = inverse(w.perm)
         s = next(
             (i + 1 for i, si in enumerate(rs.simple_indices) if inv[si] in rs.positive_set),
             None,
@@ -117,6 +125,22 @@ def test_words_match_permutation_descents_on_every_element(fam, rank):
         words = _reduced_words(w, memo)
         assert reduced_words(w) == words
         assert canonical_reduced_word(w) == _canonical_word(w) == min(words)
+
+
+def test_words_match_permutation_descents_on_every_witness():
+    # The elements the lemma's witness check lists, E6-E8 and F4 included.
+    witnesses = []
+    for fam, rank in sweep_cases(8):
+        rs = build_root_system((fam, rank))
+        for node in range(1, rank + 1):
+            choice = ParabolicChoice(rs, node)
+            try:
+                witnesses.append(element_of(choice.core, third_coset_witness(choice).word))
+            except WitnessNotApplicable:
+                pass
+    assert len(witnesses) == 137
+    for w in witnesses:
+        assert reduced_words(w) == _reduced_words(w, {})
 
 
 @pytest.mark.parametrize("fam,rank", sorted(set(SMALL) | set(sweep_cases(8))))
