@@ -23,6 +23,7 @@ refuses any other with an argparse usage error (exit 2).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -31,18 +32,24 @@ from collections import namedtuple
 from functools import partial
 from itertools import permutations
 
-from . import cosets, fingrp, rootsys, titssys
 from .errors import EnumerationCapExceeded, GroupTooLarge, WeylBNError, WitnessNotApplicable
-from .rootsys import branch_node, build_root_system, coxeter_matrix, is_end_node, reduced_form
-from .weyl import (
-    DEFAULT_WORD_CAP,
-    element_of,
-    format_word,
-    is_minus_one,
-    longest_element,
-    parse_word,
-    reduced_words,
-)
+
+
+def _lazy(name):
+    """The submodule ``name``, in sys.modules but run only on its first
+    attribute read (the importlib docs' recipe), so a command runs only the
+    half it uses.  Single-threaded only: 3.11's LazyLoader is not thread-safe."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cosets, fingrp, rootsys, titssys, weyl = map(_lazy, "cosets fingrp rootsys titssys weyl".split())
 
 SCHEMA_VERSION = 1
 MAX_RANK = 12
@@ -52,11 +59,12 @@ DEFAULT_MAX_GROUP = 21000
 # Each bn system kind: the name of its titssys constructor, and the order
 # of its group G (listed or not), which the cap compares, as a function of
 # the spec's arguments.  The constructor is looked up by name when called,
-# so the wrappers perfbench/tracer.py puts in titssys still run.
+# so the wrappers perfbench/tracer.py puts in titssys still run, and
+# fingrp.sl_order too, so that fingrp runs only for a bn system.
 SYSTEM_KINDS = {
-    "sl": ("standard_sl_system", fingrp.sl_order),
-    "sl-rank1": ("sl_rank1_column_system", fingrp.sl_order),
-    "projective": ("projective_rank1_system", fingrp.sl_order),
+    "sl": ("standard_sl_system", lambda n, p: fingrp.sl_order(n, p)),
+    "sl-rank1": ("sl_rank1_column_system", lambda n, p: fingrp.sl_order(n, p)),
+    "projective": ("projective_rank1_system", lambda n, p: fingrp.sl_order(n, p)),
     "affine": ("affine_rank1_system", lambda q: q * (q - 1)),
     "psl3f2-nonstandard": ("psl3_f2_nonstandard_system", lambda: fingrp.sl_order(3, 2)),
 }
@@ -156,7 +164,7 @@ def _minus_one_expected(family, rank):
 def minus_one_case(rs):
     fam, rank = rs.family, rs.rank
     expected = _minus_one_expected("B" if fam == "BC" else fam, rank)
-    actual = is_minus_one(longest_element(reduced_form(rs)))
+    actual = weyl.is_minus_one(weyl.longest_element(rootsys.reduced_form(rs)))
     return {"family": fam, "rank": rank}, str(expected), str(actual), expected == actual
 
 
@@ -178,8 +186,8 @@ def witness_case(choice):
     except WitnessNotApplicable:
         expected = "not-applicable" if _witness_na_ok(choice) else "pass"
         return inputs, expected, "not-applicable", expected == "not-applicable"
-    applicable_end = choice.family == "A" and is_end_node(choice.rs, choice.removed)
-    inputs["word"] = format_word(rep.word)
+    applicable_end = choice.family == "A" and rootsys.is_end_node(choice.rs, choice.removed)
+    inputs["word"] = weyl.format_word(rep.word)
     actual = "pass" if rep.passed else "fail: " + ",".join(rep.failed_checks)
     return inputs, "pass", actual, rep.passed and not applicable_end
 
@@ -188,9 +196,9 @@ def _witness_na_ok(choice):
     """Not-applicable is correct when no construction branch applies."""
     core = choice.core
     a = choice.removed
-    if choice.family == "A" and is_end_node(choice.rs, a):
+    if choice.family == "A" and rootsys.is_end_node(choice.rs, a):
         return True
-    return core.node_degree(a) == 1 and branch_node(core) is None
+    return core.node_degree(a) == 1 and rootsys.branch_node(core) is None
 
 
 def gap_case(choice):
@@ -249,7 +257,7 @@ def coxeter_order_case(n, p):
     """Orders of generator products in standard SL_n match type A_{n-1}."""
     c = titssys.standard_sl_system(n, p)
     S = titssys.find_S(c)
-    want = coxeter_matrix(build_root_system(("A", n - 1)))
+    want = rootsys.coxeter_matrix(rootsys.build_root_system(("A", n - 1)))
     k = len(S)
     ok = k == n - 1 and any(
         all(
@@ -313,7 +321,7 @@ def nonstandard_case():
 def lemma2_cases(max_rank, families=None):
     cases = []
     for fam, rank in cosets.sweep_cases(max_rank, families):
-        rs = build_root_system((fam, rank))
+        rs = rootsys.build_root_system((fam, rank))
         label = f"{fam}{rank}"
         cases.append((f"minus-one/{label}", partial(minus_one_case, rs)))
         if fam == "A":
@@ -334,7 +342,7 @@ def oracle_cases():
     frozen = {("A", 3, 1): 2, ("A", 3, 2): 3, ("B", 2, 1): 3, ("G", 2, 1): 4}
     cases = []
     for fam, rank in specs:
-        rs = build_root_system((fam, rank))
+        rs = rootsys.build_root_system((fam, rank))
         for node in range(1, rank + 1):
             choice = cosets.ParabolicChoice(rs, node)
             want = frozen.get((fam, rank, node))
@@ -489,7 +497,7 @@ def _root_system(args):
     if args.rank > MAX_RANK:
         raise UsageError(f"rank must be at most {MAX_RANK}, got {args.rank}")
     try:
-        return build_root_system((args.family, args.rank))
+        return rootsys.build_root_system((args.family, args.rank))
     except WeylBNError as exc:
         raise UsageError(str(exc))
 
@@ -511,26 +519,28 @@ def cmd_roots(args):
 def cmd_reduced_words(args):
     rs = _root_system(args)
     try:
-        word = parse_word(args.word)
-        w = element_of(rs, word)
+        word = weyl.parse_word(args.word)
+        w = weyl.element_of(rs, word)
     except (WeylBNError, ValueError) as exc:
         raise UsageError(str(exc))
     try:
-        words = sorted(reduced_words(w, cap=args.cap))
+        words = sorted(weyl.reduced_words(w, cap=args.cap))
     except EnumerationCapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 1
     if args.format == "json":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "element_length": len(words[0]) if words else 0,
-            "words": [format_word(u) for u in words],
-        }
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        doc = {"schema": SCHEMA_VERSION, "element_length": len(words[0]) if words else 0}
+        # Formatted in place in the tuple order (a string sort differs from
+        # node 10 on) and dumped piecewise, so the listing is held once.
+        for i, u in enumerate(words):
+            words[i] = weyl.format_word(u)
+        doc["words"] = words
+        json.dump(doc, sys.stdout, sort_keys=True, separators=(",", ":"))
+        sys.stdout.write("\n")
         return 0
     sys.stdout.write(f"{len(words)} reduced words\n")
     for u in words:
-        sys.stdout.write(format_word(u) + "\n")
+        sys.stdout.write(weyl.format_word(u) + "\n")
     return 0
 
 
@@ -596,7 +606,7 @@ def build_parser():
     p.add_argument("family", choices=families)
     p.add_argument("rank", type=int)
     p.add_argument("word", type=str)
-    p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
+    p.add_argument("--cap", type=int, default=weyl.DEFAULT_WORD_CAP)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_reduced_words)
 

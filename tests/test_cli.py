@@ -149,6 +149,37 @@ def test_reduced_words_d4_longest_json_golden(capsys):
     )
 
 
+def test_reduced_words_json_holds_the_listing_once():
+    # D4's longest element again.  The JSON listing may take more memory
+    # than the text one by at most the document it writes: the tuples are
+    # formatted in place and the document is dumped a piece at a time.
+    import contextlib
+    import tracemalloc
+
+    class Sink:
+        length = 0
+
+        def write(self, s):
+            self.length += len(s)
+
+    def peak(fmt):
+        sink = Sink()
+        with contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["reduced-words", "D", "4", word, "--format", fmt]) == 0
+                return tracemalloc.get_traced_memory()[1], sink.length
+            finally:
+                tracemalloc.stop()
+
+    word = "1 2 1 3 2 1 4 2 1 3 2 4"
+    peak("text")  # fills the caches of the root system
+    text, _ = peak("text")
+    listing, length = peak("json")
+    assert length == 60259
+    assert listing <= text + length
+
+
 def test_report_small(capsys, monkeypatch):
     monkeypatch.setenv("WEYL_BN_MAX_GROUP", "400")
     code, out, _ = run(capsys, ["report", "--all", "--max-rank", "2"])
@@ -516,9 +547,10 @@ def test_malformed_specs_are_usage_errors(capsys, argv, message):
 
 def test_importing_the_cli_loads_every_traced_module():
     # perfbench/tracer.py reads sys.modules["weylbn.<mod>"] for these six
-    # modules right after `import weylbn.cli`, to wrap their functions.  A
-    # lazy import of any of them makes the traced benchmark fail with a
-    # KeyError, so the CLI imports them eagerly.
+    # modules right after `import weylbn.cli`, to wrap their functions.  The
+    # CLI registers the five it does not define there lazily, and the
+    # tracer's getattr runs each one; a module missing from sys.modules would
+    # make the traced benchmark fail with a KeyError.
     import os
     import subprocess
     import sys
@@ -567,6 +599,49 @@ def test_each_half_imports_without_the_other(module, barred):
     # titssys) import apart; only the CLI joins them.
     loaded = _loaded_after(f"import weylbn.{module}")
     assert module in loaded and not loaded & barred
+
+
+LAZY = {"cosets", "fingrp", "rootsys", "titssys", "weyl"}
+
+
+def _ran_after(statement):
+    """The weylbn submodules a fresh interpreter has run after ``statement``.
+    One the CLI registered lazily stays a lazy module, not a plain one,
+    until an attribute read runs it; ``type`` reads none."""
+    code = (
+        f"import sys, types\n{statement}\n"
+        "print(' '.join(n for n, m in sys.modules.items() if type(m) is types.ModuleType))"
+    )
+    out = _fresh_python(["-c", code], text=True)
+    assert out.returncode == 0, out.stderr
+    names = out.stdout.splitlines()[-1].split()
+    return {n.split(".", 1)[1] for n in names if n.startswith("weylbn.")}
+
+
+@pytest.mark.parametrize(
+    "statement,idle",
+    [
+        ("import weylbn.cli", LAZY),
+        ("from weylbn.cli import main; main(['lemma2', '--max-rank', '3', '--format', 'json'])",
+         {"fingrp", "titssys"}),
+        ("from weylbn.cli import main; main(['bn', '--sl', '2', '2', '--format', 'json'])",
+         {"cosets"}),
+    ],
+)
+def test_the_cli_runs_only_the_half_a_command_uses(statement, idle):
+    assert _ran_after(statement) & LAZY == LAZY - idle
+
+
+def test_a_module_imported_before_the_cli_stays_one_module():
+    code = (
+        "import weylbn.fingrp as early\n"
+        "from weylbn import cli\n"
+        "G = cli.titssys.affine_rank1_system(5).G\n"
+        "print(cli.fingrp is early, isinstance(G, early.FiniteGroup))"
+    )
+    out = _fresh_python(["-c", code], text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True"]
 
 
 def test_importing_the_package_loads_no_submodule():
