@@ -240,9 +240,9 @@ def cells_case(c):
     return inputs, str(c.G.order), str(total), total == c.G.order
 
 
-def holds_case(c, check, *args):
+def holds_case(c, check):
     """A boolean check of the system ``c``, expected to hold."""
-    ok = check(*args)
+    ok = check(c)
     return {"system": c.label}, "True", str(ok), ok
 
 
@@ -384,12 +384,12 @@ def bn_cases(spec):
     cases = [
         (f"axioms/{c.label}", partial(axioms_case, c)),
         (f"cells/{c.label}", partial(cells_case, c)),
-        (f"star/{c.label}", partial(holds_case, c, titssys.star_property_check, c)),
-        (f"intersection/{c.label}", partial(holds_case, c, titssys.intersection_identity_check, c)),
+        (f"star/{c.label}", partial(holds_case, c, titssys.star_property_check)),
+        (f"intersection/{c.label}", partial(holds_case, c, titssys.intersection_identity_check)),
         (f"classify/{c.label}", partial(classify_case, c)),
     ]
     if spec[0] == "sl":
-        formula = partial(holds_case, c, titssys.cell_size_formula_check, *spec[1:])
+        formula = partial(holds_case, c, titssys.cell_size_formula_check)
         cases.append((f"cell-formula/{c.label}", formula))
     return cases
 

@@ -192,23 +192,14 @@ def double_coset_count(choice):
     )
 
 
-def double_coset_orbit_sizes(choice):
-    """Sorted sizes of the W'-orbits on the weight orbit (they partition
-    it): |W'| / |W'_mu| for each J-dominant mu, whose stabilizer is the
-    parabolic subgroup of the kept nodes where mu is zero."""
-    core = choice.core
-    others = [n for n in range(1, core.rank + 1) if n != choice.removed]
-    zeros = [[n for n in others if mu[n - 1] == 0] for mu in _j_dominant(choice)]
-    return sorted(_order(core, others) // _order(core, z) for z in zeros)
-
-
-def double_coset_count_naive(choice, cap=NAIVE_WEYL_CAP):
+def double_coset_count_naive(choice):
     """Independent oracle: partition the fully enumerated Weyl group.
 
     Enumerates W once, as a FiniteGroup of root permutations under
     composition, and counts the orbits of the left and right
     multiplication tables of the simple reflections of W': the W' x W'
-    double cosets.  Only for |W| <= cap; GroupTooLarge past it.
+    double cosets.  Only for |W| <= ``NAIVE_WEYL_CAP``; GroupTooLarge
+    past it.
     """
     # Only here, so the Weyl side imports without the group side.
     from .fingrp import FiniteGroup, GroupOps, _closure, orbits
@@ -216,7 +207,7 @@ def double_coset_count_naive(choice, cap=NAIVE_WEYL_CAP):
     core = choice.core
     gens = core.simple_refl_perms
     ident = tuple(range(len(core.roots)))
-    bfs = _closure(ident, [partial(compose, g) for g in gens], cap=cap)
+    bfs = _closure(ident, [partial(compose, g) for g in gens], cap=NAIVE_WEYL_CAP)
     ops = GroupOps(compose, ident, str, f"W({core.spec.label()})")
     W = FiniteGroup(ops, bfs[0], gens=gens, check=False, bfs=bfs)
     sub = [g for n, g in enumerate(gens, start=1) if n != choice.removed]

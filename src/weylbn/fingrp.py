@@ -349,14 +349,14 @@ def normal_closure(G, seeds, conj_gens):
     return G.subgroup([G.elements[i] for i in orb])
 
 
-def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
+def normal_subgroups(G):
     """All normal subgroups, as normal closures of class representatives.
 
     Grown lattice-style: starting from the trivial subgroup, take the
     normal closure of a known subgroup's representatives together with
     the least member of one more conjugacy class.  Every normal subgroup
     is a union of classes, so this reaches all of them.  Raises
-    GroupTooLarge past ``cap`` many subgroups.
+    GroupTooLarge past ``NORMAL_SUBGROUP_CAP`` many subgroups.
     """
     classes = conjugacy_classes(G)
     gens = G.generators()
@@ -371,8 +371,8 @@ def normal_subgroups(G, cap=NORMAL_SUBGROUP_CAP):
             more = reps + (min(cls),)
             grown = normal_closure(G, more, gens).elemset
             if grown not in found:
-                if len(found) >= cap:
-                    raise GroupTooLarge(f"more than {cap} normal subgroups")
+                if len(found) >= NORMAL_SUBGROUP_CAP:
+                    raise GroupTooLarge(f"more than {NORMAL_SUBGROUP_CAP} normal subgroups")
                 found.add(grown)
                 worklist.append((grown, more))
     return [G.subgroup(els) for els in sorted(found, key=lambda s: (len(s), sorted(s)))]

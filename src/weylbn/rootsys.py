@@ -243,12 +243,11 @@ def _positive_roots(cartan, simples):
 
 
 @lru_cache(maxsize=None)
-def _build_cached(family, rank):
-    spec = RootSystemSpec(family, rank)
+def _build_cached(spec):
     dim, scale, simples = _simple_root_data(spec)
     cartan = _cartan_matrix(simples)
     positive = _positive_roots(cartan, simples)
-    if family == "BC":
+    if spec.family == "BC":
         # BC has the Cartan matrix of B; it adds twice each shortest root.
         least = min(dot(v, v) for _, _, v in positive)
         positive += [[_scale_vec(2, x) for x in r] for r in positive if dot(r[2], r[2]) == least]
@@ -259,10 +258,10 @@ def build_root_system(spec):
     """Construct the root system for an admissible spec.
 
     Results are cached and immutable; callers share instances freely.
+    The spec is validated before the cache: keyed on the raw tuple,
+    ("A", True) would find A1, since True == 1.
     """
-    if isinstance(spec, tuple):
-        spec = RootSystemSpec(*spec)
-    return _build_cached(spec.family, spec.rank)
+    return _build_cached(RootSystemSpec(*spec))
 
 
 @lru_cache(maxsize=None)

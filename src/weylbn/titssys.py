@@ -28,8 +28,9 @@ is a nilpotent normal witness.  Both flags are read off group orders:
 for U normal in B, H·U is a subgroup of order |H|·|U| / |H ∩ U|, so
 B = H·U exactly when |H|·|U| = |B|·|H ∩ U|, and no product is formed.
 
-Candidates are immutable once built, and their derived data is cached
-on them.
+Candidates are immutable once built, save their label, which the rank-1
+constructors set after ``rank1_from_2transitive``; their derived data is
+cached on them.
 """
 
 from __future__ import annotations
@@ -530,14 +531,15 @@ def psl3_f2_nonstandard_system():
     return c
 
 
-def cell_size_formula_check(n, p):
-    """Every Bruhat cell of the standard SL_n system has size p^l(w)·|B|,
-    the sizes sum to |G|, and the length census matches the Poincaré
-    polynomial of the Weyl group of the type-A root system of rank n-1."""
+def cell_size_formula_check(c):
+    """Every Bruhat cell of a standard SL_n(F_p) system ``c`` has size
+    p^l(w)·|B|, the sizes sum to |G|, and the length census matches the
+    Poincaré polynomial of the Weyl group of the type-A root system of
+    rank n-1; n and p are read from G's metadata."""
     from .rootsys import build_root_system
     from .weyl import poincare_polynomial
 
-    c = standard_sl_system(n, p)
+    _, n, p = c.G.ops.meta
     d = _derived(c)
     if d.unreached:
         return False

@@ -1,6 +1,6 @@
 """The J-dominant tree of cosets against the orbit walks it replaced: the
-same indices, double-coset counts, W'-orbit sizes and coset-distinctness
-verdicts.
+same indices, double-coset counts, W'-orbit representatives and
+coset-distinctness verdicts.
 
 ``_walk`` walks the whole orbit W·ω_a along Stembridge's canonical-parent
 tree and counts its J-dominant weights on the way.  ``_orbit`` and
@@ -15,7 +15,6 @@ import pytest
 from weylbn.cosets import (
     ParabolicChoice,
     double_coset_count,
-    double_coset_orbit_sizes,
     sweep_cases,
     third_coset_witness,
 )
@@ -208,7 +207,7 @@ def test_memo_shares_sub_diagrams_across_types():
 
 @pytest.mark.parametrize("fam,rank,node", [c for c in CHOICES if c[1] <= 4])
 def test_orbit_sizes_and_representatives_match_bfs(fam, rank, node):
-    ch, core, nodes, others = _setup(fam, rank, node)
+    _, core, nodes, others = _setup(fam, rank, node)
     orbit = _orbit(core, fundamental_weight(core, node), nodes)
     parts = []
     remaining = set(orbit)
@@ -216,7 +215,6 @@ def test_orbit_sizes_and_representatives_match_bfs(fam, rank, node):
         part = _orbit(core, remaining.pop(), others)
         remaining -= part
         parts.append(part)
-    assert double_coset_orbit_sizes(ch) == sorted(len(p) for p in parts)
     # Two weights share a W'-orbit iff they have the same J-dominant weight.
     rep_of = {v: descend(core, v, others)[1] for v in orbit}
     for part in parts:

@@ -184,9 +184,10 @@ def test_normal_subgroups_affine():
     assert orders == [1, 5, 10, 20]
 
 
-def test_normal_subgroups_cap():
+def test_normal_subgroups_cap(monkeypatch):
+    monkeypatch.setattr(fingrp, "NORMAL_SUBGROUP_CAP", 1)
     with pytest.raises(GroupTooLarge):
-        normal_subgroups(affine_group(5), cap=1)
+        normal_subgroups(affine_group(5))
 
 
 def test_nilpotency_and_fitting():

@@ -85,6 +85,14 @@ def test_bool_rank_rejected():
     assert build_root_system(("A", 1)).spec.label() == "A1"
 
 
+def test_bool_rank_rejected_once_rank_1_is_cached():
+    # The spec is validated before the cache: keyed on the raw tuple,
+    # ("A", True) would find the cached A1, since True == 1.
+    build_root_system(("A", 1))
+    with pytest.raises(InvalidSpec):
+        build_root_system(("A", True))
+
+
 @pytest.mark.parametrize("fam,rank", ALL_TYPES)
 def test_negation_and_reflection_closure(fam, rank):
     rs = build_root_system((fam, rank))

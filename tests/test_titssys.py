@@ -194,7 +194,7 @@ def test_psl3f2_nonstandard():
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_cell_size_formula(n, p):
-    assert cell_size_formula_check(n, p)
+    assert cell_size_formula_check(standard_sl_system(n, p))
 
 
 def test_coxeter_orders_vs_type_a():

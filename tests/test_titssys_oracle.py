@@ -47,6 +47,7 @@ from weylbn.titssys import (
     _derived,
     affine_rank1_system,
     bruhat_cells,
+    cell_size_formula_check,
     check_axioms,
     classify,
     find_S,
@@ -360,6 +361,11 @@ def test_flags_match_the_cosets_of_the_enumerated_group(n, p):
     assert flags == old_flags and flags.witness_u.elemset == old_flags.witness_u.elemset
     ref = Reference(old)
     assert all(d.cell_of[d.coset(x)] == ref.cell_of.get(x) for x in old.G.elements)
+
+
+@pytest.mark.parametrize("n,p", REPORT_SL)
+def test_cell_size_formula_holds_on_the_enumerated_group(n, p):
+    assert cell_size_formula_check(_enumerated_sl(n, p))
 
 
 @pytest.mark.parametrize("n,p", REPORT_SL)
